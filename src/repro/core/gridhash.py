@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ragged import RaggedNeighborhoods
+from repro.core.ragged import RadiusHits, RaggedNeighborhoods
 from repro.kdtree.stats import SearchStats
 
 __all__ = ["GridHashConfig", "GridHashIndex"]
@@ -253,42 +253,27 @@ class GridHashIndex:
             total = len(cand)
 
         # Fused per-coordinate squared distances (the shared acceptance
-        # operand of every exact backend).
+        # operand of every exact backend).  The hits helper restores the
+        # ascending-index order per query (cells are overlap-free, so a
+        # point is a candidate at most once); sort=True replays the
+        # backends' stable distance sort on top.
+        hits = RadiusHits(n_queries, self.n, r)
         if total:
             diff = self._points[cand] - queries[qid]
             sq = diff[:, 0] * diff[:, 0]
             for c in range(1, diff.shape[1]):
                 sq += diff[:, c] * diff[:, c]
-            keep = sq <= r * r
-            kept_cand = cand[keep]
-            kept_qid = qid[keep]
-            kept_dist = np.sqrt(sq[keep])
-        else:
-            kept_cand = np.empty(0, dtype=np.int64)
-            kept_qid = np.empty(0, dtype=np.int64)
-            kept_dist = np.empty(0)
-
-        # Canonical result order: ascending point index per query
-        # (cells overlap-free, so a plain lexsort is enough); sort=True
-        # replays the backends' stable distance sort on top.
-        if len(kept_cand):
-            if sort:
-                order = np.lexsort((kept_cand, kept_dist, kept_qid))
-            else:
-                order = np.lexsort((kept_cand, kept_qid))
-            kept_cand = kept_cand[order]
-            kept_dist = kept_dist[order]
-            kept_qid = kept_qid[order]
-        per_query = np.bincount(kept_qid, minlength=n_queries)
-        offsets = np.zeros(n_queries + 1, dtype=np.int64)
-        np.cumsum(per_query, out=offsets[1:])
+            hits.add(qid, cand, sq)
+        result = hits.to_csr()
+        if sort:
+            result = result.sorted_by_distance()
 
         if stats is not None:
             stats.traversal_steps += n_queries * n_slots
             stats.nodes_visited += total
             stats.queries += n_queries
-            stats.results_returned += len(kept_cand)
-        return RaggedNeighborhoods(kept_cand, offsets, kept_dist)
+            stats.results_returned += result.n_entries
+        return result
 
     def radius(
         self,

@@ -42,6 +42,7 @@ import numpy as np
 
 __all__ = [
     "RaggedNeighborhoods",
+    "RadiusHits",
     "segment_sort_order",
     "csr_radius_select",
     "csr_radius_select_csr",
@@ -65,19 +66,26 @@ class RaggedNeighborhoods:
     ``indices`` is the concatenation of all per-query neighbor index
     lists; segment ``q`` occupies ``indices[offsets[q]:offsets[q + 1]]``.
     ``distances`` (optional) is the matching flat distance array.
+    ``sq_distances`` (optional) holds the squared distances an exact
+    backend's radius search compared against ``r * r`` — its acceptance
+    operand, bit for bit, which a re-derived ``distances ** 2`` is not.
+    Fresh backend results carry it (the nested-radius reuse cache
+    filters on it) and :meth:`sorted_by_distance` keeps it; the
+    consumer-side views :meth:`select` and :meth:`mask` drop it.
     Neighbor order within a segment is exactly the order the search
     backend returned (ascending index for unsorted radius queries — the
     PR 1 tie rule), so sequential segment reductions replay the seed
     loops' accumulation order.
     """
 
-    __slots__ = ("indices", "offsets", "distances", "_segment_ids")
+    __slots__ = ("indices", "offsets", "distances", "sq_distances", "_segment_ids")
 
     def __init__(
         self,
         indices: np.ndarray,
         offsets: np.ndarray,
         distances: np.ndarray | None = None,
+        sq_distances: np.ndarray | None = None,
     ):
         self.indices = np.asarray(indices, dtype=np.int64)
         self.offsets = np.asarray(offsets, dtype=np.int64)
@@ -92,6 +100,15 @@ class RaggedNeighborhoods:
         )
         if self.distances is not None and len(self.distances) != len(self.indices):
             raise ValueError("distances must align with indices")
+        self.sq_distances = (
+            None
+            if sq_distances is None
+            else np.asarray(sq_distances, dtype=np.float64)
+        )
+        if self.sq_distances is not None and len(self.sq_distances) != len(
+            self.indices
+        ):
+            raise ValueError("sq_distances must align with indices")
         self._segment_ids: np.ndarray | None = None
 
     @classmethod
@@ -177,10 +194,15 @@ class RaggedNeighborhoods:
         if self.distances is None:
             raise ValueError("sorted_by_distance requires distances")
         if self.n_entries == 0:
-            return RaggedNeighborhoods(self.indices, self.offsets, self.distances)
+            return RaggedNeighborhoods(
+                self.indices, self.offsets, self.distances, self.sq_distances
+            )
         order = segment_sort_order(self.distances, self.segment_ids)
         return RaggedNeighborhoods(
-            self.indices[order], self.offsets, self.distances[order]
+            self.indices[order],
+            self.offsets,
+            self.distances[order],
+            None if self.sq_distances is None else self.sq_distances[order],
         )
 
     def select(self, segments: np.ndarray) -> "RaggedNeighborhoods":
@@ -240,6 +262,68 @@ def segment_sort_order(values: np.ndarray, segment_ids: np.ndarray) -> np.ndarra
     return np.lexsort((position, values, segment_ids))
 
 
+class RadiusHits:
+    """Accepted radius-search pairs, packed once into the CSR result.
+
+    The shared result builder of the tree and grid radius searches.  A
+    backend feeds it squared distances in whatever order its schedule
+    produces them — :meth:`add` for aligned ``(query row, point index)``
+    pairs, :meth:`add_block` for one leaf scanned against a block of
+    queries — and each call keeps the pairs with ``sq <= r * r``.
+    :meth:`to_csr` then establishes the ascending-index-per-query
+    contract with one ``argsort`` of the key ``row * n_points + index``:
+    a point is accepted at most once per query, so the key is unique
+    per hit and the order equals ``lexsort((index, row))`` exactly, at
+    a fraction of the cost.  The result carries the accepted squared
+    distances as ``sq_distances`` beside their square roots.
+    """
+
+    def __init__(self, n_queries: int, n_points: int, r: float):
+        self.n_queries = n_queries
+        self.n_points = n_points
+        self.r_sq = r * r
+        self._rows: list[np.ndarray] = []
+        self._indices: list[np.ndarray] = []
+        self._sq: list[np.ndarray] = []
+
+    def add(self, rows: np.ndarray, indices: np.ndarray, sq: np.ndarray) -> None:
+        """Keep pair ``(rows[i], indices[i])`` where ``sq[i] <= r * r``."""
+        hit = sq <= self.r_sq
+        if hit.any():
+            self._rows.append(rows[hit])
+            self._indices.append(indices[hit])
+            self._sq.append(sq[hit])
+
+    def add_block(
+        self, rows: np.ndarray, indices: np.ndarray, sq: np.ndarray
+    ) -> None:
+        """Keep the hits of a C-contiguous ``(len(rows), len(indices))``
+        block of squared distances between query ``rows`` and points
+        ``indices``."""
+        # 1-D nonzero over the raveled mask: 2-D nonzero is slower.
+        flat = np.flatnonzero(sq <= self.r_sq)
+        if len(flat):
+            block_rows = flat // sq.shape[1]
+            self._rows.append(rows[block_rows])
+            self._indices.append(indices[flat - block_rows * sq.shape[1]])
+            self._sq.append(sq.ravel()[flat])
+
+    def to_csr(self) -> RaggedNeighborhoods:
+        """The hits as CSR: ascending point index within each query row."""
+        offsets = np.zeros(self.n_queries + 1, dtype=np.int64)
+        if not self._rows:
+            empty = np.empty(0, dtype=np.float64)
+            return RaggedNeighborhoods(
+                np.empty(0, dtype=np.int64), offsets, empty, empty
+            )
+        rows = np.concatenate(self._rows).astype(np.int64, copy=False)
+        indices = np.concatenate(self._indices).astype(np.int64, copy=False)
+        order = np.argsort(rows * self.n_points + indices)
+        sq = np.concatenate(self._sq)[order]
+        np.cumsum(np.bincount(rows, minlength=self.n_queries), out=offsets[1:])
+        return RaggedNeighborhoods(indices[order], offsets, np.sqrt(sq), sq)
+
+
 def csr_radius_select_csr(
     indices: np.ndarray,
     offsets: np.ndarray,
@@ -253,11 +337,12 @@ def csr_radius_select_csr(
 
     The nested-radius reuse kernel: given the CSR result of a radius
     search at some radius ``R >= r`` (``indices``/``offsets``/``dists``
-    plus the backend's *squared* distances ``sq_dists``), gather the
-    requested ``rows`` and keep each entry iff ``sq_dist <= r * r`` —
-    the exact acceptance predicate every exact backend applies, over
-    the same per-coordinate squared distances — so the derived result
-    is bit-identical to a fresh radius-``r`` query of those rows.
+    plus the squared distances the backend accepted, its result's
+    ``sq_distances``), gather the requested ``rows`` and keep each entry
+    iff ``sq_dist <= r * r`` — the exact acceptance predicate every
+    exact backend applies, over the very values it compared — so the
+    derived result is bit-identical to a fresh radius-``r`` query of
+    those rows.
     Cached entries arrive in the backends' ascending-index order and
     filtering preserves it; ``sort=True`` applies the backends' stable
     per-row distance sort (:func:`segment_sort_order`).  Returns the

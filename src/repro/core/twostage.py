@@ -3,7 +3,7 @@
 The two-stage KD-tree splits the canonical KD-tree into a *top-tree* —
 identical to the first ``top_height`` levels of the classic structure —
 and *unordered leaf sets*: the members of each subtree rooted just below
-the top-tree, stored flat with no internal ordering.  Searching traverses
+the top-tree, stored flat with no spatial ordering.  Searching traverses
 the top-tree with normal pruning, then exhaustively (and, in hardware,
 in parallel) scans each reached leaf set.
 
@@ -13,8 +13,25 @@ node-level parallelism for the accelerator back-end.  At
 ``top_height = 0`` search degenerates to a full brute-force scan; at
 ``top_height >= log2(n)`` it matches the canonical tree.
 
-Leaf scans are vectorized with numpy — deliberately mirroring the
-data-parallel processing-element array of the accelerator back-end.
+Leaf layout and scans
+---------------------
+Leaf scans are vectorized with numpy — the software form of the
+back-end's data-parallel processing-element array.  The leaf sets are
+stored back to back: ``_leaf_orig`` holds each set's original point
+indices in *ascending* order, and ``_leaf_points_t`` is a contiguous
+coordinate-major ``(k, N)`` copy of the same points, so one set's
+coordinate ``j`` is a contiguous row slice.  The single-query
+:meth:`TwoStageKDTree.scan_leaf` and the batch block scan share one
+kernel, :func:`_sum_squares`: each coordinate row of differences —
+``(c,)`` for one query, ``(m, c)`` for a block of ``m`` — is squared
+whole, and the terms are summed in a fixed order, the order numpy's
+``einsum("ij,ij->i")`` used on x86-64 builds (two unfused 128-bit
+lanes): even coordinates in one lane, odd ones in the other, then the
+two lanes, so in 3-D ``(dx² + dz²) + dy²``.  Keeping that order keeps
+every leaf distance, and hence every result and golden, bit-identical
+to the einsum scan this kernel replaced; ``tests/core/test_twostage.py``
+pins it.  Top-tree node distances accumulate left to right
+(:func:`_point_sq_dist`) on both paths.
 
 Batch queries
 -------------
@@ -27,9 +44,12 @@ every query that arrived at it.  Nearest-neighbor batches first descend
 every query to its home leaf to seed tight pruning bounds (the
 hardware's split-tree scheduling).  Results are bit-identical to the
 scalar methods: ties resolve to the lowest point index and radius
-results come back in ascending index order on both paths.  Passing
-``trace=`` falls back to the sequential per-query path, which records
-the exact per-query traversal the accelerator model replays.
+results come back in ascending index order on both paths.  Because
+members are stored in ascending index order, a leaf's ``argmin`` (first
+occurrence of the minimum) already is its lowest-index nearest member.
+Radius hits are packed into CSR by :class:`repro.core.ragged.RadiusHits`.
+Passing ``trace=`` falls back to the sequential per-query path, which
+records the exact per-query traversal the accelerator model replays.
 :meth:`TwoStageKDTree.knn_batch` remains a tight scalar loop — the
 bounded-heap eviction order of kNN is inherently sequential, and kNN is
 not one of the two query kinds (NN, radius) the paper's workloads use.
@@ -42,7 +62,7 @@ import math
 
 import numpy as np
 
-from repro.core.ragged import RaggedNeighborhoods
+from repro.core.ragged import RadiusHits, RaggedNeighborhoods
 from repro.core.trace import LeafVisitRecord, QueryTrace
 from repro.kdtree.stats import SearchStats
 
@@ -74,6 +94,48 @@ def _point_sq_dist(query: np.ndarray, point: np.ndarray) -> float:
     for t in query - point:
         d_sq += t * t
     return float(d_sq)
+
+
+def _lane_orders(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Coordinates in the order each of einsum's two lanes adds them.
+
+    einsum's contiguous dot-product loop keeps two lanes: lane 0 takes
+    the even coordinates, lane 1 the odd ones.  Eight coordinates at a
+    time it adds four lane-steps last-to-first; the tail is added in
+    order.  The result is lane 0 + lane 1.
+    """
+    even: list[int] = []
+    odd: list[int] = []
+    base = 0
+    while ndim - base >= 8:
+        even += [base + 6, base + 4, base + 2, base]
+        odd += [base + 7, base + 5, base + 3, base + 1]
+        base += 8
+    even += range(base, ndim, 2)
+    odd += range(base + 1, ndim, 2)
+    return tuple(even), tuple(odd)
+
+
+def _sum_squares(diff: np.ndarray, lanes) -> np.ndarray:
+    """Squared distances from a coordinate-major stack of differences.
+
+    ``diff[j]`` holds coordinate ``j``'s point-minus-query differences —
+    ``(c,)`` for one query, ``(m, c)`` for a block — and is overwritten:
+    the terms are squared in place and summed in ``lanes`` order
+    (:func:`_lane_orders`), bit-identical to the einsum scan.  Returns
+    the ``diff[lanes[0][0]]`` row, which ends up holding the sums.
+    """
+    np.multiply(diff, diff, out=diff)
+    even, odd = lanes
+    total = diff[even[0]]
+    for j in even[1:]:
+        total += diff[j]
+    if odd:
+        lane = diff[odd[0]]
+        for j in odd[1:]:
+            lane += diff[j]
+        total += lane
+    return total
 
 
 class TwoStageKDTree:
@@ -139,6 +201,9 @@ class TwoStageKDTree:
 
     def _build(self) -> None:
         n, ndim = self._points.shape
+        # Coordinate-major points: split statistics and the leaf copy
+        # read contiguous coordinate rows.
+        points_t = np.ascontiguousarray(self._points.T)
         node_point: list[int] = []
         node_dim: list[int] = []
         node_value: list[float] = []
@@ -148,14 +213,14 @@ class TwoStageKDTree:
         leaf_members: list[np.ndarray] = []
 
         def make_leaf(indices: np.ndarray) -> int:
-            leaf_members.append(indices)
+            leaf_members.append(np.sort(indices))
             return _encode_leaf(len(leaf_members) - 1)
 
         def choose_dim(indices: np.ndarray, depth: int) -> int:
             if self._split_rule == "cyclic" or len(indices) == 1:
                 return depth % ndim
-            member_points = self._points[indices]
-            spread = member_points.max(axis=0) - member_points.min(axis=0)
+            members_t = np.take(points_t, indices, axis=1)
+            spread = members_t.max(axis=1) - members_t.min(axis=1)
             return int(np.argmax(spread))
 
         self._root_ref = _NO_CHILD
@@ -174,7 +239,7 @@ class TwoStageKDTree:
                     ref = make_leaf(indices)
                 else:
                     dim = choose_dim(indices, depth)
-                    values = self._points[indices, dim]
+                    values = points_t[dim][indices]
                     mid = (len(indices) - 1) // 2
                     if len(indices) == 1:
                         order = np.array([0], dtype=np.int64)
@@ -205,7 +270,8 @@ class TwoStageKDTree:
         self._node_right = np.array(node_right, dtype=np.int64)
         self._node_depth = np.array(node_depth, dtype=np.int64)
 
-        # Flatten leaf sets into one contiguous, scan-friendly layout.
+        # Flatten leaf sets into one contiguous, scan-friendly layout:
+        # ascending member indices per set, coordinate-major points.
         counts = np.array([len(m) for m in leaf_members], dtype=np.int64)
         if len(counts):
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -216,11 +282,8 @@ class TwoStageKDTree:
         self._leaf_start = starts
         self._leaf_count = counts
         self._leaf_orig = member_concat
-        self._leaf_points = (
-            self._points[member_concat]
-            if len(member_concat)
-            else np.empty((0, ndim))
-        )
+        self._leaf_points_t = np.take(points_t, member_concat, axis=1)
+        self._lanes = _lane_orders(ndim)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -264,7 +327,7 @@ class TwoStageKDTree:
         """Original point indices stored in leaf set ``leaf_id``, sorted."""
         start = self._leaf_start[leaf_id]
         count = self._leaf_count[leaf_id]
-        return np.sort(self._leaf_orig[start : start + count])
+        return self._leaf_orig[start : start + count].copy()
 
     def __repr__(self) -> str:
         return (
@@ -281,13 +344,15 @@ class TwoStageKDTree:
     def scan_leaf(
         self, leaf_id: int, query: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Brute-force one leaf set: (original indices, squared distances)."""
+        """Brute-force one leaf set: (original indices, squared distances).
+
+        Indices come back ascending; distances are summed in the leaf
+        kernel's fixed order (see the module docstring).
+        """
         start = self._leaf_start[leaf_id]
-        count = self._leaf_count[leaf_id]
-        members = self._leaf_points[start : start + count]
-        diff = members - query
-        sq = np.einsum("ij,ij->i", diff, diff)
-        return self._leaf_orig[start : start + count], sq
+        stop = start + self._leaf_count[leaf_id]
+        diff = self._leaf_points_t[:, start:stop] - query[:, None]
+        return self._leaf_orig[start:stop], _sum_squares(diff, self._lanes)
 
     def _exact_leaf_scan(self, leaf_id, query, record):
         indices, sq = self.scan_leaf(leaf_id, query)
@@ -602,11 +667,14 @@ class TwoStageKDTree:
         """Radius search returning the CSR result natively.
 
         The grouped-by-leaf frontier accumulates every hit flat (query
-        id, original point index, squared distance) and one global
-        lexsort establishes the ascending-index-per-query contract; no
-        per-query list is ever materialized.  Content bit-identical to
-        :meth:`radius_batch`, including the ``sort=True`` stable
-        distance sort (:func:`repro.core.ragged.segment_sort_order`).
+        id, original point index, squared distance) in a
+        :class:`~repro.core.ragged.RadiusHits`, whose one global sort
+        establishes the ascending-index-per-query contract; no
+        per-query list is ever materialized.  The result carries the
+        accepted squared distances as ``sq_distances``.  Content
+        bit-identical to :meth:`radius_batch`, including the
+        ``sort=True`` stable distance sort
+        (:func:`repro.core.ragged.segment_sort_order`).
         """
         if r < 0:
             raise ValueError("radius must be non-negative")
@@ -686,17 +754,24 @@ class TwoStageKDTree:
     def _scan_leaf_block(
         self, leaf_id: int, queries: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Scan one leaf set against a block of queries at once.
+        """Scan one leaf set against a block of ``m`` queries at once.
 
-        Returns (original indices (c,), squared distances (m, c)); each
-        row is bit-identical to :meth:`scan_leaf` for that query.
+        Returns (original indices (c,), squared distances (m, c)).  The
+        indices ascend.  For each coordinate ``j``, the block's query
+        column ``j`` is subtracted from row ``j`` of the ``(k, N)`` leaf
+        copy into one ``(m, c)`` array; :func:`_sum_squares` then
+        squares the terms and sums ``(dx² + dz²) + dy²`` in 3-D (the
+        einsum lane order, see the module docstring), the same
+        arithmetic as :meth:`scan_leaf`, so each row is bit-identical
+        to it for that query.
         """
         start = self._leaf_start[leaf_id]
-        count = self._leaf_count[leaf_id]
-        members = self._leaf_points[start : start + count]
-        diff = queries[:, None, :] - members[None, :, :]
-        sq = np.einsum("qij,qij->qi", diff, diff)
-        return self._leaf_orig[start : start + count], sq
+        stop = start + self._leaf_count[leaf_id]
+        points_t = self._leaf_points_t[:, start:stop]
+        diff = np.empty((len(points_t), len(queries), stop - start))
+        for j, row in enumerate(points_t):
+            np.subtract(row, queries[:, j, None], out=diff[j])
+        return self._leaf_orig[start:stop], _sum_squares(diff, self._lanes)
 
     @staticmethod
     def _leaf_groups(leaf_ids: np.ndarray, rows: np.ndarray):
@@ -729,15 +804,17 @@ class TwoStageKDTree:
         if n_queries == 0 or self._root_ref == _NO_CHILD:
             return best_idx, np.full(n_queries, np.inf)
         visits = bypassed = leaf_pruned = scanned = 0
-        big = np.iinfo(np.int64).max
 
         def scan_rows(leaf_id: int, rows: np.ndarray) -> int:
             """Scan a leaf against queries ``rows``; lexicographic-min
             update of the running bests.  Returns distance comps."""
             nonlocal best_sq, best_idx
             orig, sq = self._scan_leaf_block(leaf_id, queries[rows])
-            jv = sq.min(axis=1)
-            cand = np.where(sq == jv[:, None], orig[None, :], big).min(axis=1)
+            # Members ascend, so argmin's first occurrence is the
+            # lowest-index member at the minimum distance.
+            col = sq.argmin(axis=1)
+            jv = sq[np.arange(len(rows)), col]
+            cand = orig[col]
             better = (jv < best_sq[rows]) | (
                 (jv == best_sq[rows]) & (cand < best_idx[rows])
             )
@@ -849,9 +926,7 @@ class TwoStageKDTree:
     ) -> RaggedNeighborhoods:
         n_queries, ndim = queries.shape
         r_sq = r * r
-        hit_q: list[np.ndarray] = []
-        hit_idx: list[np.ndarray] = []
-        hit_sq: list[np.ndarray] = []
+        hits = RadiusHits(n_queries, self.n, r)
         visits = bypassed = leaf_pruned = scanned = 0
 
         if n_queries and self._root_ref != _NO_CHILD:
@@ -871,12 +946,7 @@ class TwoStageKDTree:
                     ):
                         orig, sq = self._scan_leaf_block(leaf_id, queries[rows])
                         scanned += sq.size
-                        hits = sq <= r_sq
-                        if hits.any():
-                            rflat, cflat = np.nonzero(hits)
-                            hit_q.append(rows[rflat])
-                            hit_idx.append(orig[cflat])
-                            hit_sq.append(sq[rflat, cflat])
+                        hits.add_block(rows, orig, sq)
                 inner = ~at_leaf
                 refs_i = refs[inner]
                 q_i = qidx[inner]
@@ -895,11 +965,7 @@ class TwoStageKDTree:
                     break
                 pidx = self._node_point[refs_i]
                 d_sq = self._node_sq_dists(queries[q_i], self._points[pidx])
-                hit = d_sq <= r_sq
-                if np.any(hit):
-                    hit_q.append(q_i[hit])
-                    hit_idx.append(pidx[hit])
-                    hit_sq.append(d_sq[hit])
+                hits.add(q_i, pidx, d_sq)
                 dim = self._node_dim[refs_i]
                 delta = queries[q_i, dim] - self._node_value[refs_i]
                 left = self._node_left[refs_i]
@@ -919,32 +985,14 @@ class TwoStageKDTree:
                 bound = np.concatenate([far_bound[has_far], b_i[has_near]])
                 contrib = np.concatenate([far_contrib[has_far], c_i[has_near]])
 
-        # One global lexsort replaces the per-query index argsorts:
-        # point indices are unique within a query, so ordering the flat
-        # hits by (query, index) reproduces each row's ascending-index
-        # result exactly.
-        if hit_q:
-            fq = np.concatenate(hit_q)
-            fidx = np.concatenate(hit_idx).astype(np.int64, copy=False)
-            fsq = np.concatenate(hit_sq)
-            order = np.lexsort((fidx, fq))
-            fidx = fidx[order]
-            fdist = np.sqrt(fsq[order])
-            counts = np.bincount(fq, minlength=n_queries)
-        else:
-            fidx = np.empty(0, dtype=np.int64)
-            fdist = np.empty(0)
-            counts = np.zeros(n_queries, dtype=np.int64)
-        offsets = np.zeros(n_queries + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-
+        result = hits.to_csr()
         if stats is not None:
             stats.nodes_visited += visits + scanned
             stats.traversal_steps += visits + bypassed
             stats.pruned_subtrees += bypassed + leaf_pruned
             stats.queries += n_queries
-            stats.results_returned += len(fidx)
-        return RaggedNeighborhoods(fidx, offsets, fdist)
+            stats.results_returned += result.n_entries
+        return result
 
     # ------------------------------------------------------------------
 

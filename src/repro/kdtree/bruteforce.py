@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ragged import RaggedNeighborhoods, segment_sort_order
+from repro.core.ragged import RaggedNeighborhoods
 
 __all__ = [
     "nn",
@@ -257,8 +257,9 @@ def radius_batch_csr(
     raveled mask walks row-major, so hits are grouped by query with
     ascending point index within each query); chunks concatenate into
     one flat index/distance pair plus offsets, with no per-row Python
-    loop anywhere.  ``sort=True`` applies the stable per-query distance
-    sort once, via :func:`repro.core.ragged.segment_sort_order`.
+    loop anywhere.  The accepted squared distances ride along as
+    ``sq_distances``.  ``sort=True`` applies the stable per-query
+    distance sort once, via :func:`repro.core.ragged.segment_sort_order`.
     """
     points = _as_2d(points)
     queries = _as_2d(np.atleast_2d(queries))
@@ -272,7 +273,7 @@ def radius_batch_csr(
     sq = np.empty((chunk, len(points)))
     scratch = np.empty((chunk, len(points)))
     chunk_cols: list[np.ndarray] = []
-    chunk_dists: list[np.ndarray] = []
+    chunk_sq: list[np.ndarray] = []
     chunk_counts: list[np.ndarray] = []
     for start in range(0, n_queries, chunk):
         stop = min(start + chunk, n_queries)
@@ -283,9 +284,8 @@ def radius_batch_csr(
         # 1D nonzero over the raveled mask: 2D nonzero is far slower.
         flat = np.nonzero((block <= r_sq).ravel())[0]
         hit_rows = flat // block.shape[1]
-        hit_cols = flat - hit_rows * block.shape[1]
-        chunk_cols.append(hit_cols)
-        chunk_dists.append(np.sqrt(block[hit_rows, hit_cols]))
+        chunk_cols.append(flat - hit_rows * block.shape[1])
+        chunk_sq.append(block.ravel()[flat])
         chunk_counts.append(np.bincount(hit_rows, minlength=c))
     counts = (
         np.concatenate(chunk_counts)
@@ -299,10 +299,10 @@ def radius_batch_csr(
         if chunk_cols
         else np.empty(0, dtype=np.int64)
     )
-    flat_dist = (
-        np.concatenate(chunk_dists) if chunk_dists else np.empty(0, dtype=np.float64)
+    flat_sq = (
+        np.concatenate(chunk_sq) if chunk_sq else np.empty(0, dtype=np.float64)
     )
-    result = RaggedNeighborhoods(flat_idx, offsets, flat_dist)
+    result = RaggedNeighborhoods(flat_idx, offsets, np.sqrt(flat_sq), flat_sq)
     if sort:
         result = result.sorted_by_distance()
     return result

@@ -43,7 +43,7 @@ import heapq
 
 import numpy as np
 
-from repro.core.ragged import RaggedNeighborhoods
+from repro.core.ragged import RadiusHits, RaggedNeighborhoods
 from repro.kdtree.stats import SearchStats
 
 __all__ = ["KDTree"]
@@ -521,11 +521,13 @@ class KDTree:
     ) -> RaggedNeighborhoods:
         """Radius search returning the CSR result natively.
 
-        The frontier sweep already accumulates its hits flat; this
-        entry point returns them without shredding into per-query
-        lists.  Bit-identical content to :meth:`radius_batch` — same
-        ascending-index order, same ``sort=True`` stable distance sort
-        (applied once via :func:`repro.core.ragged.segment_sort_order`).
+        The frontier sweep already accumulates its hits flat (in a
+        :class:`~repro.core.ragged.RadiusHits`); this entry point
+        returns them without shredding into per-query lists, with the
+        accepted squared distances as ``sq_distances``.  Bit-identical
+        content to :meth:`radius_batch` — same ascending-index order,
+        same ``sort=True`` stable distance sort (applied once via
+        :func:`repro.core.ragged.segment_sort_order`).
         """
         queries = self._check_queries(queries)
         if r < 0:
@@ -787,9 +789,7 @@ class KDTree:
     ) -> RaggedNeighborhoods:
         n_queries, ndim = queries.shape
         r_sq = r * r
-        hit_q: list[np.ndarray] = []
-        hit_idx: list[np.ndarray] = []
-        hit_sq: list[np.ndarray] = []
+        hits = RadiusHits(n_queries, self.n, r)
         visits = pruned = 0
 
         # The radius bound never tightens, so (unlike nn) pushes are
@@ -805,11 +805,7 @@ class KDTree:
                 visits += len(refs)
                 pidx = self._point_index[refs]
                 d_sq = self._sq_dists(queries[qidx], self._points[pidx])
-                hit = d_sq <= r_sq
-                if np.any(hit):
-                    hit_q.append(qidx[hit])
-                    hit_idx.append(pidx[hit])
-                    hit_sq.append(d_sq[hit])
+                hits.add(qidx, pidx, d_sq)
                 dim = self._split_dim[refs]
                 delta = queries[qidx, dim] - self._split_value[refs]
                 left = self._left[refs]
@@ -833,25 +829,11 @@ class KDTree:
                 )
                 refs, qidx = refs_new, qidx_new
 
-        if hit_q:
-            fq = np.concatenate(hit_q)
-            fidx = np.concatenate(hit_idx)
-            fsq = np.concatenate(hit_sq)
-            order = np.lexsort((fidx, fq))
-            fidx = fidx[order]
-            fdist = np.sqrt(fsq[order])
-            counts = np.bincount(fq, minlength=n_queries)
-        else:
-            fidx = np.empty(0, dtype=np.int64)
-            fdist = np.empty(0)
-            counts = np.zeros(n_queries, dtype=np.int64)
-        offsets = np.zeros(n_queries + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-
+        result = hits.to_csr()
         if stats is not None:
             stats.nodes_visited += visits
             stats.traversal_steps += visits
             stats.pruned_subtrees += pruned
             stats.queries += n_queries
-            stats.results_returned += len(fidx)
-        return RaggedNeighborhoods(fidx, offsets, fdist)
+            stats.results_returned += result.n_entries
+        return result

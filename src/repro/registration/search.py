@@ -55,8 +55,9 @@ as before) runs that search once — the first eligible full-cloud
 ``radius_batch`` is transparently inflated to the planned maximum
 radius and its CSR result retained — and serves every later nested
 request by row-select plus exact squared-distance re-filter
-(:func:`repro.core.ragged.csr_radius_select`), bit-identical to a
-fresh query.  Accounting stays honest: the filling stage is charged
+(:func:`repro.core.ragged.csr_radius_select`) on the backend's own
+accepted squared distances, bit-identical to a fresh query.
+Accounting stays honest: the filling stage is charged
 the full inflated search it executed (its ``results_returned`` counts
 the retained larger-radius results), while served calls charge
 ``queries``/``reused_queries``/``cache_hits`` and their filtered
@@ -192,22 +193,18 @@ class _BruteForceIndex:
         return result
 
 
-# Flat neighbor pairs per chunk when recomputing squared distances at
-# cache-fill time; bounds the transient (chunk, dim) diff buffer.
-_REUSE_BLOCK = 1 << 20
-
-
 class RadiusReuseCache:
     """One inflated radius search serving a frame's nested-radius stages.
 
     Holds the CSR result (flat indices, offsets, distances, and the
-    backend's per-coordinate *squared* distances) of a single all-points
-    radius search at ``max_radius`` over ``index``.  ``fill`` runs that
-    search; ``serve`` derives any nested request — a row subset at any
-    radius ``r <= max_radius`` — via :func:`repro.core.ragged.csr_radius_select`,
-    bit-identical to a fresh query of the same rows.  Once filled the
-    cache is immutable, so repeated preprocessing of the same frame
-    reuses identically and charges identical stats.
+    *squared* distances the backend accepted, its ``sq_distances``) of
+    a single all-points radius search at ``max_radius`` over ``index``.
+    ``fill`` runs that search; ``serve`` derives any nested request — a
+    row subset at any radius ``r <= max_radius`` — via
+    :func:`repro.core.ragged.csr_radius_select`, bit-identical to a
+    fresh query of the same rows.  Once filled the cache is immutable,
+    so repeated preprocessing of the same frame reuses identically and
+    charges identical stats.
 
     The cache is valid for exactly one index object (compared by
     identity): :class:`NeighborSearcher` bypasses it whenever its
@@ -239,25 +236,19 @@ class RadiusReuseCache:
         Charged to ``stats`` exactly as the backend reports it — the
         filling stage owns the work it executed, including the results
         beyond its own requested radius that later stages will reuse.
+        The cache keeps the squared distances the backend itself
+        compared against the radius (``sq_distances``), so the serve
+        filter re-applies the very predicate a fresh search applies.
         """
         points = self.index.points
         result = self.index.radius_batch_csr(points, self.max_radius, stats)
-        indices, offsets, dists = result.indices, result.offsets, result.distances
-        total = result.n_entries
-        # Recompute the backends' squared distances (per-coordinate
-        # accumulation — every exact backend's acceptance operand) for
-        # the exact-filter predicate, chunked to bound transient memory.
-        owner = result.segment_ids
-        sq = np.empty(total, dtype=np.float64)
-        for lo in range(0, total, _REUSE_BLOCK):
-            hi = min(lo + _REUSE_BLOCK, total)
-            diff = points[indices[lo:hi]] - points[owner[lo:hi]]
-            block = diff[:, 0] * diff[:, 0]
-            for c in range(1, diff.shape[1]):
-                block += diff[:, c] * diff[:, c]
-            sq[lo:hi] = block
-        self._indices, self._offsets = indices, offsets
-        self._dists, self._sq_dists = dists, sq
+        if result.sq_distances is None:
+            raise ValueError(
+                f"{type(self.index).__name__} radius results carry no "
+                "sq_distances; the reuse cache needs an exact backend"
+            )
+        self._indices, self._offsets = result.indices, result.offsets
+        self._dists, self._sq_dists = result.distances, result.sq_distances
         self.filled = True
 
     def serve(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.ragged import (
+    RadiusHits,
     RaggedNeighborhoods,
     batched_eigh,
     gathered_moment_covariances,
@@ -101,6 +102,73 @@ class TestRaggedNeighborhoods:
             RaggedNeighborhoods(np.arange(3), np.array([0, 2, 1, 3]))  # decreasing
         with pytest.raises(ValueError):
             RaggedNeighborhoods(np.arange(3), np.array([0, 3]), np.zeros(2))
+        with pytest.raises(ValueError):
+            RaggedNeighborhoods(
+                np.arange(3), np.array([0, 3]), np.zeros(3), np.zeros(2)
+            )
+
+    def test_sorted_by_distance_keeps_sq_distances_aligned(self, rng):
+        lists = ragged_case(rng)
+        dists = [rng.uniform(0, 2, size=len(lst)) for lst in lists]
+        ragged = RaggedNeighborhoods.from_lists(lists, dists)
+        ragged = RaggedNeighborhoods(
+            ragged.indices, ragged.offsets, ragged.distances, ragged.distances**2
+        )
+        ordered = ragged.sorted_by_distance()
+        assert np.array_equal(ordered.sq_distances, ordered.distances**2)
+        assert ragged.mask(np.ones(ragged.n_entries, bool)).sq_distances is None
+
+
+class TestRadiusHits:
+    def shuffled_hits(self, rng, n_queries=40, n_points=300):
+        rows, indices = [], []
+        for row in range(n_queries):
+            picked = rng.choice(n_points, size=int(rng.integers(0, 15)), replace=False)
+            rows.append(np.full(len(picked), row))
+            indices.append(picked)
+        rows, indices = np.concatenate(rows), np.concatenate(indices)
+        order = rng.permutation(len(rows))
+        return rows[order], indices[order], rng.uniform(0, 1, size=len(rows))
+
+    def test_order_matches_two_key_lexsort(self, rng):
+        rows, indices, sq = self.shuffled_hits(rng)
+        hits = RadiusHits(40, 300, 1.0)
+        half = len(rows) // 2
+        hits.add(rows[:half], indices[:half], sq[:half])
+        hits.add(rows[half:], indices[half:], sq[half:])
+        result = hits.to_csr()
+        order = np.lexsort((indices, rows))
+        assert np.array_equal(result.indices, indices[order])
+        assert np.array_equal(result.sq_distances, sq[order])
+        assert np.array_equal(result.distances, np.sqrt(sq[order]))
+        assert np.array_equal(result.counts, np.bincount(rows, minlength=40))
+
+    def test_radius_filter_is_inclusive(self):
+        hits = RadiusHits(2, 5, 0.5)
+        hits.add(np.array([0, 0, 1]), np.array([3, 1, 4]), np.array([0.25, 0.3, 0.0]))
+        result = hits.to_csr()
+        assert result.to_lists()[0].tolist() == [3]
+        assert result.to_lists()[1].tolist() == [4]
+
+    def test_block_matches_pairs(self, rng):
+        sq = rng.uniform(0, 2, size=(7, 11))
+        rows = np.array([5, 0, 3, 9, 2, 8, 1])
+        points = np.sort(rng.choice(50, size=11, replace=False))
+        block = RadiusHits(10, 50, 1.0)
+        block.add_block(rows, points, sq)
+        pairs = RadiusHits(10, 50, 1.0)
+        pairs.add(np.repeat(rows, 11), np.tile(points, 7), sq.ravel())
+        got, expected = block.to_csr(), pairs.to_csr()
+        assert np.array_equal(got.offsets, expected.offsets)
+        assert np.array_equal(got.indices, expected.indices)
+        assert np.array_equal(got.sq_distances, expected.sq_distances)
+
+    def test_no_hits(self):
+        hits = RadiusHits(3, 10, 0.1)
+        hits.add(np.array([0]), np.array([1]), np.array([1.0]))
+        result = hits.to_csr()
+        assert result.n_segments == 3 and result.n_entries == 0
+        assert len(result.distances) == 0 and len(result.sq_distances) == 0
 
 
 class TestSegmentReductions:

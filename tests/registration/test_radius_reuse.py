@@ -22,6 +22,7 @@ tests pin the two contracts that make that safe:
 import numpy as np
 import pytest
 
+from repro.core import TwoStageKDTree
 from repro.kdtree import SearchStats
 from repro.registration import (
     DescriptorConfig,
@@ -276,6 +277,57 @@ class TestBypasses:
         searcher.radius_batch(points[rows[::5]], 0.2, self_indices=rows[::5])
         assert np.array_equal(cache._indices, before[0])
         assert np.array_equal(cache._dists, before[1])
+
+
+class TestRadiusBoundary:
+    """Served results equal fresh ones for a neighbor right at ``r``.
+
+    The cache must filter on the squared distances the backend itself
+    accepted.  Two-stage leaf scans sum ``(dx² + dz²) + dy²``; a
+    recomputed ``(dx² + dy²) + dz²`` can land on the other side of
+    ``r * r`` and silently drop (or add) a boundary neighbor.
+    """
+
+    @staticmethod
+    def boundary_pair(r):
+        """A and B = A + r * u where the two summation orders straddle r²."""
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            a = rng.normal(size=3)
+            u = rng.normal(size=3)
+            d = r * (u / np.linalg.norm(u))
+            b = a + d
+            d = b - a
+            leaf_sq = (d[0] * d[0] + d[2] * d[2]) + d[1] * d[1]
+            plain_sq = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
+            if leaf_sq <= r * r < plain_sq:
+                return np.array([a, b])
+        pytest.fail("no boundary pair found")
+
+    @pytest.mark.parametrize("max_radius", [0.75, 1.5])
+    def test_boundary_neighbor_is_served(self, max_radius):
+        r = 0.75
+        points = self.boundary_pair(r)
+        tree = TwoStageKDTree(points, top_height=0)
+        cache = RadiusReuseCache(tree, max_radius)
+        cache.fill(SearchStats())
+        fresh = tree.radius_batch_csr(points[:1], r)
+        assert fresh.indices.tolist() == [0, 1]
+        served = cache.serve_csr(np.array([0]), r)
+        assert served.indices.tolist() == fresh.indices.tolist()
+        assert np.array_equal(served.offsets, fresh.offsets)
+        assert np.array_equal(served.distances, fresh.distances)
+
+    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    def test_fill_keeps_backend_sq_distances(self, backend, rng):
+        points = rng.uniform(-2, 2, size=(400, 3))
+        index, _ = build_index(points, SearchConfig(backend=backend, leaf_size=16))
+        cache = RadiusReuseCache(index, 0.9)
+        cache.fill(SearchStats())
+        fresh = index.radius_batch_csr(points, 0.9)
+        assert np.array_equal(cache._sq_dists, fresh.sq_distances)
+        assert np.array_equal(np.sqrt(cache._sq_dists), cache._dists)
+        assert np.all(cache._sq_dists <= 0.9 * 0.9)
 
 
 class TestStateLifecycle:
