@@ -104,12 +104,16 @@ RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results"
 
 
 class ReplaySearcher:
-    """Replays a recorded ``radius_batch`` call sequence.
+    """Replays a recorded radius-search call sequence.
 
     The first pass through a stage records real results (and their
     search cost); subsequent passes replay them in call order for
-    free, so timing loops measure aggregation only.  Valid because the
-    parity suite proves both paths issue identical query sequences.
+    free, so timing loops measure aggregation only.  Each search is
+    recorded once, as the wrapped searcher's CSR result, and replayed
+    in the form the caller asks for: ``radius_batch_csr`` (the CSR
+    kernels) returns the record, ``radius_batch`` (the seed loops) its
+    list view.  Valid because the parity suite proves both paths issue
+    identical query sequences.
     """
 
     def __init__(self, searcher):
@@ -123,17 +127,20 @@ class ReplaySearcher:
         return self._searcher.points
 
     def radius_batch(self, queries, r, sort=False, self_indices=None):
+        return self.radius_batch_csr(queries, r, sort, self_indices).to_list_pair()
+
+    def radius_batch_csr(self, queries, r, sort=False, self_indices=None):
         # ``self_indices`` (the reuse-cache hint) is accepted and
         # dropped: a replaying searcher must not fill or serve a cache.
         if self._cursor is None:
             start = time.perf_counter()
-            result = self._searcher.radius_batch(queries, r, sort=sort)
+            record = self._searcher.radius_batch_csr(queries, r, sort=sort)
             self.search_s += time.perf_counter() - start
-            self._recorded.append(result)
-            return result
-        result = self._recorded[self._cursor]
+            self._recorded.append(record)
+            return record
+        record = self._recorded[self._cursor]
         self._cursor += 1
-        return result
+        return record
 
     def replay(self):
         self._cursor = 0

@@ -12,13 +12,18 @@ tree with leaf size 1 (paper Sec. 4.1: "The classic KD-tree has a
 leaf-size one"), making "Base-KD vs Base-2SKD vs Acc-KD vs Acc-2SKD"
 a pure configuration sweep.
 
-Workload capture always passes ``trace=`` to the batched searches,
-which pins them to the sequential per-query path: the trace needs the
-exact per-query traversal order the scalar search performs, not the
-grouped-by-leaf schedule of the performance batch path (whose NN pass
-can visit a slightly different node set).  Counts therefore replay the
-accelerator-faithful sequential semantics regardless of how fast the
-software batch layer is.
+Exact workload capture passes ``trace=`` to the tree's batched
+searches, which then run the lockstep traversal of
+:mod:`repro.core.twostage`: every query advances its own depth-first
+stack, one pop per round, so each trace records exactly the traversal
+the scalar search performs, in its order, rather than the
+grouped-by-leaf schedule of the untraced batch path (whose NN pass can
+visit a slightly different node set).  Counts therefore replay the
+accelerator-faithful per-query semantics, and the back end's
+order-dependent models (MQSN batching, the node cache) see the scalar
+leaf-visit order.  Approximate capture stays in row order: leader
+buffers fill as queries arrive, so :class:`ApproximateSearch` runs its
+scalar searches one row after another.
 """
 
 from __future__ import annotations

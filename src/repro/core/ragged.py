@@ -165,9 +165,15 @@ class RaggedNeighborhoods:
             )
         return self._segment_ids
 
+    def _segments(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-segment slices (views) of a flat per-entry array, one per
+        segment: zero segments give an empty list."""
+        bounds = self.offsets.tolist()
+        return [flat[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
+
     def to_lists(self) -> list[np.ndarray]:
         """Round-trip back to per-segment index lists."""
-        return np.split(self.indices, self.offsets[1:-1])
+        return self._segments(self.indices)
 
     def to_list_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Legacy ragged ``(index_lists, dist_lists)`` view of this CSR.
@@ -178,11 +184,7 @@ class RaggedNeighborhoods:
         """
         if self.distances is None:
             raise ValueError("to_list_pair requires distances")
-        boundaries = self.offsets[1:-1]
-        return (
-            np.split(self.indices, boundaries),
-            np.split(self.distances, boundaries),
-        )
+        return self._segments(self.indices), self._segments(self.distances)
 
     def sorted_by_distance(self) -> "RaggedNeighborhoods":
         """New CSR with each segment stably re-ordered by distance.

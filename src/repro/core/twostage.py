@@ -48,8 +48,22 @@ results come back in ascending index order on both paths.  Because
 members are stored in ascending index order, a leaf's ``argmin`` (first
 occurrence of the minimum) already is its lowest-index nearest member.
 Radius hits are packed into CSR by :class:`repro.core.ragged.RadiusHits`.
-Passing ``trace=`` falls back to the sequential per-query path, which
-records the exact per-query traversal the accelerator model replays.
+
+Passing ``trace=`` runs a *lockstep* schedule instead, which records the
+exact per-query traversal the accelerator model replays.  Every query
+keeps its own depth-first stack, as each hardware Recursion Unit keeps
+its query stack (paper Sec. 5.2), and each round pops one entry from
+every non-empty stack.  The round's unpruned leaf pops are scanned
+grouped by leaf with the block kernel; its visited top-tree nodes are
+expanded together by the node arithmetic the frontier sweeps use
+(:meth:`TwoStageKDTree._expand`), far child pushed before near.  A
+query's pruning bound depends only on its own earlier pops, never on
+another query's, so every query visits, prunes and scans exactly what
+the scalar :meth:`TwoStageKDTree.nn` / :meth:`TwoStageKDTree.radius`
+search does, in the same order: its trace, its result and its
+:class:`~repro.kdtree.stats.SearchStats` counts equal those of the
+scalar search.  The scalar methods stay as the oracle and as the
+approximate search's path.
 :meth:`TwoStageKDTree.knn_batch` remains a tight scalar loop — the
 bounded-heap eviction order of kNN is inherently sequential, and kNN is
 not one of the two query kinds (NN, radius) the paper's workloads use.
@@ -136,6 +150,56 @@ def _sum_squares(diff: np.ndarray, lanes) -> np.ndarray:
             lane += diff[j]
         total += lane
     return total
+
+
+def _fold_nearest(rows, sq, idx, best_sq, best_idx) -> None:
+    """Fold one candidate per row into the running NN bests in place.
+
+    The shared tie rule: a candidate wins on a smaller squared distance,
+    or an equal one with a lower point index.  ``rows`` are distinct.
+    """
+    better = (sq < best_sq[rows]) | ((sq == best_sq[rows]) & (idx < best_idx[rows]))
+    best_sq[rows[better]] = sq[better]
+    best_idx[rows[better]] = idx[better]
+
+
+def _query_traces(visits, bypassed, pushes, results, log) -> list[QueryTrace]:
+    """One :class:`QueryTrace` per query from the lockstep traversal.
+
+    ``visits``, ``bypassed``, ``pushes`` and ``results`` are per-query
+    counts; ``log`` holds one entry per round for the round's leaf pops:
+    ``(query, leaf id, scanned, pruned, result size)`` arrays.  A query
+    pops at most one entry a round, so a stable sort by query puts each
+    query's leaf visits in pop order.
+    """
+    if log:
+        rows, leaf_ids, scanned, pruned, sizes = map(np.concatenate, zip(*log))
+    else:
+        rows = leaf_ids = scanned = pruned = sizes = np.empty(0, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    # Positional arguments in field order: object creation dominates the
+    # cost of this pass.
+    visit_records = [
+        LeafVisitRecord(leaf_id, n_scanned, False, 0, False, was_pruned, size)
+        for leaf_id, n_scanned, was_pruned, size in zip(
+            leaf_ids[order].tolist(),
+            scanned[order].tolist(),
+            pruned[order].astype(bool).tolist(),
+            sizes[order].tolist(),
+        )
+    ]
+    ends = np.cumsum(np.bincount(rows, minlength=len(visits))).tolist()
+    return [
+        QueryTrace(n_visits, n_bypassed, n_pushes, visit_records[start:end], n_results)
+        for n_visits, n_bypassed, n_pushes, start, end, n_results in zip(
+            visits.tolist(),
+            bypassed.tolist(),
+            pushes.tolist(),
+            [0] + ends[:-1],
+            ends,
+            results.tolist(),
+        )
+    ]
 
 
 class TwoStageKDTree:
@@ -619,19 +683,14 @@ class TwoStageKDTree:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Nearest neighbor for every row of ``queries``.
 
-        Runs the grouped-by-leaf frontier; with ``trace`` it falls back
-        to the sequential per-query path so the accelerator model sees
-        exact per-query traversal records.
+        Runs the grouped-by-leaf frontier; with ``trace`` it runs the
+        lockstep per-query traversal instead, which records each query's
+        exact scalar traversal for the accelerator model.
         """
-        if trace is not None:
-            queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-            indices = np.empty(len(queries), dtype=np.int64)
-            dists = np.empty(len(queries))
-            for i, query in enumerate(queries):
-                indices[i], dists[i] = self.nn(query, stats, trace)
-            return indices, dists
         queries = self._check_queries(queries)
-        return self._nn_batch_fast(queries, stats)
+        if trace is None:
+            return self._nn_batch_fast(queries, stats)
+        return self._lockstep(queries, None, stats, trace)
 
     def radius_batch(
         self,
@@ -643,19 +702,12 @@ class TwoStageKDTree:
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Radius search for every row of ``queries`` (ragged lists).
 
-        Thin compatibility wrapper: slices :meth:`radius_batch_csr`'s
-        flat result into per-query lists; with ``trace`` it falls back
-        to the sequential per-query path (see :meth:`nn_batch`).
+        Thin compatibility wrapper: slices the CSR result of
+        :meth:`radius_batch_csr` into per-query lists; with ``trace`` the
+        result comes from the lockstep per-query traversal (see
+        :meth:`nn_batch`).
         """
-        if trace is not None:
-            queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-            all_indices, all_dists = [], []
-            for query in queries:
-                indices, dists = self.radius(query, r, stats, sort=sort, trace=trace)
-                all_indices.append(indices)
-                all_dists.append(dists)
-            return all_indices, all_dists
-        return self.radius_batch_csr(queries, r, stats, sort=sort).to_list_pair()
+        return self._radius_csr(queries, r, stats, sort, trace).to_list_pair()
 
     def radius_batch_csr(
         self,
@@ -676,10 +728,16 @@ class TwoStageKDTree:
         ``sort=True`` stable distance sort
         (:func:`repro.core.ragged.segment_sort_order`).
         """
+        return self._radius_csr(queries, r, stats, sort, None)
+
+    def _radius_csr(self, queries, r, stats, sort, trace) -> RaggedNeighborhoods:
         if r < 0:
             raise ValueError("radius must be non-negative")
         queries = self._check_queries(queries)
-        result = self._radius_batch_fast(queries, r, stats)
+        if trace is None:
+            result = self._radius_batch_fast(queries, r, stats)
+        else:
+            result = self._lockstep(queries, r, stats, trace)
         if sort:
             result = result.sorted_by_distance()
         return result
@@ -795,6 +853,55 @@ class TwoStageKDTree:
             d_sq += t * t
         return d_sq
 
+    def _nn_scan(
+        self,
+        leaf_id: int,
+        rows: np.ndarray,
+        queries: np.ndarray,
+        best_sq: np.ndarray,
+        best_idx: np.ndarray,
+    ) -> int:
+        """Scan a leaf against distinct query ``rows`` and fold each row's
+        lexicographic (distance, index) minimum into the running bests in
+        place.  Returns the distance computations."""
+        orig, sq = self._scan_leaf_block(leaf_id, queries[rows])
+        # Members ascend, so argmin's first occurrence is the lowest-index
+        # member at the minimum distance.
+        col = sq.argmin(axis=1)
+        _fold_nearest(rows, sq[np.arange(len(rows)), col], orig[col], best_sq, best_idx)
+        return sq.size
+
+    def _expand(
+        self,
+        refs: np.ndarray,
+        query_rows: np.ndarray,
+        bound: np.ndarray,
+        contrib: np.ndarray,
+    ):
+        """Children of visited top-tree nodes, one row per (node, query).
+
+        ``query_rows[i]`` is the query at node ``refs[i]``, reached with
+        pruning bound ``bound[i]`` and per-dimension bound terms
+        ``contrib[i]``.  The query's side of the split is the near child;
+        the far child's bound swaps the split dimension's term for
+        ``delta**2``, as the scalar search does.  Returns
+        ``(near, far, far_bound, far_contrib)``; absent children are
+        ``_NO_CHILD``, and the near child keeps ``bound``/``contrib``.
+        """
+        span = np.arange(len(refs))
+        dim = self._node_dim[refs]
+        delta = query_rows[span, dim] - self._node_value[refs]
+        goes_left = delta < 0
+        left = self._node_left[refs]
+        right = self._node_right[refs]
+        near = np.where(goes_left, left, right)
+        far = np.where(goes_left, right, left)
+        dd = delta * delta
+        far_bound = bound - contrib[span, dim] + dd
+        far_contrib = contrib.copy()
+        far_contrib[span, dim] = dd
+        return near, far, far_bound, far_contrib
+
     def _nn_batch_fast(
         self, queries: np.ndarray, stats: SearchStats | None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -805,30 +912,12 @@ class TwoStageKDTree:
             return best_idx, np.full(n_queries, np.inf)
         visits = bypassed = leaf_pruned = scanned = 0
 
-        def scan_rows(leaf_id: int, rows: np.ndarray) -> int:
-            """Scan a leaf against queries ``rows``; lexicographic-min
-            update of the running bests.  Returns distance comps."""
-            nonlocal best_sq, best_idx
-            orig, sq = self._scan_leaf_block(leaf_id, queries[rows])
-            # Members ascend, so argmin's first occurrence is the
-            # lowest-index member at the minimum distance.
-            col = sq.argmin(axis=1)
-            jv = sq[np.arange(len(rows)), col]
-            cand = orig[col]
-            better = (jv < best_sq[rows]) | (
-                (jv == best_sq[rows]) & (cand < best_idx[rows])
-            )
-            upd = rows[better]
-            best_sq[upd] = jv[better]
-            best_idx[upd] = cand[better]
-            return sq.size
-
         # Phase 1: descend every query to its home leaf and scan the home
         # leaves grouped, seeding tight pruning bounds.
         home = self._route_to_leaves(queries)
         routed = np.nonzero(home >= 0)[0]
         for leaf_id, rows in self._leaf_groups(home[routed], routed):
-            scanned += scan_rows(leaf_id, rows)
+            scanned += self._nn_scan(leaf_id, rows, queries, best_sq, best_idx)
 
         # Phase 2: full traversal as a vectorized frontier of
         # (node, query) pairs, pruned against the running bests.
@@ -854,7 +943,9 @@ class TwoStageKDTree:
                     keep = l_bound[pos] <= best_sq[rows]
                     leaf_pruned += int(np.count_nonzero(~keep))
                     if np.any(keep):
-                        scanned += scan_rows(leaf_id, rows[keep])
+                        scanned += self._nn_scan(
+                            leaf_id, rows[keep], queries, best_sq, best_idx
+                        )
             inner = ~at_leaf
             refs_i = refs[inner]
             q_i = qidx[inner]
@@ -872,7 +963,8 @@ class TwoStageKDTree:
             if len(refs_i) == 0:
                 break
             pidx = self._node_point[refs_i]
-            d_sq = self._node_sq_dists(queries[q_i], self._points[pidx])
+            at = queries[q_i]
+            d_sq = self._node_sq_dists(at, self._points[pidx])
             better = (d_sq < best_sq[q_i]) | (
                 (d_sq == best_sq[q_i]) & (pidx < best_idx[q_i])
             )
@@ -883,24 +975,8 @@ class TwoStageKDTree:
                 sel = np.lexsort((bidx, bsq, bq))
                 bq, bsq, bidx = bq[sel], bsq[sel], bidx[sel]
                 first = np.r_[True, bq[1:] != bq[:-1]]
-                cq, csq, cidx = bq[first], bsq[first], bidx[first]
-                win = (csq < best_sq[cq]) | (
-                    (csq == best_sq[cq]) & (cidx < best_idx[cq])
-                )
-                best_sq[cq[win]] = csq[win]
-                best_idx[cq[win]] = cidx[win]
-            dim = self._node_dim[refs_i]
-            delta = queries[q_i, dim] - self._node_value[refs_i]
-            left = self._node_left[refs_i]
-            right = self._node_right[refs_i]
-            goes_left = delta < 0
-            near = np.where(goes_left, left, right)
-            far = np.where(goes_left, right, left)
-            dd = delta * delta
-            span = np.arange(len(refs_i))
-            far_bound = b_i - c_i[span, dim] + dd
-            far_contrib = c_i.copy()
-            far_contrib[span, dim] = dd
+                _fold_nearest(bq[first], bsq[first], bidx[first], best_sq, best_idx)
+            near, far, far_bound, far_contrib = self._expand(refs_i, at, b_i, c_i)
             has_far = far != _NO_CHILD
             has_near = near != _NO_CHILD
             refs = np.concatenate([far[has_far], near[has_near]])
@@ -964,20 +1040,9 @@ class TwoStageKDTree:
                 if len(refs_i) == 0:
                     break
                 pidx = self._node_point[refs_i]
-                d_sq = self._node_sq_dists(queries[q_i], self._points[pidx])
-                hits.add(q_i, pidx, d_sq)
-                dim = self._node_dim[refs_i]
-                delta = queries[q_i, dim] - self._node_value[refs_i]
-                left = self._node_left[refs_i]
-                right = self._node_right[refs_i]
-                goes_left = delta < 0
-                near = np.where(goes_left, left, right)
-                far = np.where(goes_left, right, left)
-                dd = delta * delta
-                span = np.arange(len(refs_i))
-                far_bound = b_i - c_i[span, dim] + dd
-                far_contrib = c_i.copy()
-                far_contrib[span, dim] = dd
+                at = queries[q_i]
+                hits.add(q_i, pidx, self._node_sq_dists(at, self._points[pidx]))
+                near, far, far_bound, far_contrib = self._expand(refs_i, at, b_i, c_i)
                 has_far = far != _NO_CHILD
                 has_near = near != _NO_CHILD
                 refs = np.concatenate([far[has_far], near[has_near]])
@@ -993,6 +1058,122 @@ class TwoStageKDTree:
             stats.queries += n_queries
             stats.results_returned += result.n_entries
         return result
+
+    def _lockstep(
+        self,
+        queries: np.ndarray,
+        r: float | None,
+        stats: SearchStats | None,
+        trace: list[QueryTrace],
+    ):
+        """Every query's scalar depth-first search, advanced in lockstep.
+
+        NN search when ``r`` is None, radius search otherwise; see the
+        module docstring for the schedule and why it is exact.  Leaf
+        visits are logged per round and become the queries'
+        :class:`QueryTrace` records, appended to ``trace`` in row order,
+        at the end.  Returns what :meth:`nn_batch` returns for NN, the
+        CSR result for radius.
+        """
+        n_queries, ndim = queries.shape
+        nn = r is None
+        best_sq = np.full(n_queries, np.inf)
+        best_idx = np.full(n_queries, -1, dtype=np.int64)
+        if not nn:
+            r_sq = r * r
+            hits = RadiusHits(n_queries, self.n, r)
+        # A DFS stack holds at most one pending far child per depth plus
+        # the near/far pair just pushed.
+        depth = self._top_height + 2
+        stack_ref = np.empty((n_queries, depth), dtype=np.int64)
+        stack_bound = np.zeros((n_queries, depth))
+        stack_contrib = np.zeros((n_queries, depth, ndim))
+        top = np.zeros(n_queries, dtype=np.int64)
+        visits = np.zeros(n_queries, dtype=np.int64)
+        bypassed = np.zeros(n_queries, dtype=np.int64)
+        pushes = np.zeros(n_queries, dtype=np.int64)
+        # Leaf-visit log, one entry per round: (query, leaf id, scanned,
+        # pruned, result size) arrays.
+        log: list[tuple[np.ndarray, ...]] = []
+        n_scanned = n_leaf_pruned = 0
+        if self._root_ref != _NO_CHILD:
+            stack_ref[:, 0] = self._root_ref
+            top[:] = 1
+            pushes[:] = 1
+        active = np.flatnonzero(top)
+        while len(active):
+            top[active] -= 1
+            slot = top[active]
+            ref = stack_ref[active, slot]
+            bound = stack_bound[active, slot]
+            pruned = bound > (best_sq[active] if nn else r_sq)
+            at_leaf = ref <= _LEAF_BASE
+            if at_leaf.any():
+                l_rows = active[at_leaf]
+                leaf_ids = _LEAF_BASE - ref[at_leaf]
+                l_pruned = pruned[at_leaf]
+                scanned = np.where(l_pruned, 0, self._leaf_count[leaf_ids])
+                sizes = np.zeros(len(l_rows), dtype=np.int64)
+                live = np.flatnonzero(~l_pruned)
+                for leaf_id, pos in self._leaf_groups(leaf_ids[live], live):
+                    rows = l_rows[pos]
+                    if nn:
+                        self._nn_scan(leaf_id, rows, queries, best_sq, best_idx)
+                        continue
+                    orig, sq = self._scan_leaf_block(leaf_id, queries[rows])
+                    sizes[pos] = np.count_nonzero(sq <= r_sq, axis=1)
+                    hits.add_block(rows, orig, sq)
+                log.append((l_rows, leaf_ids, scanned, l_pruned, sizes))
+                n_scanned += int(scanned.sum())
+                n_leaf_pruned += int(np.count_nonzero(l_pruned))
+            node = ~at_leaf
+            bypassed[active[node & pruned]] += 1
+            expand = node & ~pruned
+            if expand.any():
+                q = active[expand]
+                refs = ref[expand]
+                at = queries[q]
+                pidx = self._node_point[refs]
+                d_sq = self._node_sq_dists(at, self._points[pidx])
+                if nn:
+                    _fold_nearest(q, d_sq, pidx, best_sq, best_idx)
+                else:
+                    hits.add(q, pidx, d_sq)
+                visits[q] += 1
+                b = bound[expand]
+                contrib = stack_contrib[q, slot[expand]]
+                near, far, far_bound, far_contrib = self._expand(refs, at, b, contrib)
+                for child, child_bound, child_contrib in (
+                    (far, far_bound, far_contrib),
+                    (near, b, contrib),
+                ):
+                    has = child != _NO_CHILD
+                    qh = q[has]
+                    at_top = top[qh]
+                    stack_ref[qh, at_top] = child[has]
+                    stack_bound[qh, at_top] = child_bound[has]
+                    stack_contrib[qh, at_top] = child_contrib[has]
+                    top[qh] += 1
+                    pushes[qh] += 1
+            active = active[top[active] > 0]
+
+        if nn:
+            results = (best_idx >= 0).astype(np.int64)
+        else:
+            result = hits.to_csr()
+            results = result.counts
+        trace.extend(_query_traces(visits, bypassed, pushes, results, log))
+        if stats is not None:
+            stats.nodes_visited += int(visits.sum()) + n_scanned
+            stats.traversal_steps += int(visits.sum() + bypassed.sum())
+            stats.pruned_subtrees += int(bypassed.sum()) + n_leaf_pruned
+            stats.queries += n_queries
+            stats.results_returned += int(results.sum())
+        if not nn:
+            return result
+        dists = np.sqrt(best_sq)
+        dists[best_idx < 0] = np.inf
+        return best_idx, dists
 
     # ------------------------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Unit tests for functional workload tracing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.accel import build_workload, registration_workload
+from repro.accel import TigrisSimulator, build_workload, registration_workload
 from repro.core import ApproximateSearchConfig, TwoStageKDTree
 
 
@@ -115,3 +117,31 @@ class TestRegistrationWorkload:
             return sum(w.total_nodes_visited for w in workloads.values())
 
         assert visits(64) > visits(8) > visits(1)
+
+
+class TestCaptureOrder:
+    """The back end's MQSN batcher and LRU node cache replay leaf visits
+    in trace order, so an exact capture must record each query's scalar
+    traversal exactly, and simulate to the same cycles, traffic and
+    energy as a capture built from the scalar search."""
+
+    @pytest.mark.parametrize("leaf_size", [128, 1])
+    @pytest.mark.parametrize("kind", ["nn", "radius"])
+    def test_capture_equals_scalar_loop(self, rng, kind, leaf_size):
+        points = rng.normal(size=(1000, 3)) * 3.0
+        queries = np.vstack([rng.normal(size=(150, 3)) * 3.0, points[:50]])
+        tree = TwoStageKDTree.from_leaf_size(points, leaf_size)
+        capture = build_workload(points, queries, kind=kind, radius=1.0, tree=tree)
+        traces = []
+        for query in queries:
+            if kind == "nn":
+                tree.nn(query, trace=traces)
+            else:
+                tree.radius(query, 1.0, trace=traces)
+        scalar = dataclasses.replace(capture, traces=traces)
+        assert capture.traces == scalar.traces
+        simulator = TigrisSimulator()
+        got, expected = simulator.simulate(capture), simulator.simulate(scalar)
+        assert got.cycles == expected.cycles
+        assert got.traffic == expected.traffic
+        assert got.energy == expected.energy

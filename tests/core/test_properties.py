@@ -78,6 +78,44 @@ def test_trace_accounting_consistent(data):
     assert sum(t.toptree_visits for t in traces) <= stats.traversal_steps
 
 
+@given(data=cloud_height_queries(), radius=st.floats(0, 15, allow_nan=False))
+def test_traced_batch_equals_scalar_and_untraced(data, radius):
+    """Traced vs untraced: the lockstep traced batches record exactly the
+    scalar searches' traces and counters, and return what both the scalar
+    searches and the untraced batches return, bit for bit."""
+    points, height, queries = data
+    tree = TwoStageKDTree(points, top_height=height)
+
+    stats, trace = SearchStats(), []
+    idx, dist = tree.nn_batch(queries, stats, trace=trace)
+    scalar_stats, scalar_trace = SearchStats(), []
+    scalar = [tree.nn(query, scalar_stats, scalar_trace) for query in queries]
+    assert trace == scalar_trace
+    assert stats == scalar_stats
+    assert idx.tolist() == [i for i, _ in scalar]
+    assert dist.tobytes() == np.array([d for _, d in scalar]).tobytes()
+    untraced_idx, untraced_dist = tree.nn_batch(queries)
+    assert np.array_equal(idx, untraced_idx)
+    assert dist.tobytes() == untraced_dist.tobytes()
+
+    for sort in (False, True):
+        stats, trace = SearchStats(), []
+        got = tree.radius_batch(queries, radius, stats, sort=sort, trace=trace)
+        scalar_stats, scalar_trace = SearchStats(), []
+        scalar = [
+            tree.radius(query, radius, scalar_stats, sort=sort, trace=scalar_trace)
+            for query in queries
+        ]
+        untraced = tree.radius_batch(queries, radius, sort=sort)
+        assert trace == scalar_trace
+        assert stats == scalar_stats
+        for lists in (got, untraced):
+            assert len(lists[0]) == len(scalar)
+            for row, (scalar_idx, scalar_dist) in enumerate(scalar):
+                assert np.array_equal(lists[0][row], scalar_idx)
+                assert lists[1][row].tobytes() == scalar_dist.tobytes()
+
+
 @given(
     data=cloud_height_queries(),
     radius=st.floats(0.1, 10, allow_nan=False),

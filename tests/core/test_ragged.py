@@ -65,9 +65,11 @@ class TestRaggedNeighborhoods:
         assert np.array_equal(ragged.counts, [0, 0, 0, 0])
 
     def test_no_segments(self):
-        ragged = RaggedNeighborhoods.from_lists([])
+        ragged = RaggedNeighborhoods.from_lists([], [])
         assert ragged.n_segments == 0
         assert ragged.n_entries == 0
+        assert ragged.to_lists() == []
+        assert ragged.to_list_pair() == ([], [])
 
     def test_mask_preserves_order_and_may_empty_segments(self, rng):
         lists = ragged_case(rng, allow_empty=False)

@@ -338,3 +338,139 @@ class TestTraces:
             for visit in trace.leaf_visits:
                 if visit.pruned:
                     assert visit.scanned == 0
+
+
+def _queries_with(value):
+    queries = np.zeros((4, 3))
+    queries[2, 1] = value
+    return queries
+
+
+# (queries, r) pairs every batch entry point must reject, traced or not.
+INVALID_BATCHES = {
+    "nan-query": (_queries_with(np.nan), 1.0),
+    "inf-query": (_queries_with(np.inf), 1.0),
+    "wrong-dimension-empty": (np.empty((0, 2)), 1.0),
+    "wrong-dimension": (np.zeros((3, 2)), 1.0),
+    "negative-radius-empty": (np.empty((0, 3)), -1.0),
+    "negative-radius": (np.zeros((3, 3)), -1.0),
+}
+
+
+class TestBatchValidation:
+    """Traced and untraced batches validate at the batch boundary, before
+    any query runs, so an empty batch is checked too."""
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("case", list(INVALID_BATCHES))
+    def test_radius_batch_rejects(self, points, case, traced):
+        queries, r = INVALID_BATCHES[case]
+        tree = TwoStageKDTree(points, top_height=3)
+        trace = [] if traced else None
+        with pytest.raises(ValueError):
+            tree.radius_batch(queries, r, trace=trace)
+        assert not trace
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize(
+        "case", [case for case in INVALID_BATCHES if "radius" not in case]
+    )
+    def test_nn_batch_rejects(self, points, case, traced):
+        queries, _ = INVALID_BATCHES[case]
+        tree = TwoStageKDTree(points, top_height=3)
+        trace = [] if traced else None
+        with pytest.raises(ValueError):
+            tree.nn_batch(queries, trace=trace)
+        assert not trace
+
+
+def assert_bits_equal(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def assert_traced_batch_exact(tree, queries, radii):
+    """Traced batches against a loop over the scalar search: equal
+    ``QueryTrace`` lists (every field, leaf visits in order), results bit
+    for bit and every ``SearchStats`` counter."""
+    stats, trace = SearchStats(), []
+    idx, dist = tree.nn_batch(queries, stats, trace=trace)
+    oracle_stats, oracle_trace = SearchStats(), []
+    oracle = [tree.nn(query, oracle_stats, oracle_trace) for query in queries]
+    assert trace == oracle_trace
+    assert stats == oracle_stats
+    assert_bits_equal(idx, np.array([i for i, _ in oracle], dtype=np.int64))
+    assert_bits_equal(dist, np.array([d for _, d in oracle], dtype=np.float64))
+    for r in radii:
+        for sort in (False, True):
+            stats, trace = SearchStats(), []
+            got_idx, got_dist = tree.radius_batch(
+                queries, r, stats, sort=sort, trace=trace
+            )
+            oracle_stats, oracle_trace = SearchStats(), []
+            oracle = [
+                tree.radius(query, r, oracle_stats, sort=sort, trace=oracle_trace)
+                for query in queries
+            ]
+            assert trace == oracle_trace, (r, sort)
+            assert stats == oracle_stats, (r, sort)
+            assert len(got_idx) == len(got_dist) == len(oracle)
+            for row, (expected_idx, expected_dist) in enumerate(oracle):
+                assert_bits_equal(got_idx[row], expected_idx)
+                assert_bits_equal(got_dist[row], expected_dist)
+
+
+class TestTracedBatch:
+    """``nn_batch(trace=)`` and ``radius_batch(trace=)`` advance every
+    query's own depth-first search in lockstep; each query must visit,
+    prune and scan exactly what the scalar search does, in its order."""
+
+    @pytest.mark.parametrize("top_height", [0, 1, 3])
+    def test_heights(self, points, rng, top_height):
+        tree = TwoStageKDTree(points, top_height=top_height)
+        queries = rng.normal(size=(40, 3))
+        assert_traced_batch_exact(tree, queries, radii=(0.0, 0.3, 0.9))
+
+    def test_deep_tree(self, points, rng):
+        tree = TwoStageKDTree.from_leaf_size(points, 1)
+        assert tree.top_height == 8
+        queries = np.vstack([rng.normal(size=(30, 3)), points[:10]])
+        assert_traced_batch_exact(tree, queries, radii=(0.0, 0.4))
+
+    def test_forty_copies_of_one_point(self, rng):
+        duplicate = np.array([1.0, 2.0, 3.0])
+        others = rng.integers(-8, 9, size=(80, 3)).astype(np.float64)
+        others = others[~np.all(others == duplicate, axis=1)][:60]
+        points = np.vstack([np.tile(duplicate, (40, 1)), others])
+        points = points[rng.permutation(len(points))]
+        queries = np.vstack([duplicate, duplicate + [0.5, 0.0, 0.0], others[:10]])
+        for height in (0, 2, 4, 7):
+            tree = TwoStageKDTree(points, top_height=height)
+            assert_traced_batch_exact(tree, queries, radii=(0.0, 0.5, 1.5))
+
+    def test_single_point_tree(self):
+        point = np.array([[0.5, -1.5, 2.0]])
+        queries = np.array([[0.5, -1.5, 2.0], [1.0, -1.5, 2.0], [-3.0, 4.0, 0.5]])
+        for height in (0, 1, 3):
+            tree = TwoStageKDTree(point, top_height=height)
+            assert_traced_batch_exact(tree, queries, radii=(0.0, 0.5, 10.0))
+
+    def test_coplanar_grid(self):
+        grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(10.0)), -1)
+        xy = grid.reshape(-1, 2)
+        points = np.column_stack([xy, np.zeros(len(xy))])
+        queries = np.column_stack([xy[::7] + 0.5, np.zeros(len(xy[::7]))])
+        for height in (1, 3, 5):
+            tree = TwoStageKDTree(points, top_height=height)
+            assert_traced_batch_exact(tree, queries, radii=(0.0, 1.0, 1.5))
+
+    def test_queries_far_outside_the_cloud(self, points, rng):
+        queries = np.vstack([rng.normal(size=(10, 3)) + 1e3, [[-1e4, 0.0, 5e3]]])
+        for height in (0, 3, 6):
+            tree = TwoStageKDTree(points, top_height=height)
+            assert_traced_batch_exact(tree, queries, radii=(0.0, 2.0, 3e4))
+
+    def test_empty_batch(self, points):
+        tree = TwoStageKDTree(points, top_height=3)
+        assert_traced_batch_exact(tree, np.empty((0, 3)), radii=(0.0, 1.0))
