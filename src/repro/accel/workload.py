@@ -17,8 +17,8 @@ searches, which then run the lockstep traversal of
 :mod:`repro.core.twostage`: every query advances its own depth-first
 stack, one pop per round, so each trace records exactly the traversal
 the scalar search performs, in its order, rather than the
-grouped-by-leaf schedule of the untraced batch path (whose NN pass can
-visit a slightly different node set).  Counts therefore replay the
+batched schedules of the untraced path (whose NN pass walks every home
+path first and visits a different node set).  Counts therefore replay the
 accelerator-faithful per-query semantics, and the back end's
 order-dependent models (MQSN batching, the node cache) see the scalar
 leaf-visit order.  Approximate capture stays in row order: leader

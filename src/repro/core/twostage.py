@@ -16,54 +16,83 @@ node-level parallelism for the accelerator back-end.  At
 Leaf layout and scans
 ---------------------
 Leaf scans are vectorized with numpy — the software form of the
-back-end's data-parallel processing-element array.  The leaf sets are
-stored back to back: ``_leaf_orig`` holds each set's original point
-indices in *ascending* order, and ``_leaf_points_t`` is a contiguous
-coordinate-major ``(k, N)`` copy of the same points, so one set's
-coordinate ``j`` is a contiguous row slice.  The single-query
-:meth:`TwoStageKDTree.scan_leaf` and the batch block scan share one
+back-end's data-parallel processing-element array.  Every leaf set is
+padded to the largest one, ``L`` slots: ``_leaf_orig`` holds each set's
+original point indices in *ascending* order, ``(n_leaves, L)``, and
+``_leaf_points`` is the matching coordinate-major ``(k, n_leaves, L)``
+copy of the points, +inf in the padding slots.  A padding slot is +inf
+away from every query, so it never wins a nearest-neighbor scan; the
+single-query :meth:`TwoStageKDTree.scan_leaf` and the radius block scan
+read only a set's first ``count`` slots.  Every scan sums with one
 kernel, :func:`_sum_squares`: each coordinate row of differences —
-``(c,)`` for one query, ``(m, c)`` for a block of ``m`` — is squared
-whole, and the terms are summed in a fixed order, the order numpy's
+``(c,)`` for one query, ``(m, c)`` for a block of ``m`` queries against
+one set, ``(m, L)`` for ``m`` (query, leaf) pairs — is squared whole,
+and the terms are summed in a fixed order, the order numpy's
 ``einsum("ij,ij->i")`` used on x86-64 builds (two unfused 128-bit
 lanes): even coordinates in one lane, odd ones in the other, then the
 two lanes, so in 3-D ``(dx² + dz²) + dy²``.  Keeping that order keeps
 every leaf distance, and hence every result and golden, bit-identical
 to the einsum scan this kernel replaced; ``tests/core/test_twostage.py``
 pins it.  Top-tree node distances accumulate left to right
-(:func:`_point_sq_dist`) on both paths.
+(:func:`_point_sq_dist`) on every path.
 
 Batch queries
 -------------
 :meth:`TwoStageKDTree.nn_batch` and :meth:`TwoStageKDTree.radius_batch`
-run a *grouped-by-leaf* schedule that mirrors the accelerator's
-front-end/back-end split: all queries are routed through the top-tree
-together (a vectorized frontier of ``(node, query-set)`` pairs advanced
-level by level), and each reached leaf set is then scanned once against
-every query that arrived at it.  Nearest-neighbor batches first descend
-every query to its home leaf to seed tight pruning bounds (the
-hardware's split-tree scheduling).  Results are bit-identical to the
-scalar methods: ties resolve to the lowest point index and radius
-results come back in ascending index order on both paths.  Because
-members are stored in ascending index order, a leaf's ``argmin`` (first
-occurrence of the minimum) already is its lowest-index nearest member.
-Radius hits are packed into CSR by :class:`repro.core.ragged.RadiusHits`.
+mirror the accelerator's front-end/back-end split: all queries go
+through the top-tree together, as vectorized ``(node, query)`` arrays
+advanced one depth per round, and the leaf sets they reach are scanned
+in bulk.  Results are bit-identical to the scalar methods: ties resolve
+to the lowest point index and radius results come back in ascending
+index order on both paths.
+
+A radius batch sweeps a frontier of ``(node, query, bound, contrib)``
+entries and scans each reached leaf set once against every query that
+arrived at it, grouped by leaf with the block kernel.  Radius pruning
+does not depend on earlier scans, so its counters equal the scalar
+loop's.  Hits are packed into CSR by :class:`repro.core.ragged.RadiusHits`.
+
+A nearest-neighbor batch is built around each query's *home path*, its
+descent from the root to its home leaf without backtracking (the
+hardware's split-tree scheduling):
+
+1. Every query descends its home path, which is recorded level by
+   level, and all home leaves are scanned first to seed tight pruning
+   bounds.
+2. The top-tree is swept one depth per round.  The home path is
+   replayed as dense per-query arrays: a home-path node is reached at
+   bound 0, so it is always visited; it folds in its node point and
+   pushes its far sibling with bound ``0.0 - 0.0 + δ²``.  Only off-path
+   entries enter the compacted frontier, pruned against the bests as of
+   the round's start.
+3. The leaf round first prunes the off-path leaf entries against each
+   query's current best (bests only shrink, so a leaf pruned now stays
+   pruned), then scans the rest in ascending leaf order per query, each
+   re-checked against the query's freshest best.
+
+Its leaf scans go through one ``(query, leaf)``-pair kernel over the
+padded layout, which gathers fixed chunks of leaf slots (a few hundred
+pairs at ICP's leaf sizes).  Members ascend and the padding trails
+them, so a pair's ``argmin`` (first occurrence of the minimum) is the
+set's lowest-index nearest member.  Its bounds tighten in a different
+order than a scalar search's, so its work counters differ from a scalar
+loop's; ``tests/core/test_twostage.py::TestNNBatchCounters`` pins them.
 
 Passing ``trace=`` runs a *lockstep* schedule instead, which records the
 exact per-query traversal the accelerator model replays.  Every query
 keeps its own depth-first stack, as each hardware Recursion Unit keeps
 its query stack (paper Sec. 5.2), and each round pops one entry from
-every non-empty stack.  The round's unpruned leaf pops are scanned
-grouped by leaf with the block kernel; its visited top-tree nodes are
-expanded together by the node arithmetic the frontier sweeps use
-(:meth:`TwoStageKDTree._expand`), far child pushed before near.  A
-query's pruning bound depends only on its own earlier pops, never on
-another query's, so every query visits, prunes and scans exactly what
-the scalar :meth:`TwoStageKDTree.nn` / :meth:`TwoStageKDTree.radius`
-search does, in the same order: its trace, its result and its
-:class:`~repro.kdtree.stats.SearchStats` counts equal those of the
-scalar search.  The scalar methods stay as the oracle and as the
-approximate search's path.
+every non-empty stack.  The round's unpruned leaf pops are scanned by
+the pair kernel (NN) or grouped by leaf with the block kernel (radius);
+its visited top-tree nodes are expanded together by the node arithmetic
+the frontier sweeps use (:meth:`TwoStageKDTree._expand`), far child
+pushed before near.  A query's pruning bound depends only on its own
+earlier pops, never on another query's, so every query visits, prunes
+and scans exactly what the scalar :meth:`TwoStageKDTree.nn` /
+:meth:`TwoStageKDTree.radius` search does, in the same order: its trace,
+its result and its :class:`~repro.kdtree.stats.SearchStats` counts
+equal those of the scalar search.  The scalar methods stay as the
+oracle and as the approximate search's path.
 :meth:`TwoStageKDTree.knn_batch` remains a tight scalar loop — the
 bounded-heap eviction order of kNN is inherently sequential, and kNN is
 not one of the two query kinds (NN, radius) the paper's workloads use.
@@ -87,6 +116,10 @@ __all__ = ["TwoStageKDTree"]
 # leaf-set ids as LEAF_BASE - leaf_id.
 _NO_CHILD = -1
 _LEAF_BASE = -2
+
+# Leaf slots the (query, leaf)-pair kernel gathers at a time: a few
+# hundred pairs at ICP's leaf sizes, with cache-sized temporaries.
+_PAIR_SLOTS = 1 << 14
 
 
 def _encode_leaf(leaf_id: int) -> int:
@@ -334,19 +367,17 @@ class TwoStageKDTree:
         self._node_right = np.array(node_right, dtype=np.int64)
         self._node_depth = np.array(node_depth, dtype=np.int64)
 
-        # Flatten leaf sets into one contiguous, scan-friendly layout:
-        # ascending member indices per set, coordinate-major points.
+        # Pad the leaf sets to the largest one: ascending member indices
+        # per set, coordinate-major points, +inf in the padding slots.
         counts = np.array([len(m) for m in leaf_members], dtype=np.int64)
-        if len(counts):
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            member_concat = np.concatenate(leaf_members)
-        else:
-            starts = np.empty(0, dtype=np.int64)
-            member_concat = np.empty(0, dtype=np.int64)
-        self._leaf_start = starts
+        width = int(counts.max()) if len(counts) else 0
+        padding = np.arange(width) >= counts[:, None]
         self._leaf_count = counts
-        self._leaf_orig = member_concat
-        self._leaf_points_t = np.take(points_t, member_concat, axis=1)
+        self._leaf_orig = np.zeros((len(counts), width), dtype=np.int64)
+        if len(counts):
+            self._leaf_orig[~padding] = np.concatenate(leaf_members)
+        self._leaf_points = np.take(points_t, self._leaf_orig, axis=1)
+        self._leaf_points[:, padding] = np.inf
         self._lanes = _lane_orders(ndim)
 
     # ------------------------------------------------------------------
@@ -389,9 +420,7 @@ class TwoStageKDTree:
 
     def leaf_set_indices(self, leaf_id: int) -> np.ndarray:
         """Original point indices stored in leaf set ``leaf_id``, sorted."""
-        start = self._leaf_start[leaf_id]
-        count = self._leaf_count[leaf_id]
-        return self._leaf_orig[start : start + count].copy()
+        return self._leaf_orig[leaf_id, : self._leaf_count[leaf_id]].copy()
 
     def __repr__(self) -> str:
         return (
@@ -413,10 +442,9 @@ class TwoStageKDTree:
         Indices come back ascending; distances are summed in the leaf
         kernel's fixed order (see the module docstring).
         """
-        start = self._leaf_start[leaf_id]
-        stop = start + self._leaf_count[leaf_id]
-        diff = self._leaf_points_t[:, start:stop] - query[:, None]
-        return self._leaf_orig[start:stop], _sum_squares(diff, self._lanes)
+        count = self._leaf_count[leaf_id]
+        diff = self._leaf_points[:, leaf_id, :count] - query[:, None]
+        return self._leaf_orig[leaf_id, :count], _sum_squares(diff, self._lanes)
 
     def _exact_leaf_scan(self, leaf_id, query, record):
         indices, sq = self.scan_leaf(leaf_id, query)
@@ -672,7 +700,7 @@ class TwoStageKDTree:
         return indices, dists
 
     # ------------------------------------------------------------------
-    # Batch queries (grouped-by-leaf fast paths; see module docstring).
+    # Batch queries (see the module docstring).
     # ------------------------------------------------------------------
 
     def nn_batch(
@@ -683,7 +711,7 @@ class TwoStageKDTree:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Nearest neighbor for every row of ``queries``.
 
-        Runs the grouped-by-leaf frontier; with ``trace`` it runs the
+        Runs the home-path schedule; with ``trace`` it runs the
         lockstep per-query traversal instead, which records each query's
         exact scalar traversal for the accelerator model.
         """
@@ -718,7 +746,7 @@ class TwoStageKDTree:
     ) -> RaggedNeighborhoods:
         """Radius search returning the CSR result natively.
 
-        The grouped-by-leaf frontier accumulates every hit flat (query
+        The radius frontier accumulates every hit flat (query
         id, original point index, squared distance) in a
         :class:`~repro.core.ragged.RadiusHits`, whose one global sort
         establishes the ascending-index-per-query contract; no
@@ -752,9 +780,10 @@ class TwoStageKDTree:
         """kNN for every row of ``queries``: (Q, min(k, n)) arrays.
 
         A tight loop over the scalar search: kNN's bounded-heap eviction
-        order is inherently sequential (see module docstring).
+        order is inherently sequential (see module docstring).  The whole
+        batch is validated before the first row runs.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = self._check_queries(queries)
         if k <= 0:
             raise ValueError("k must be positive")
         k = min(k, self.n)
@@ -765,7 +794,7 @@ class TwoStageKDTree:
         return indices, dists
 
     # ------------------------------------------------------------------
-    # Grouped-by-leaf batch machinery
+    # Batch machinery
     # ------------------------------------------------------------------
 
     def _check_queries(self, queries: np.ndarray) -> np.ndarray:
@@ -779,36 +808,6 @@ class TwoStageKDTree:
             raise ValueError("queries contain NaN or infinity")
         return queries
 
-    def _route_to_leaves(self, queries: np.ndarray) -> np.ndarray:
-        """Pure descend of every query to its home leaf (no backtracking).
-
-        Returns the home leaf id per query, -1 where the descend dead-ends
-        in an absent child.  This is the vectorized front-end pass that
-        seeds the nearest-neighbor pruning bounds.
-        """
-        n_queries = len(queries)
-        home = np.full(n_queries, -1, dtype=np.int64)
-        if self._root_ref == _NO_CHILD:
-            return home
-        if self._root_ref <= _LEAF_BASE:
-            home[:] = _decode_leaf(self._root_ref)
-            return home
-        node = np.full(n_queries, self._root_ref, dtype=np.int64)
-        alive = np.arange(n_queries, dtype=np.int64)
-        while len(alive):
-            current = node[alive]
-            dim = self._node_dim[current]
-            delta = queries[alive, dim] - self._node_value[current]
-            child = np.where(
-                delta < 0, self._node_left[current], self._node_right[current]
-            )
-            at_leaf = child <= _LEAF_BASE
-            home[alive[at_leaf]] = _LEAF_BASE - child[at_leaf]
-            descend = ~at_leaf & (child != _NO_CHILD)
-            node[alive[descend]] = child[descend]
-            alive = alive[descend]
-        return home
-
     def _scan_leaf_block(
         self, leaf_id: int, queries: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -816,20 +815,19 @@ class TwoStageKDTree:
 
         Returns (original indices (c,), squared distances (m, c)).  The
         indices ascend.  For each coordinate ``j``, the block's query
-        column ``j`` is subtracted from row ``j`` of the ``(k, N)`` leaf
-        copy into one ``(m, c)`` array; :func:`_sum_squares` then
-        squares the terms and sums ``(dx² + dz²) + dy²`` in 3-D (the
-        einsum lane order, see the module docstring), the same
-        arithmetic as :meth:`scan_leaf`, so each row is bit-identical
-        to it for that query.
+        column ``j`` is subtracted from the set's ``c`` members in row
+        ``j`` of the padded layout into one ``(m, c)`` array;
+        :func:`_sum_squares` then squares the terms and sums
+        ``(dx² + dz²) + dy²`` in 3-D (the einsum lane order, see the
+        module docstring), the same arithmetic as :meth:`scan_leaf`, so
+        each row is bit-identical to it for that query.
         """
-        start = self._leaf_start[leaf_id]
-        stop = start + self._leaf_count[leaf_id]
-        points_t = self._leaf_points_t[:, start:stop]
-        diff = np.empty((len(points_t), len(queries), stop - start))
+        count = self._leaf_count[leaf_id]
+        points_t = self._leaf_points[:, leaf_id, :count]
+        diff = np.empty((len(points_t), len(queries), count))
         for j, row in enumerate(points_t):
             np.subtract(row, queries[:, j, None], out=diff[j])
-        return self._leaf_orig[start:stop], _sum_squares(diff, self._lanes)
+        return self._leaf_orig[leaf_id, :count], _sum_squares(diff, self._lanes)
 
     @staticmethod
     def _leaf_groups(leaf_ids: np.ndarray, rows: np.ndarray):
@@ -853,23 +851,21 @@ class TwoStageKDTree:
             d_sq += t * t
         return d_sq
 
-    def _nn_scan(
-        self,
-        leaf_id: int,
-        rows: np.ndarray,
-        queries: np.ndarray,
-        best_sq: np.ndarray,
-        best_idx: np.ndarray,
-    ) -> int:
-        """Scan a leaf against distinct query ``rows`` and fold each row's
-        lexicographic (distance, index) minimum into the running bests in
-        place.  Returns the distance computations."""
-        orig, sq = self._scan_leaf_block(leaf_id, queries[rows])
-        # Members ascend, so argmin's first occurrence is the lowest-index
-        # member at the minimum distance.
-        col = sq.argmin(axis=1)
-        _fold_nearest(rows, sq[np.arange(len(rows)), col], orig[col], best_sq, best_idx)
-        return sq.size
+    def _split(self, refs: np.ndarray, query_rows: np.ndarray):
+        """Near child, far child, ``delta**2`` and split dimension of each
+        top-tree node ``refs[i]`` for query ``query_rows[i]``.
+
+        The query's side of the split is the near child; absent children
+        are ``_NO_CHILD``.
+        """
+        dim = self._node_dim[refs]
+        delta = query_rows[np.arange(len(refs)), dim] - self._node_value[refs]
+        goes_left = delta < 0
+        left = self._node_left[refs]
+        right = self._node_right[refs]
+        near = np.where(goes_left, left, right)
+        far = np.where(goes_left, right, left)
+        return near, far, delta * delta, dim
 
     def _expand(
         self,
@@ -882,25 +878,92 @@ class TwoStageKDTree:
 
         ``query_rows[i]`` is the query at node ``refs[i]``, reached with
         pruning bound ``bound[i]`` and per-dimension bound terms
-        ``contrib[i]``.  The query's side of the split is the near child;
-        the far child's bound swaps the split dimension's term for
-        ``delta**2``, as the scalar search does.  Returns
-        ``(near, far, far_bound, far_contrib)``; absent children are
-        ``_NO_CHILD``, and the near child keeps ``bound``/``contrib``.
+        ``contrib[i]``.  The far child's bound swaps the split dimension's
+        term for ``delta**2``, as the scalar search does.  Returns
+        ``(near, far, far_bound, far_contrib)``; the near child keeps
+        ``bound``/``contrib``.
         """
+        near, far, dd, dim = self._split(refs, query_rows)
         span = np.arange(len(refs))
-        dim = self._node_dim[refs]
-        delta = query_rows[span, dim] - self._node_value[refs]
-        goes_left = delta < 0
-        left = self._node_left[refs]
-        right = self._node_right[refs]
-        near = np.where(goes_left, left, right)
-        far = np.where(goes_left, right, left)
-        dd = delta * delta
         far_bound = bound - contrib[span, dim] + dd
         far_contrib = contrib.copy()
         far_contrib[span, dim] = dd
         return near, far, far_bound, far_contrib
+
+    def _scan_pairs(self, leaf_ids: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """Scan leaf ``leaf_ids[i]`` against query row ``queries[i]``.
+
+        Returns ``(m, L)`` squared distances over the padded layout: row
+        ``i`` holds the leaf's members in slot order, then +inf in its
+        padding slots.  Each coordinate's point-minus-query differences
+        are summed by :func:`_sum_squares`, so every member's distance is
+        bit-identical to :meth:`scan_leaf`'s.
+        """
+        diff = self._leaf_points.take(leaf_ids, axis=1)
+        diff -= queries.T[:, :, None]
+        return _sum_squares(diff, self._lanes)
+
+    def _nn_pairs(
+        self,
+        rows: np.ndarray,
+        leaf_ids: np.ndarray,
+        queries: np.ndarray,
+        best_sq: np.ndarray,
+        best_idx: np.ndarray,
+    ) -> None:
+        """Scan leaf ``leaf_ids[i]`` for query ``rows[i]``, for every pair,
+        and fold each pair's lexicographic (distance, index) minimum into
+        the running bests in place.  ``rows`` are distinct.
+
+        Pairs are gathered in fixed chunks of :data:`_PAIR_SLOTS` leaf
+        slots.
+        """
+        if len(rows) == 0:  # also a tree with no leaf sets
+            return
+        chunk = max(1, _PAIR_SLOTS // self._leaf_orig.shape[1])
+        for start in range(0, len(rows), chunk):
+            chunk_rows = rows[start : start + chunk]
+            chunk_ids = leaf_ids[start : start + chunk]
+            sq = self._scan_pairs(chunk_ids, queries[chunk_rows])
+            # Members ascend and the padding trails them at +inf, so
+            # argmin's first occurrence is the lowest-index member at the
+            # minimum distance.
+            col = sq.argmin(axis=1)
+            _fold_nearest(
+                chunk_rows,
+                sq[np.arange(len(chunk_rows)), col],
+                self._leaf_orig[chunk_ids, col],
+                best_sq,
+                best_idx,
+            )
+
+    def _home_paths(self, queries: np.ndarray):
+        """Descend every query to its home leaf, without backtracking.
+
+        Returns ``(home, levels)``.  ``home`` is the home leaf id per
+        query, -1 where the descent dead-ends in an absent child.
+        ``levels`` has one entry per depth, dense over the queries still
+        descending: ``(rows, node point ids, node point squared
+        distances, far child, delta**2, split dimension)``.
+        """
+        home = np.full(len(queries), -1, dtype=np.int64)
+        levels = []
+        if self._root_ref <= _LEAF_BASE:
+            home[:] = _decode_leaf(self._root_ref)
+            return home, levels
+        rows = np.arange(len(queries), dtype=np.int64)
+        refs = np.full(len(queries), self._root_ref, dtype=np.int64)
+        while len(rows):
+            at = queries[rows]
+            pidx = self._node_point[refs]
+            near, far, dd, dim = self._split(refs, at)
+            sq = self._node_sq_dists(at, self._points[pidx])
+            levels.append((rows, pidx, sq, far, dd, dim))
+            at_leaf = near <= _LEAF_BASE
+            home[rows[at_leaf]] = _LEAF_BASE - near[at_leaf]
+            descend = near >= 0
+            rows, refs = rows[descend], near[descend]
+        return home, levels
 
     def _nn_batch_fast(
         self, queries: np.ndarray, stats: SearchStats | None
@@ -908,81 +971,110 @@ class TwoStageKDTree:
         n_queries, ndim = queries.shape
         best_sq = np.full(n_queries, np.inf)
         best_idx = np.full(n_queries, -1, dtype=np.int64)
-        if n_queries == 0 or self._root_ref == _NO_CHILD:
-            return best_idx, np.full(n_queries, np.inf)
-        visits = bypassed = leaf_pruned = scanned = 0
+        visits = bypassed = leaf_pruned = 0
 
-        # Phase 1: descend every query to its home leaf and scan the home
-        # leaves grouped, seeding tight pruning bounds.
-        home = self._route_to_leaves(queries)
-        routed = np.nonzero(home >= 0)[0]
-        for leaf_id, rows in self._leaf_groups(home[routed], routed):
-            scanned += self._nn_scan(leaf_id, rows, queries, best_sq, best_idx)
+        # Home leaves first: they seed tight pruning bounds.
+        home, levels = self._home_paths(queries)
+        routed = np.flatnonzero(home >= 0)
+        scanned = int(self._leaf_count[home[routed]].sum())
+        self._nn_pairs(routed, home[routed], queries, best_sq, best_idx)
 
-        # Phase 2: full traversal as a vectorized frontier of
-        # (node, query) pairs, pruned against the running bests.
-        refs = np.full(n_queries, self._root_ref, dtype=np.int64)
-        qidx = np.arange(n_queries, dtype=np.int64)
-        bound = np.zeros(n_queries)
-        contrib = np.zeros((n_queries, ndim))
-        while len(refs):
-            at_leaf = refs <= _LEAF_BASE
-            if np.any(at_leaf):
-                leaf_ids = _LEAF_BASE - refs[at_leaf]
-                l_rows = qidx[at_leaf]
-                l_bound = bound[at_leaf]
-                revisit = leaf_ids == home[l_rows]  # scanned in phase 1
-                leaf_ids = leaf_ids[~revisit]
-                l_rows = l_rows[~revisit]
-                l_bound = l_bound[~revisit]
-                positions = np.arange(len(leaf_ids))
-                for leaf_id, pos in self._leaf_groups(leaf_ids, positions):
-                    # Re-check against the freshest bests per block: the
-                    # bests tighten as sibling blocks are scanned.
-                    rows = l_rows[pos]
-                    keep = l_bound[pos] <= best_sq[rows]
-                    leaf_pruned += int(np.count_nonzero(~keep))
-                    if np.any(keep):
-                        scanned += self._nn_scan(
-                            leaf_id, rows[keep], queries, best_sq, best_idx
-                        )
-            inner = ~at_leaf
-            refs_i = refs[inner]
-            q_i = qidx[inner]
-            b_i = bound[inner]
-            c_i = contrib[inner]
-            alive = b_i <= best_sq[q_i]
-            bypassed += int(np.count_nonzero(~alive))
-            refs_i, q_i, b_i, c_i = (
-                refs_i[alive],
-                q_i[alive],
-                b_i[alive],
-                c_i[alive],
-            )
-            visits += len(refs_i)
-            if len(refs_i) == 0:
-                break
-            pidx = self._node_point[refs_i]
-            at = queries[q_i]
+        # Top-tree rounds, one depth each.  The home path is replayed
+        # densely: a home-path node is reached at bound 0, so it is always
+        # visited, and its near child is the next level's node (or the
+        # home leaf, already scanned).  Its far child's bound is
+        # 0.0 - 0.0 + delta**2, which is delta**2 exactly.  Off-path
+        # entries travel in a compacted (node, query, bound, contrib)
+        # frontier, pruned against the bests as of the round's start.
+        # Every leaf hangs at depth top_height, so leaf children are set
+        # aside for the leaf round.
+        ref = row = routed[:0]
+        bound = np.empty(0)
+        contrib = np.empty((0, ndim))
+        no_siblings = (routed[:0], routed[:0], np.empty(0), routed[:0])
+        siblings = no_siblings
+        leaf_entries = []
+        depth = 0
+        while depth < len(levels) or len(ref) or len(siblings[0]):
+            # The previous level's home-path far siblings (rows, nodes,
+            # bounds, split dimensions) join the frontier if they survive
+            # the check; only then are their bound terms (delta**2 in the
+            # split dimension, zero elsewhere) built.
+            s_row, s_ref, s_bound, s_dim = siblings
+            alive = bound <= best_sq[row]
+            s_alive = np.flatnonzero(s_bound <= best_sq[s_row])
+            bypassed += len(alive) - int(np.count_nonzero(alive))
+            bypassed += len(s_bound) - len(s_alive)
+            s_contrib = np.zeros((len(s_alive), ndim))
+            s_contrib[np.arange(len(s_alive)), s_dim[s_alive]] = s_bound[s_alive]
+            ref = np.concatenate([s_ref[s_alive], ref[alive]])
+            row = np.concatenate([s_row[s_alive], row[alive]])
+            bound = np.concatenate([s_bound[s_alive], bound[alive]])
+            contrib = np.concatenate([s_contrib, contrib[alive]])
+            siblings = no_siblings
+            if depth < len(levels):
+                h_row, h_pidx, h_sq, h_far, h_dd, h_dim = levels[depth]
+                visits += len(h_row)
+                _fold_nearest(h_row, h_sq, h_pidx, best_sq, best_idx)
+                to_leaf = h_far <= _LEAF_BASE
+                leaf_entries.append(
+                    (h_row[to_leaf], _LEAF_BASE - h_far[to_leaf], h_dd[to_leaf])
+                )
+                to_node = h_far >= 0
+                siblings = tuple(a[to_node] for a in (h_row, h_far, h_dd, h_dim))
+            visits += len(ref)
+            at = queries[row]
+            pidx = self._node_point[ref]
             d_sq = self._node_sq_dists(at, self._points[pidx])
-            better = (d_sq < best_sq[q_i]) | (
-                (d_sq == best_sq[q_i]) & (pidx < best_idx[q_i])
+            better = (d_sq < best_sq[row]) | (
+                (d_sq == best_sq[row]) & (pidx < best_idx[row])
             )
             if np.any(better):
                 # A query can meet several nodes in one round; reduce its
                 # candidates to the lexicographic minimum before updating.
-                bq, bsq, bidx = q_i[better], d_sq[better], pidx[better]
+                bq, bsq, bidx = row[better], d_sq[better], pidx[better]
                 sel = np.lexsort((bidx, bsq, bq))
                 bq, bsq, bidx = bq[sel], bsq[sel], bidx[sel]
                 first = np.r_[True, bq[1:] != bq[:-1]]
                 _fold_nearest(bq[first], bsq[first], bidx[first], best_sq, best_idx)
-            near, far, far_bound, far_contrib = self._expand(refs_i, at, b_i, c_i)
-            has_far = far != _NO_CHILD
-            has_near = near != _NO_CHILD
-            refs = np.concatenate([far[has_far], near[has_near]])
-            qidx = np.concatenate([q_i[has_far], q_i[has_near]])
-            bound = np.concatenate([far_bound[has_far], b_i[has_near]])
-            contrib = np.concatenate([far_contrib[has_far], c_i[has_near]])
+            near, far, far_bound, far_contrib = self._expand(ref, at, bound, contrib)
+            ref = np.concatenate([far, near])
+            row = np.concatenate([row, row])
+            bound = np.concatenate([far_bound, bound])
+            contrib = np.concatenate([far_contrib, contrib])
+            to_leaf = ref <= _LEAF_BASE
+            leaf_entries.append(
+                (row[to_leaf], _LEAF_BASE - ref[to_leaf], bound[to_leaf])
+            )
+            to_node = ref >= 0
+            ref, row = ref[to_node], row[to_node]
+            bound, contrib = bound[to_node], contrib[to_node]
+            depth += 1
+
+        # Leaf round.  An entry out of bound now stays out (bests only
+        # shrink); the rest are scanned in ascending leaf order per query,
+        # each re-checked against the query's freshest best, one rank a
+        # pass.  Pruning and scan counts equal a scan of every leaf in
+        # ascending id order with a fresh check before each.
+        if leaf_entries:
+            l_row, l_leaf, l_bound = map(np.concatenate, zip(*leaf_entries))
+            keep = l_bound <= best_sq[l_row]
+            leaf_pruned += len(keep) - int(np.count_nonzero(keep))
+            l_row, l_leaf, l_bound = l_row[keep], l_leaf[keep], l_bound[keep]
+            order = np.lexsort((l_leaf, l_row))
+            l_row, l_leaf, l_bound = l_row[order], l_leaf[order], l_bound[order]
+            starts = np.flatnonzero(np.r_[True, l_row[1:] != l_row[:-1]])
+            rank = np.arange(len(l_row)) - np.repeat(
+                starts, np.diff(np.r_[starts, len(l_row)])
+            )
+            for r in range(int(rank.max()) + 1 if len(rank) else 0):
+                at_rank = rank == r
+                rows, leaf_ids = l_row[at_rank], l_leaf[at_rank]
+                fresh = l_bound[at_rank] <= best_sq[rows]
+                leaf_pruned += len(fresh) - int(np.count_nonzero(fresh))
+                rows, leaf_ids = rows[fresh], leaf_ids[fresh]
+                scanned += int(self._leaf_count[leaf_ids].sum())
+                self._nn_pairs(rows, leaf_ids, queries, best_sq, best_idx)
 
         if stats is not None:
             stats.nodes_visited += visits + scanned
@@ -1115,14 +1207,16 @@ class TwoStageKDTree:
                 scanned = np.where(l_pruned, 0, self._leaf_count[leaf_ids])
                 sizes = np.zeros(len(l_rows), dtype=np.int64)
                 live = np.flatnonzero(~l_pruned)
-                for leaf_id, pos in self._leaf_groups(leaf_ids[live], live):
-                    rows = l_rows[pos]
-                    if nn:
-                        self._nn_scan(leaf_id, rows, queries, best_sq, best_idx)
-                        continue
-                    orig, sq = self._scan_leaf_block(leaf_id, queries[rows])
-                    sizes[pos] = np.count_nonzero(sq <= r_sq, axis=1)
-                    hits.add_block(rows, orig, sq)
+                if nn:
+                    self._nn_pairs(
+                        l_rows[live], leaf_ids[live], queries, best_sq, best_idx
+                    )
+                else:
+                    for leaf_id, pos in self._leaf_groups(leaf_ids[live], live):
+                        rows = l_rows[pos]
+                        orig, sq = self._scan_leaf_block(leaf_id, queries[rows])
+                        sizes[pos] = np.count_nonzero(sq <= r_sq, axis=1)
+                        hits.add_block(rows, orig, sq)
                 log.append((l_rows, leaf_ids, scanned, l_pruned, sizes))
                 n_scanned += int(scanned.sum())
                 n_leaf_pruned += int(np.count_nonzero(l_pruned))

@@ -22,11 +22,14 @@ Pipeline stages issue **one batched call per stage** — ``nn_batch``,
 :class:`~repro.core.ragged.RaggedNeighborhoods` in CSR form) — the
 software analogue of the accelerator's data-parallel PE array.  Each
 backend implements the batch entry points natively: fully vectorized
-chunked scans for brute-force, grouped-by-leaf scans behind a
-vectorized top-tree frontier for the two-stage tree, a tight loop for
-the canonical KD-tree (whose pruned traversal is inherently sequential
-— the very bottleneck the paper targets), and sequential leader-state
-updates for the approximate search.  Radius results travel CSR
+chunked scans for brute-force, a vectorized top-tree sweep with bulk
+leaf scans for the two-stage tree (radius grouped by leaf, NN along
+each query's home path with one ``(query, leaf)``-pair kernel), a
+level-synchronous frontier sweep for the canonical KD-tree (the
+per-query depth-first stacks fused into flat ``(node, query)`` arrays;
+one query's pruned traversal is inherently sequential — the very
+bottleneck the paper targets), and sequential leader-state updates for
+the approximate search.  Radius results travel CSR
 end-to-end: every backend *produces* flat ``indices``/``offsets``/
 ``distances`` (with any requested per-segment distance sort done once
 by a global lexsort), the reuse cache and injectors pass the CSR form
@@ -38,8 +41,10 @@ profiler once per batch and counts one ``SearchStats.batches``
 increment per call; ``queries``/``results_returned`` stay exact per
 query (CSR-delivered queries additionally tick ``csr_results``), while
 the work counters (node visits, pruning) reflect the schedule actually
-executed — identical to the scalar loop for radius batches, within a
-percent or so for the two-stage NN frontier (see
+executed — identical to the scalar loop for radius batches, and
+different for NN batches, whose bounds tighten in another order; the
+two-stage NN batch's counts are pinned exactly by
+``tests/core/test_twostage.py::TestNNBatchCounters`` (see
 :mod:`repro.core.twostage`).  Batched *results* are bit-identical to
 issuing the scalar methods row by row.
 

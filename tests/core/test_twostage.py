@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TwoStageKDTree
+from repro.io import make_sequence
 from repro.kdtree import SearchStats, bruteforce
 
 
@@ -129,11 +130,31 @@ class TestSummationOrder:
         queries = rng.normal(size=(5, ndim))
         tree = TwoStageKDTree(points, top_height=0)
         indices, block = tree._scan_leaf_block(0, queries)
+        pairs = tree._scan_pairs(np.zeros(len(queries), dtype=np.int64), queries)
         for row, query in enumerate(queries):
             d = points[indices] - query
             expected = np.einsum("ij,ij->i", d, d)
             assert np.array_equal(tree.scan_leaf(0, query)[1], expected)
             assert np.array_equal(block[row], expected)
+            assert np.array_equal(pairs[row], expected)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_pair_kernel_equals_einsum(self, rng, scale):
+        # Several leaves of unequal size: each (query, leaf) row holds the
+        # leaf's members, then +inf in the padding slots.
+        points = scale * rng.normal(size=(300, 3)) * 10 ** rng.uniform(-1, 1, (300, 3))
+        tree = TwoStageKDTree(points, top_height=3)
+        queries = scale * rng.normal(size=(40, 3))
+        leaf_ids = rng.integers(0, tree.n_leaf_sets, size=len(queries))
+        pairs = tree._scan_pairs(leaf_ids, queries)
+        for row, (leaf, query) in enumerate(zip(leaf_ids, queries)):
+            members = tree.leaf_set_indices(leaf)
+            got, padding = pairs[row, : len(members)], pairs[row, len(members) :]
+            d = points[members] - query
+            assert np.array_equal(got, np.einsum("ij,ij->i", d, d)), self.GOLDEN
+            lanes = (d[:, 0] * d[:, 0] + d[:, 2] * d[:, 2]) + d[:, 1] * d[:, 1]
+            assert np.array_equal(got, lanes), self.GOLDEN
+            assert np.all(padding == np.inf)
 
 
 def assert_backends_agree(points, queries, radii, heights=(0, 1, 2, 3, 5)):
@@ -340,9 +361,44 @@ class TestTraces:
                     assert visit.scanned == 0
 
 
+class TestPaddedLeaves:
+    """Leaf sets are padded to the largest one with +inf slots; no scan
+    may report a padding slot or drop a member next to one."""
+
+    @pytest.fixture
+    def uneven(self, rng):
+        points = rng.normal(size=(100, 3))
+        tree = TwoStageKDTree(points, top_height=3)
+        assert len(set(tree.leaf_set_sizes.tolist())) > 1
+        return points, tree
+
+    def test_infinite_radius_returns_every_point(self, uneven, rng):
+        points, tree = uneven
+        queries = rng.normal(size=(6, 3))
+        assert np.all(tree.radius_batch_csr(queries, np.inf).counts == len(points))
+        traced, _ = tree.radius_batch(queries, np.inf, trace=[])
+        assert [len(hits) for hits in traced] == [len(points)] * len(queries)
+        for query in queries:
+            assert len(tree.radius(query, np.inf)[0]) == len(points)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_last_member_of_the_shortest_leaf(self, uneven, traced):
+        points, tree = uneven
+        shortest = int(np.argmin(tree.leaf_set_sizes))
+        member = tree.leaf_set_indices(shortest)[-1]
+        idx, dist = tree.nn_batch(points[[member]], trace=[] if traced else None)
+        assert idx[0] == member and dist[0] == 0.0
+
+
 def _queries_with(value):
     queries = np.zeros((4, 3))
     queries[2, 1] = value
+    return queries
+
+
+def _nan_in_row_4_of_6():
+    queries = np.zeros((6, 3))
+    queries[4, 0] = np.nan
     return queries
 
 
@@ -350,38 +406,145 @@ def _queries_with(value):
 INVALID_BATCHES = {
     "nan-query": (_queries_with(np.nan), 1.0),
     "inf-query": (_queries_with(np.inf), 1.0),
+    "nan-in-row-4-of-6": (_nan_in_row_4_of_6(), 1.0),
     "wrong-dimension-empty": (np.empty((0, 2)), 1.0),
+    "wrong-dimension-empty-5": (np.empty((0, 5)), 1.0),
     "wrong-dimension": (np.zeros((3, 2)), 1.0),
     "negative-radius-empty": (np.empty((0, 3)), -1.0),
     "negative-radius": (np.zeros((3, 3)), -1.0),
 }
+QUERY_CASES = [case for case in INVALID_BATCHES if "radius" not in case]
 
 
 class TestBatchValidation:
     """Traced and untraced batches validate at the batch boundary, before
-    any query runs, so an empty batch is checked too."""
+    any query runs, so an empty batch is checked too and a bad row charges
+    no counter and appends no trace."""
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("case", list(INVALID_BATCHES))
     def test_radius_batch_rejects(self, points, case, traced):
         queries, r = INVALID_BATCHES[case]
         tree = TwoStageKDTree(points, top_height=3)
-        trace = [] if traced else None
+        stats, trace = SearchStats(), [] if traced else None
         with pytest.raises(ValueError):
-            tree.radius_batch(queries, r, trace=trace)
+            tree.radius_batch(queries, r, stats, trace=trace)
         assert not trace
+        assert stats == SearchStats()
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-    @pytest.mark.parametrize(
-        "case", [case for case in INVALID_BATCHES if "radius" not in case]
-    )
+    @pytest.mark.parametrize("case", QUERY_CASES)
     def test_nn_batch_rejects(self, points, case, traced):
         queries, _ = INVALID_BATCHES[case]
         tree = TwoStageKDTree(points, top_height=3)
-        trace = [] if traced else None
+        stats, trace = SearchStats(), [] if traced else None
         with pytest.raises(ValueError):
-            tree.nn_batch(queries, trace=trace)
+            tree.nn_batch(queries, stats, trace=trace)
         assert not trace
+        assert stats == SearchStats()
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("case", QUERY_CASES)
+    def test_knn_batch_rejects(self, points, case, traced):
+        queries, _ = INVALID_BATCHES[case]
+        tree = TwoStageKDTree(points, top_height=3)
+        stats, trace = SearchStats(), [] if traced else None
+        with pytest.raises(ValueError):
+            tree.knn_batch(queries, 3, stats, trace=trace)
+        assert not trace
+        assert stats == SearchStats()
+
+
+def _seeded_cloud(seed=2019):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(256, 3)), rng.normal(size=(60, 3))
+
+
+def _top_height_zero():
+    points, queries = _seeded_cloud()
+    return TwoStageKDTree(points, top_height=0), queries
+
+
+def _leaf_size_one():
+    # Height 8 over 256 points: most home paths dead-end above a leaf.
+    points, queries = _seeded_cloud()
+    return TwoStageKDTree.from_leaf_size(points, 1), np.vstack([queries, points[:20]])
+
+
+def _forty_copies():
+    rng = np.random.default_rng(40)
+    duplicate = np.array([1.0, 2.0, 3.0])
+    others = rng.integers(-8, 9, size=(80, 3)).astype(np.float64)
+    others = others[~np.all(others == duplicate, axis=1)][:60]
+    points = np.vstack([np.tile(duplicate, (40, 1)), others])
+    points = points[rng.permutation(len(points))]
+    queries = np.vstack([duplicate, duplicate + [0.5, 0.0, 0.0], others[:10]])
+    return TwoStageKDTree(points, top_height=4), queries
+
+
+def _coplanar_grid():
+    grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(10.0)), -1)
+    xy = grid.reshape(-1, 2)
+    points = np.column_stack([xy, np.zeros(len(xy))])
+    queries = np.column_stack([xy[::7] + 0.5, np.zeros(len(xy[::7]))])
+    return TwoStageKDTree(points, top_height=3), queries
+
+
+def _far_outside():
+    points, queries = _seeded_cloud()
+    queries = np.vstack([queries[:10] + 1e3, [[-1e4, 0.0, 5e3]]])
+    return TwoStageKDTree(points, top_height=6), queries
+
+
+def _lidar_frame():
+    # ICP's regime: one ~2.8k-point frame searched from the next.
+    source, target, _ = make_sequence(n_frames=2, seed=3).pair(0)
+    return TwoStageKDTree.from_leaf_size(target.points, 64), source.points
+
+
+NN_COUNTER_INPUTS = {
+    "top-height-0": _top_height_zero,
+    "leaf-size-1": _leaf_size_one,
+    "forty-copies": _forty_copies,
+    "coplanar-grid": _coplanar_grid,
+    "far-outside": _far_outside,
+    "lidar-frame-leaf-64": _lidar_frame,
+}
+
+
+class TestNNBatchCounters:
+    """The untraced NN batch's work counters, pinned exactly.
+
+    The NN batch prunes against bests that depend on which leaves and
+    nodes it has already folded in, so its counters record its schedule:
+    the home-leaf pass, the top-tree rounds, and the fresh-bound check
+    before each off-path leaf scan.  A schedule change that keeps every
+    result moves these numbers (and, through RPCE, the quickstart golden).
+    """
+
+    EXPECTED = {
+        "top-height-0": (15360, 0, 0),
+        "leaf-size-1": (2845, 4734, 1891),
+        "forty-copies": (283, 112, 55),
+        "coplanar-grid": (531, 96, 49),
+        "far-outside": (1756, 597, 136),
+        "lidar-frame-leaf-64": (328634, 26132, 14143),
+    }
+
+    @pytest.mark.parametrize("case", list(NN_COUNTER_INPUTS))
+    def test_counters(self, case):
+        tree, queries = NN_COUNTER_INPUTS[case]()
+        stats = SearchStats()
+        idx, _ = tree.nn_batch(queries, stats)
+        nodes_visited, traversal_steps, pruned_subtrees = self.EXPECTED[case]
+        assert stats == SearchStats(
+            nodes_visited=nodes_visited,
+            traversal_steps=traversal_steps,
+            pruned_subtrees=pruned_subtrees,
+            queries=len(queries),
+            results_returned=len(queries),
+        )
+        assert np.all(idx >= 0)
 
 
 def assert_bits_equal(got, expected):
