@@ -36,7 +36,7 @@ def cmd_info() -> int:
         ("repro.dse", "design-space exploration (Sec. 3.2)"),
     ):
         print(f"  {name:<20} {what}")
-    print("\nreproduce the evaluation:  pytest benchmarks/ --benchmark-only")
+    print("\ncheck the paper's claims:  python -m pytest tests/paper")
     return 0
 
 

@@ -4,7 +4,7 @@ The paper's baseline system is a 32-core Xeon Silver 4110 (PCL/FLANN
 KD-tree on the CPU) and an RTX 2080 Ti running FLANN's CUDA KD-tree.
 Neither device is available here, so both are analytic throughput
 models driven by the *same* functional search traces as the
-accelerator model (DESIGN.md substitution table).
+accelerator model (substitution table in ``tests/paper/README.md``).
 
 Model shape:
 

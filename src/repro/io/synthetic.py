@@ -3,10 +3,10 @@ ray-cast spinning-LiDAR model.
 
 The paper evaluates on the KITTI Odometry dataset, captured with a
 Velodyne HDL-64E.  That data is not redistributable here, so this module
-provides the substitution documented in DESIGN.md: parametric urban
-scenes (ground plane, box buildings, cylindrical poles, spherical
-shrubs) scanned by a 64-beam spinning LiDAR model with Gaussian range
-noise and beam dropout.  The output has the same structure the pipeline
+provides the substitution documented in ``tests/paper/README.md``:
+parametric urban scenes (ground plane, box buildings, cylindrical
+poles, spherical shrubs) scanned by a 64-beam spinning LiDAR model with
+Gaussian range noise and beam dropout.  The output has the same structure the pipeline
 consumes — per-frame ``(x, y, z)`` clouds with LiDAR ring/azimuth
 channels (which double as a range image for the NARF-style detector) —
 and exact ground-truth sensor poses for KITTI-style error metrics.

@@ -31,10 +31,7 @@ ties resolve to the lowest point index (nn/knn take the lexicographic
 ascending index order.  Radius work counters are exactly the scalar
 loop's (radius pruning is query-history-independent); nn/knn counters
 reflect the frontier schedule actually executed and may differ slightly
-from a scalar loop's.  Passing ``sequential=True`` pins a batch to the
-per-query loop (the fallback kept for trace-style debugging and for
-pinning scalar/batch parity in tests); validation is hoisted to one
-pass per batch on both paths.
+from a scalar loop's.  Validation is hoisted to one pass per batch.
 """
 
 from __future__ import annotations
@@ -216,8 +213,7 @@ class KDTree:
         return query
 
     def _check_queries(self, queries: np.ndarray) -> np.ndarray:
-        """One validation pass for a whole batch (hoisted out of the
-        per-query loop; the scalar methods keep their own check)."""
+        """One validation pass for a whole batch."""
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if queries.ndim != 2 or queries.shape[1] != self.ndim:
             raise ValueError(
@@ -232,11 +228,7 @@ class KDTree:
         self, query: np.ndarray, stats: SearchStats | None = None
     ) -> tuple[int, float]:
         """Nearest neighbor: (point index, distance)."""
-        return self._nn_impl(self._check_query(query), stats)
-
-    def _nn_impl(
-        self, query: np.ndarray, stats: SearchStats | None
-    ) -> tuple[int, float]:
+        query = self._check_query(query)
         points = self._points
         best_sq = np.inf
         best_idx = -1
@@ -294,11 +286,7 @@ class KDTree:
         query = self._check_query(query)
         if k <= 0:
             raise ValueError("k must be positive")
-        return self._knn_impl(query, min(k, self.n), stats)
-
-    def _knn_impl(
-        self, query: np.ndarray, k: int, stats: SearchStats | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+        k = min(k, self.n)
         points = self._points
         # Max-heap over (distance, index) via negation: heap[0] is the
         # lexicographically largest (d_sq, idx) of the kept k, i.e. the
@@ -377,15 +365,6 @@ class KDTree:
         query = self._check_query(query)
         if r < 0:
             raise ValueError("radius must be non-negative")
-        return self._radius_impl(query, r, stats, sort)
-
-    def _radius_impl(
-        self,
-        query: np.ndarray,
-        r: float,
-        stats: SearchStats | None,
-        sort: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
         points = self._points
         r_sq = r * r
         found: list[tuple[int, float]] = []
@@ -447,44 +426,23 @@ class KDTree:
 
     # ------------------------------------------------------------------
     # Batch queries: the level-synchronous frontier sweep (see module
-    # docstring).  ``sequential=True`` pins the per-query loop fallback.
+    # docstring).
     # ------------------------------------------------------------------
 
     def nn_batch(
-        self,
-        queries: np.ndarray,
-        stats: SearchStats | None = None,
-        sequential: bool = False,
+        self, queries: np.ndarray, stats: SearchStats | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Nearest neighbor for every row of ``queries``."""
-        queries = self._check_queries(queries)
-        if sequential:
-            indices = np.empty(len(queries), dtype=np.int64)
-            dists = np.empty(len(queries))
-            for i, query in enumerate(queries):
-                indices[i], dists[i] = self._nn_impl(query, stats)
-            return indices, dists
-        return self._nn_batch_fast(queries, stats)
+        return self._nn_batch_fast(self._check_queries(queries), stats)
 
     def knn_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        stats: SearchStats | None = None,
-        sequential: bool = False,
+        self, queries: np.ndarray, k: int, stats: SearchStats | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """kNN for every row of ``queries``: (Q, min(k, n)) arrays."""
         queries = self._check_queries(queries)
         if k <= 0:
             raise ValueError("k must be positive")
-        k = min(k, self.n)
-        if sequential:
-            indices = np.empty((len(queries), k), dtype=np.int64)
-            dists = np.empty((len(queries), k))
-            for i, query in enumerate(queries):
-                indices[i], dists[i] = self._knn_impl(query, k, stats)
-            return indices, dists
-        return self._knn_batch_fast(queries, k, stats)
+        return self._knn_batch_fast(queries, min(k, self.n), stats)
 
     def radius_batch(
         self,
@@ -492,24 +450,12 @@ class KDTree:
         r: float,
         stats: SearchStats | None = None,
         sort: bool = False,
-        sequential: bool = False,
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Radius search for every row of ``queries`` (ragged lists).
 
         Thin compatibility wrapper: slices :meth:`radius_batch_csr`'s
-        flat result into per-query lists (``sequential=True`` pins the
-        pre-rebuild per-query loop instead).
+        flat result into per-query lists.
         """
-        if sequential:
-            queries = self._check_queries(queries)
-            if r < 0:
-                raise ValueError("radius must be non-negative")
-            all_indices, all_dists = [], []
-            for query in queries:
-                indices, dists = self._radius_impl(query, r, stats, sort)
-                all_indices.append(indices)
-                all_dists.append(dists)
-            return all_indices, all_dists
         return self.radius_batch_csr(queries, r, stats, sort=sort).to_list_pair()
 
     def radius_batch_csr(

@@ -2,7 +2,7 @@
 
 One registration pipeline and one mapper configuration are shared by
 everything that tells the loop-closure story — ``examples/mapping.py``,
-``benchmarks/bench_mapping.py``, the golden
+the benchmark's ``mapping_loop`` workload, the golden
 ``mapping_urban_loop`` regression scenario, and the acceptance tests in
 ``tests/mapping/`` — so the numbers they produce (and the README's
 drift table) stay mutually comparable by construction rather than by

@@ -1,12 +1,5 @@
 """Profiling utilities for the bottleneck analysis (paper Fig. 4)."""
 
-from repro.profiling.plot import bar_chart, line_plot, scatter_plot
 from repro.profiling.timer import StageProfiler, StageTiming
 
-__all__ = [
-    "StageProfiler",
-    "StageTiming",
-    "scatter_plot",
-    "line_plot",
-    "bar_chart",
-]
+__all__ = ["StageProfiler", "StageTiming"]

@@ -13,14 +13,12 @@ Two serializations of the same span tree, for two audiences:
 * :func:`write_jsonl` emits one self-describing record per line — a
   versioned header, one flat ``span`` record per tree node (with its
   materialized path), and a final ``counters`` record with the
-  registry totals.  This is the machine-readable run record the bench
-  scripts attach next to their ``BENCH_*.json`` summaries (see
-  ``benchmarks/record.py`` and ``benchmarks/README.md`` for the schema
-  contract).
+  registry totals: the machine-readable run record.
 
-:func:`write_trace` dispatches on the output path's extension
-(``.jsonl`` -> JSONL, anything else -> Chrome trace), which is what the
-``--trace out.json`` flags on the examples and benches call.
+Both schemas are documented in the "Trace file formats" section of the
+repository README.  :func:`write_trace` dispatches on the output path's
+extension (``.jsonl`` -> JSONL, anything else -> Chrome trace), which
+is what the ``--trace out.json`` flags on the examples call.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ __all__ = [
 ]
 
 # Bump on any backwards-incompatible change to the JSONL record shape;
-# documented in benchmarks/README.md.
+# documented in the README's "Trace file formats" section.
 JSONL_SCHEMA = "repro.telemetry.run/1"
 
 _MAIN_TRACK = 0

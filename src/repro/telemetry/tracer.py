@@ -30,8 +30,7 @@ flag; they call the same methods on :data:`NULL_TRACER`, a
 :class:`NullTracer` whose every method is a constant-time no-op (its
 ``span()`` returns one preallocated context manager).  The overhead of
 the disabled path is a few attribute lookups per *stage*, not per
-query — unmeasurable next to the stages themselves (see
-``benchmarks/bench_stream_odometry.py``'s telemetry record).
+query — unmeasurable next to the stages themselves.
 
 Crossing process boundaries (the DSE ``ProcessPoolExecutor``):
 :meth:`Tracer.freeze` serializes a tracer's span tree to plain dicts

@@ -1,10 +1,11 @@
 """Calibration-anchor regression tests.
 
 The baseline models and energy constants were calibrated so the
-paper's headline ratios reproduce on the reference workload (DESIGN.md
-substitution table).  These tests pin the anchors: if a future change
-to the simulator, the traces, or the constants drifts them, this file
-fails before the benchmarks do.
+paper's headline ratios reproduce on the reference workload (the
+substitution table in ``tests/paper/README.md``).  These tests pin the
+anchors: if a future change to the simulator, the traces, or the
+constants drifts them, this file fails before the figure claims in
+``tests/paper`` do.
 """
 
 import numpy as np

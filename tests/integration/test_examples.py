@@ -73,6 +73,8 @@ class TestCLI:
         assert result.returncode == 0
         assert "Tigris" in result.stdout
         assert "repro.core" in result.stdout
+        # The printed command runs the collected claims suite.
+        assert "python -m pytest tests/paper" in result.stdout
 
     def test_demo_command(self):
         result = subprocess.run(

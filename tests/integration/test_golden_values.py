@@ -150,10 +150,11 @@ def mapping_scenario() -> dict:
     """A full urban_loop SLAM run (48 frames, 2 laps, loop closure).
 
     Uses the shared reference configuration
-    (:mod:`repro.mapping.presets`) of the mapping acceptance tests,
-    bench, and example, pinning the subsystem end to end: the keyframe
-    schedule, the loop-closure edges, the optimized trajectory, and the
-    drift reduction itself.  The open-loop ATE comes from the mapper's
+    (:mod:`repro.mapping.presets`) of the mapping acceptance tests
+    and example, pinning the subsystem end to end: the keyframe
+    schedule, the loop-closure edges, the back end's solver iterations
+    and re-anchored keyframes, the optimized trajectory, and the drift
+    reduction itself.  The open-loop ATE comes from the mapper's
     own odometry chain (bit-identical to ``run_streaming_odometry`` —
     asserted in ``tests/mapping/``), so the sequence is registered once.
     """
@@ -181,6 +182,10 @@ def mapping_scenario() -> dict:
             [c.target_index, c.source_index] for c in mapper.loop_closures
         ],
         "n_optimizations": stats.n_optimizations,
+        # The back end's work: Gauss-Newton iterations over all solves
+        # and keyframes re-binned into the map after them.
+        "optimization_iterations": stats.optimization_iterations,
+        "n_reanchored": stats.n_reanchored,
         "n_map_voxels": stats.n_map_voxels,
         "n_map_points": stats.n_map_points,
         "trajectory": [pose.tolist() for pose in mapper.trajectory()],

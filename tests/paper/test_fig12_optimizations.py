@@ -6,9 +6,9 @@ forwarding, and the MQMN back-end alternative.
 At the paper's 130 k-point scale the front-end contributes enough to
 total time for the RU optimizations to show up end to end (+13.1 % and
 +10.5 %); at our 2.8 k-point scale the two-stage workload is back-end
-bound, so the ladder is reported twice: on the two-stage workload
-(where MQSN/MQMN contrast lives) and on the front-end-bound canonical
-workload (where the RU ladder is visible end to end).
+bound, so the ladder is checked twice: on the two-stage workload
+(where the MQSN/MQMN contrast lives) and on the front-end-bound
+canonical workload (where the RU ladder is visible end to end).
 
 Shape claims asserted: RU front-end cycles strictly improve down the
 ladder, and end-to-end time improves on the FE-bound workload; MQMN is
@@ -18,12 +18,10 @@ traffic and power (the paper's reason to adopt MQSN).
 
 import pytest
 
-from benchmarks.conftest import write_report
 from repro.accel import (
     AcceleratorConfig,
     BackEndConfig,
     FrontEndConfig,
-    GPUModel,
     TigrisSimulator,
 )
 
@@ -45,52 +43,21 @@ VARIANTS = {
 
 
 @pytest.fixture(scope="module")
-def fig12_data(dp7_workloads):
-    results = {}
-    for structure in ("2skd", "kd"):
-        workloads = list(dp7_workloads[structure].values())
-        results[structure] = {
-            name: TigrisSimulator(config).simulate_many(workloads)
+def ladder(dp7_workloads):
+    return {
+        structure: {
+            name: TigrisSimulator(config).simulate_many(
+                list(dp7_workloads[structure].values())
+            )
             for name, config in VARIANTS.items()
         }
-    base_kd_time = sum(
-        GPUModel().run(w).time_seconds for w in dp7_workloads["kd"].values()
-    )
-    return base_kd_time, results
+        for structure in ("2skd", "kd")
+    }
 
 
-def test_fig12_optimizations(benchmark, fig12_data, dp7_workloads):
-    workloads = list(dp7_workloads["2skd"].values())
-    benchmark(lambda: TigrisSimulator(VARIANTS["No-Opt"]).simulate_many(workloads))
-
-    base_kd_time, results = fig12_data
-    lines = ["Fig. 12 — optimization ladder", ""]
-    for structure, label in (("2skd", "Acc-2SKD workload"), ("kd", "Acc-KD workload (FE-bound)")):
-        lines.append(f"--- {label} ---")
-        lines.append(
-            f"{'variant':<12}{'time':>12}{'FE cycles':>11}{'speedup':>10}"
-            f"{'power':>9}{'energy':>11}"
-        )
-        for name, result in results[structure].items():
-            lines.append(
-                f"{name:<12}{result.time_seconds * 1e6:>10.1f}us"
-                f"{result.frontend.cycles:>11,}"
-                f"{base_kd_time / result.time_seconds:>9.1f}x"
-                f"{result.power_watts:>8.1f}W"
-                f"{result.energy_joules * 1e6:>9.1f}uJ"
-            )
-        lines.append("")
-    lines += [
-        "(paper on ACC-2SKD at 130k-point scale: bypassing +13.1 %,",
-        " forwarding +10.5 % further; MQMN doubles MQSN's speed at ~4x",
-        " the power / ~2x the energy.  At our scale the 2skd workload is",
-        " backend-bound, so the RU ladder shows in FE cycles and on the",
-        " FE-bound canonical workload.)",
-    ]
-    write_report("fig12_optimizations", "\n".join(lines))
-
-    two_stage = results["2skd"]
-    canonical = results["kd"]
+def test_fig12_optimizations(ladder):
+    two_stage = ladder["2skd"]
+    canonical = ladder["kd"]
     # RU ladder: front-end cycles strictly improve on both workloads.
     for variants in (two_stage, canonical):
         assert (

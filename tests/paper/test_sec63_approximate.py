@@ -13,7 +13,6 @@ speedup from the approximation, and bounded end-to-end accuracy change.
 
 import pytest
 
-from benchmarks.conftest import write_report
 from repro.accel import TigrisSimulator
 from repro.geometry import metrics
 from repro.registration import (
@@ -25,15 +24,15 @@ from repro.registration import (
 )
 
 
-def total_nodes(workloads):
+def total_nodes(workloads) -> int:
     return sum(
         w.total_nodes_visited + w.total_leader_checks for w in workloads.values()
     )
 
 
 @pytest.fixture(scope="module")
-def accuracy_data(medium_sequence):
-    """Exact vs approximate end-to-end registration accuracy."""
+def accuracy(medium_sequence):
+    """(rotation, translation) errors of exact vs approximate search."""
     source, target, gt = medium_sequence.pair(0)
 
     def run(backend):
@@ -52,51 +51,19 @@ def accuracy_data(medium_sequence):
     return run("twostage"), run("approximate")
 
 
-def test_sec63_approximate(benchmark, dp7_workloads, accuracy_data):
+def test_sec63_approximate(dp7_workloads, accuracy):
     simulator = TigrisSimulator()
-    approx_result = benchmark(
-        lambda: simulator.simulate_many(list(dp7_workloads["approx"].values()))
-    )
+    approx_result = simulator.simulate_many(list(dp7_workloads["approx"].values()))
     exact_result = simulator.simulate_many(list(dp7_workloads["2skd"].values()))
-
-    exact_nodes = total_nodes(dp7_workloads["2skd"])
-    approx_nodes = total_nodes(dp7_workloads["approx"])
-    reduction = 1.0 - approx_nodes / exact_nodes
-
+    reduction = 1.0 - total_nodes(dp7_workloads["approx"]) / total_nodes(
+        dp7_workloads["2skd"]
+    )
     rpce_exact = dp7_workloads["2skd"]["RPCE"].total_nodes_visited
     rpce_approx = (
         dp7_workloads["approx"]["RPCE"].total_nodes_visited
         + dp7_workloads["approx"]["RPCE"].total_leader_checks
     )
-    (exact_rot, exact_trans), (approx_rot, approx_trans) = accuracy_data
-
-    lines = [
-        "Sec. 6.3 — approximate KD-tree search (thd = 1.2 m NN, 40 % radius)",
-        "",
-        f"node visits, exact Acc-2SKD:   {exact_nodes:>12,}",
-        f"node visits, approximate:      {approx_nodes:>12,}",
-        f"compute reduction:             {100 * reduction:>11.1f} %"
-        "   (paper: 72.8 % at KITTI density)",
-        f"  NN (RPCE) stage reduction:   "
-        f"{100 * (1 - rpce_approx / rpce_exact):>11.1f} %",
-        "",
-        f"search time, exact:            {exact_result.time_seconds * 1e6:>10.1f} us",
-        f"search time, approximate:      {approx_result.time_seconds * 1e6:>10.1f} us",
-        f"speedup from approximation:    "
-        f"{exact_result.time_seconds / approx_result.time_seconds:>11.2f}x"
-        "   (paper: 11.1x at KITTI scale, where the",
-        "                                            back-end dominates far more)",
-        f"energy, exact / approx:        "
-        f"{exact_result.energy_joules * 1e6:.1f} / "
-        f"{approx_result.energy_joules * 1e6:.1f} uJ",
-        "",
-        "end-to-end accuracy (medium-density pair, ICP-only pipeline):",
-        f"  exact:       {exact_trans:.3f} m / {exact_rot:.3f} deg",
-        f"  approximate: {approx_trans:.3f} m / {approx_rot:.3f} deg",
-        "(paper: approximation has no translational impact and adds",
-        " <= 0.05 deg/m rotational error)",
-    ]
-    write_report("sec63_approximate", "\n".join(lines))
+    (exact_rot, exact_trans), (approx_rot, approx_trans) = accuracy
 
     # Substantial compute reduction, dominated by the NN stage.
     assert reduction > 0.15

@@ -210,8 +210,8 @@ def test_radius_stats_match_scalar(backend):
 
 class TestCanonicalFrontierParity:
     """The canonical KD-tree's level-synchronous frontier sweep must be
-    bit-identical to its pinned sequential per-query loop.  Radius
-    sweeps also charge identical work counters (radius pruning is
+    bit-identical to a loop over its scalar searches.  Radius sweeps
+    also charge identical work counters (radius pruning is
     bound-independent, so the frontier replays the exact schedule);
     nn/knn frontiers tighten their bounds in level order rather than
     depth-first order, so only their results — not their node visit
@@ -232,18 +232,20 @@ class TestCanonicalFrontierParity:
         tree = KDTree(points)
 
         s_seq, s_fast = SearchStats(), SearchStats()
-        si, sd = tree.nn_batch(queries, s_seq, sequential=True)
+        loop = [tree.nn(q, s_seq) for q in queries]
         fi, fd = tree.nn_batch(queries, s_fast)
-        assert np.array_equal(si, fi) and np.array_equal(sd, fd)
+        assert np.array_equal([i for i, _ in loop], fi)
+        assert np.array_equal([d for _, d in loop], fd)
         assert (s_seq.queries, s_seq.results_returned) == (
             s_fast.queries,
             s_fast.results_returned,
         )
 
         s_seq, s_fast = SearchStats(), SearchStats()
-        si, sd = tree.knn_batch(queries, k, s_seq, sequential=True)
+        loop = [tree.knn(q, k, s_seq) for q in queries]
         fi, fd = tree.knn_batch(queries, k, s_fast)
-        assert np.array_equal(si, fi) and np.array_equal(sd, fd)
+        assert np.array_equal([i for i, _ in loop], fi)
+        assert np.array_equal([d for _, d in loop], fd)
         assert (s_seq.queries, s_seq.results_returned) == (
             s_fast.queries,
             s_fast.results_returned,
@@ -251,9 +253,9 @@ class TestCanonicalFrontierParity:
 
         for sort in (False, True):
             s_seq, s_fast = SearchStats(), SearchStats()
-            si, sd = tree.radius_batch(queries, r, s_seq, sort=sort, sequential=True)
+            loop = [tree.radius(q, r, s_seq, sort=sort) for q in queries]
             fi, fd = tree.radius_batch(queries, r, s_fast, sort=sort)
-            for a, b, c, d in zip(si, fi, sd, fd):
+            for (a, c), b, d in zip(loop, fi, fd):
                 assert np.array_equal(a, b) and np.array_equal(c, d)
             assert s_seq == s_fast
 
