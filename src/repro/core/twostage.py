@@ -78,6 +78,46 @@ set's lowest-index nearest member.  Its bounds tighten in a different
 order than a scalar search's, so its work counters differ from a scalar
 loop's; ``tests/core/test_twostage.py::TestNNBatchCounters`` pins them.
 
+Anchored NN batches
+-------------------
+ICP queries one tree once per iteration with its source points moved
+only slightly, so most rows keep their nearest neighbor.
+:meth:`TwoStageKDTree.nn_batch_anchored` proves that per row without a
+search.  A row's :class:`NNAnchor` entry holds the query ``q_a`` of its
+last real search, the nearest neighbor ``p`` found there and a lower
+bound ``r`` on the distance from ``q_a`` to every other point.  By the
+triangle inequality every other point is at least ``r - |q′ - q_a|``
+from the row's next query ``q′``, so ``p`` is still its unique nearest
+neighbor when
+
+    |q′ - p| + |q′ - q_a| + τ < r.
+
+Rounding in each distance that the certificate and the search compare
+is relative to that distance, and where a row comes close to failing
+those distances are at most about ``r``, so the margin
+``τ = 2**-30 r + 1e-100`` covers it with room to spare (the constant
+term keeps the squares involved clear of the subnormal range).  Rows
+that pass keep ``p``; the rest run the home-path schedule and are
+re-anchored at ``q′``, while a certified row keeps its old anchor.
+``r`` is a by-product of that schedule, which visits and prunes exactly
+what it does unanchored: it is the smallest of every candidate distance
+that lost (a candidate losing a fold, a best that a later winner
+displaced, the second-nearest member of a leaf that took the lead) and
+the bound of every subtree or leaf the schedule pruned.  A one-point
+tree has ``r = +inf``; a point with a copy gets ``r`` equal to its own
+distance and never certifies.
+
+*The order rule.*  A certified row's squared distance is recomputed the
+way the search sums that point: a leaf-set member in the leaf kernel's
+lane order, ``(dx² + dz²) + dy²``, a top-tree node point left to right,
+``(dx² + dy²) + dz²``.  Its distance is then bit-identical to a fresh
+search's; one lane order for every point would move the last bit of
+some node points' distances.  Certified rows charge ``queries``,
+``reused_queries`` and ``results_returned`` but no traversal work, and
+each batch that certifies any row counts one ``cache_hits``.
+
+Lockstep traces
+---------------
 Passing ``trace=`` runs a *lockstep* schedule instead, which records the
 exact per-query traversal the accelerator model replays.  Every query
 keeps its own depth-first stack, as each hardware Recursion Unit keeps
@@ -102,6 +142,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,7 +150,7 @@ from repro.core.ragged import RadiusHits, RaggedNeighborhoods
 from repro.core.trace import LeafVisitRecord, QueryTrace
 from repro.kdtree.stats import SearchStats
 
-__all__ = ["TwoStageKDTree"]
+__all__ = ["NNAnchor", "TwoStageKDTree"]
 
 # Child-slot encoding in the flat node arrays: values >= 0 are top-tree
 # node ids, NO_CHILD marks an absent child, and values <= LEAF_BASE encode
@@ -185,15 +226,85 @@ def _sum_squares(diff: np.ndarray, lanes) -> np.ndarray:
     return total
 
 
-def _fold_nearest(rows, sq, idx, best_sq, best_idx) -> None:
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``keys`` that start a run of equal keys."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _fold_nearest(rows, sq, idx, best_sq, best_idx, runner_ups=None) -> np.ndarray:
     """Fold one candidate per row into the running NN bests in place.
 
     The shared tie rule: a candidate wins on a smaller squared distance,
     or an equal one with a lower point index.  ``rows`` are distinct.
+    Returns the mask of candidates that won.  ``runner_ups`` receives
+    what loses: each losing candidate and each best a winner displaces.
     """
-    better = (sq < best_sq[rows]) | ((sq == best_sq[rows]) & (idx < best_idx[rows]))
+    current = best_sq[rows]
+    better = (sq < current) | ((sq == current) & (idx < best_idx[rows]))
+    if runner_ups is not None:
+        runner_ups.add(rows, np.where(better, current, sq))
     best_sq[rows[better]] = sq[better]
     best_idx[rows[better]] = idx[better]
+    return better
+
+
+class _RunnerUps:
+    """Per-row lower bound r on the distance to every point but the NN.
+
+    An NN batch given runner-ups adds every squared distance it learns
+    about a point that is not, or no longer, a row's best: each candidate
+    that loses a fold, each best a winner displaces, a leading leaf's
+    second-nearest member, and the bound of every pruned subtree or leaf
+    (a lower bound on every point inside).  The row's final NN is never
+    added, so the minimum over a row's entries is r squared.  Recording
+    reads values the schedule computes anyway and changes nothing it
+    visits or prunes.
+    """
+
+    def __init__(self):
+        self._rows: list[np.ndarray] = []
+        self._sq: list[np.ndarray] = []
+
+    def add(self, rows: np.ndarray, sq: np.ndarray) -> None:
+        self._rows.append(rows)
+        self._sq.append(sq)
+
+    def bounds(self, n_rows: int, n_points: int) -> np.ndarray:
+        """r per row: +inf when the tree has no other point."""
+        r_sq = np.full(n_rows, np.inf)
+        if self._rows:
+            np.minimum.at(r_sq, np.concatenate(self._rows), np.concatenate(self._sq))
+        if n_points > 1:
+            # A square past the float range overflowed to +inf; the
+            # distance it stands for is at least the largest finite one.
+            np.minimum(r_sq, np.finfo(np.float64).max, out=r_sq)
+        return np.sqrt(r_sq)
+
+
+# The certificate's margin τ (see the module docstring).  Rounding in the
+# distances that decide a row is relative to them, and they are at most
+# about r, so τ = 2**-30 r (some four million ulps of r) covers it; the
+# 1e-100 keeps the squares it relies on far from the subnormal range.
+_CERT_RELATIVE = 2.0**-30
+_CERT_ABSOLUTE = 1e-100
+
+
+class NNAnchor(NamedTuple):
+    """The per-row state an anchored NN batch hands to the next one.
+
+    Row ``i`` was last searched at ``queries[i]`` on ``tree``; its
+    nearest neighbor there is point ``indices[i]``, and every other point
+    of the tree is at least ``bounds[i]`` (r) away from ``queries[i]``.
+    See :meth:`TwoStageKDTree.nn_batch_anchored`.
+    """
+
+    tree: "TwoStageKDTree"
+    queries: np.ndarray
+    indices: np.ndarray
+    bounds: np.ndarray
 
 
 def _query_traces(visits, bypassed, pushes, results, log) -> list[QueryTrace]:
@@ -366,6 +477,8 @@ class TwoStageKDTree:
         self._node_left = np.array(node_left, dtype=np.int64)
         self._node_right = np.array(node_right, dtype=np.int64)
         self._node_depth = np.array(node_depth, dtype=np.int64)
+        self._in_top_tree = np.zeros(n, dtype=bool)
+        self._in_top_tree[self._node_point] = True
 
         # Pad the leaf sets to the largest one: ascending member indices
         # per set, coordinate-major points, +inf in the padding slots.
@@ -720,6 +833,63 @@ class TwoStageKDTree:
             return self._nn_batch_fast(queries, stats)
         return self._lockstep(queries, None, stats, trace)
 
+    def nn_batch_anchored(
+        self,
+        queries: np.ndarray,
+        anchor: NNAnchor | None,
+        stats: SearchStats | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, NNAnchor]:
+        """:meth:`nn_batch`, keeping every answer ``anchor`` certifies.
+
+        Row ``i`` keeps its anchored nearest neighbor p without a search
+        when ``|q′ - p| + |q′ - q_a| + τ < r`` (see the module
+        docstring); the other rows run the home-path schedule, which
+        also yields their new ``r``.  Results are bit-identical to
+        :meth:`nn_batch`, and the searched rows charge exactly the work
+        they charge there.  Certified rows charge ``queries``,
+        ``reused_queries`` and ``results_returned`` but no traversal
+        work, and a batch that certifies any row counts one
+        ``cache_hits``.
+
+        ``anchor`` (None for the first batch) is used only if it comes
+        from this tree and a batch of the same shape; otherwise every row
+        is searched.  Returns ``(indices, distances, anchor)``, the new
+        anchor re-anchoring the searched rows at their query and keeping
+        the certified rows' old anchor.
+        """
+        queries = self._check_queries(queries)
+        if (
+            anchor is None
+            or anchor.tree is not self
+            or anchor.queries.shape != queries.shape
+        ):
+            indices, dists, bounds = self._nn_batch_bounded(queries, stats)
+            anchor = NNAnchor(self, queries.copy(), indices.copy(), bounds)
+            return indices, dists, anchor
+        dists = np.sqrt(self._sq_dists_to(queries, anchor.indices))
+        moved = queries - anchor.queries
+        delta = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+        certified = dists + delta + _CERT_ABSOLUTE < anchor.bounds * (
+            1.0 - _CERT_RELATIVE
+        )
+        search = np.flatnonzero(~certified)
+
+        indices = anchor.indices.copy()
+        anchor_queries = anchor.queries.copy()
+        bounds = anchor.bounds.copy()
+        if len(search):
+            indices[search], dists[search], bounds[search] = self._nn_batch_bounded(
+                queries[search], stats
+            )
+            anchor_queries[search] = queries[search]
+        n_reused = len(queries) - len(search)
+        if stats is not None and n_reused:
+            stats.queries += n_reused
+            stats.reused_queries += n_reused
+            stats.results_returned += n_reused
+            stats.cache_hits += 1
+        return indices, dists, NNAnchor(self, anchor_queries, indices.copy(), bounds)
+
     def radius_batch(
         self,
         queries: np.ndarray,
@@ -851,6 +1021,22 @@ class TwoStageKDTree:
             d_sq += t * t
         return d_sq
 
+    def _nn_batch_bounded(self, queries: np.ndarray, stats: SearchStats | None):
+        """The home-path schedule, plus each row's bound r."""
+        runner_ups = _RunnerUps()
+        indices, dists = self._nn_batch_fast(queries, stats, runner_ups)
+        return indices, dists, runner_ups.bounds(len(queries), self.n)
+
+    def _sq_dists_to(self, queries: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Squared distance from row ``i`` of ``queries`` to point
+        ``indices[i]``, summed in the order every search sums that point:
+        left to right for a top-tree node point, the leaf kernel's lane
+        order for a leaf-set member."""
+        points = self._points[indices]
+        in_order = self._node_sq_dists(queries, points)
+        in_lanes = _sum_squares(np.ascontiguousarray((points - queries).T), self._lanes)
+        return np.where(self._in_top_tree[indices], in_order, in_lanes)
+
     def _split(self, refs: np.ndarray, query_rows: np.ndarray):
         """Near child, far child, ``delta**2`` and split dimension of each
         top-tree node ``refs[i]`` for query ``query_rows[i]``.
@@ -910,13 +1096,16 @@ class TwoStageKDTree:
         queries: np.ndarray,
         best_sq: np.ndarray,
         best_idx: np.ndarray,
+        runner_ups: _RunnerUps | None = None,
     ) -> None:
         """Scan leaf ``leaf_ids[i]`` for query ``rows[i]``, for every pair,
         and fold each pair's lexicographic (distance, index) minimum into
         the running bests in place.  ``rows`` are distinct.
 
         Pairs are gathered in fixed chunks of :data:`_PAIR_SLOTS` leaf
-        slots.
+        slots.  With ``runner_ups``, the fold records what loses, and a pair
+        that takes the lead also records its second-nearest member (+inf
+        for a one-member leaf).
         """
         if len(rows) == 0:  # also a tree with no leaf sets
             return
@@ -929,13 +1118,20 @@ class TwoStageKDTree:
             # argmin's first occurrence is the lowest-index member at the
             # minimum distance.
             col = sq.argmin(axis=1)
-            _fold_nearest(
-                chunk_rows,
-                sq[np.arange(len(chunk_rows)), col],
-                self._leaf_orig[chunk_ids, col],
-                best_sq,
-                best_idx,
+            nearest_sq = sq[np.arange(len(chunk_rows)), col]
+            nearest_idx = self._leaf_orig[chunk_ids, col]
+            better = _fold_nearest(
+                chunk_rows, nearest_sq, nearest_idx, best_sq, best_idx, runner_ups
             )
+            if runner_ups is not None:
+                # A leading pair may hold the row's final NN, so r needs
+                # its leaf's second-nearest member.
+                lead = np.flatnonzero(better)
+                if len(lead) < len(better):
+                    sq = sq[lead]
+                span = np.arange(len(lead))
+                sq[span, col[lead]] = np.inf
+                runner_ups.add(chunk_rows[lead], sq[span, sq.argmin(axis=1)])
 
     def _home_paths(self, queries: np.ndarray):
         """Descend every query to its home leaf, without backtracking.
@@ -966,8 +1162,16 @@ class TwoStageKDTree:
         return home, levels
 
     def _nn_batch_fast(
-        self, queries: np.ndarray, stats: SearchStats | None
+        self,
+        queries: np.ndarray,
+        stats: SearchStats | None,
+        runner_ups: _RunnerUps | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """The home-path schedule (see the module docstring).
+
+        With ``runner_ups``, every candidate that loses and every bound
+        the schedule prunes with is recorded there as well.
+        """
         n_queries, ndim = queries.shape
         best_sq = np.full(n_queries, np.inf)
         best_idx = np.full(n_queries, -1, dtype=np.int64)
@@ -977,7 +1181,7 @@ class TwoStageKDTree:
         home, levels = self._home_paths(queries)
         routed = np.flatnonzero(home >= 0)
         scanned = int(self._leaf_count[home[routed]].sum())
-        self._nn_pairs(routed, home[routed], queries, best_sq, best_idx)
+        self._nn_pairs(routed, home[routed], queries, best_sq, best_idx, runner_ups)
 
         # Top-tree rounds, one depth each.  The home path is replayed
         # densely: a home-path node is reached at bound 0, so it is always
@@ -1002,9 +1206,13 @@ class TwoStageKDTree:
             # split dimension, zero elsewhere) built.
             s_row, s_ref, s_bound, s_dim = siblings
             alive = bound <= best_sq[row]
-            s_alive = np.flatnonzero(s_bound <= best_sq[s_row])
+            s_keep = s_bound <= best_sq[s_row]
+            s_alive = np.flatnonzero(s_keep)
             bypassed += len(alive) - int(np.count_nonzero(alive))
             bypassed += len(s_bound) - len(s_alive)
+            if runner_ups is not None:
+                runner_ups.add(row, np.where(alive, np.inf, bound))
+                runner_ups.add(s_row, np.where(s_keep, np.inf, s_bound))
             s_contrib = np.zeros((len(s_alive), ndim))
             s_contrib[np.arange(len(s_alive)), s_dim[s_alive]] = s_bound[s_alive]
             ref = np.concatenate([s_ref[s_alive], ref[alive]])
@@ -1015,13 +1223,16 @@ class TwoStageKDTree:
             if depth < len(levels):
                 h_row, h_pidx, h_sq, h_far, h_dd, h_dim = levels[depth]
                 visits += len(h_row)
-                _fold_nearest(h_row, h_sq, h_pidx, best_sq, best_idx)
+                _fold_nearest(h_row, h_sq, h_pidx, best_sq, best_idx, runner_ups)
                 to_leaf = h_far <= _LEAF_BASE
                 leaf_entries.append(
                     (h_row[to_leaf], _LEAF_BASE - h_far[to_leaf], h_dd[to_leaf])
                 )
                 to_node = h_far >= 0
                 siblings = tuple(a[to_node] for a in (h_row, h_far, h_dd, h_dim))
+            if len(ref) == 0:  # nothing off the home path this round
+                depth += 1
+                continue
             visits += len(ref)
             at = queries[row]
             pidx = self._node_point[ref]
@@ -1029,14 +1240,20 @@ class TwoStageKDTree:
             better = (d_sq < best_sq[row]) | (
                 (d_sq == best_sq[row]) & (pidx < best_idx[row])
             )
+            if runner_ups is not None:
+                runner_ups.add(row, np.where(better, np.inf, d_sq))
             if np.any(better):
                 # A query can meet several nodes in one round; reduce its
                 # candidates to the lexicographic minimum before updating.
                 bq, bsq, bidx = row[better], d_sq[better], pidx[better]
                 sel = np.lexsort((bidx, bsq, bq))
                 bq, bsq, bidx = bq[sel], bsq[sel], bidx[sel]
-                first = np.r_[True, bq[1:] != bq[:-1]]
-                _fold_nearest(bq[first], bsq[first], bidx[first], best_sq, best_idx)
+                first = _first_of_runs(bq)
+                if runner_ups is not None:
+                    runner_ups.add(bq, np.where(first, np.inf, bsq))
+                _fold_nearest(
+                    bq[first], bsq[first], bidx[first], best_sq, best_idx, runner_ups
+                )
             near, far, far_bound, far_contrib = self._expand(ref, at, bound, contrib)
             ref = np.concatenate([far, near])
             row = np.concatenate([row, row])
@@ -1060,21 +1277,26 @@ class TwoStageKDTree:
             l_row, l_leaf, l_bound = map(np.concatenate, zip(*leaf_entries))
             keep = l_bound <= best_sq[l_row]
             leaf_pruned += len(keep) - int(np.count_nonzero(keep))
+            if runner_ups is not None:
+                runner_ups.add(l_row, np.where(keep, np.inf, l_bound))
             l_row, l_leaf, l_bound = l_row[keep], l_leaf[keep], l_bound[keep]
             order = np.lexsort((l_leaf, l_row))
             l_row, l_leaf, l_bound = l_row[order], l_leaf[order], l_bound[order]
-            starts = np.flatnonzero(np.r_[True, l_row[1:] != l_row[:-1]])
+            starts = np.flatnonzero(_first_of_runs(l_row))
             rank = np.arange(len(l_row)) - np.repeat(
-                starts, np.diff(np.r_[starts, len(l_row)])
+                starts, np.diff(starts, append=len(l_row))
             )
             for r in range(int(rank.max()) + 1 if len(rank) else 0):
                 at_rank = rank == r
                 rows, leaf_ids = l_row[at_rank], l_leaf[at_rank]
-                fresh = l_bound[at_rank] <= best_sq[rows]
+                leaf_bound = l_bound[at_rank]
+                fresh = leaf_bound <= best_sq[rows]
                 leaf_pruned += len(fresh) - int(np.count_nonzero(fresh))
+                if runner_ups is not None:
+                    runner_ups.add(rows, np.where(fresh, np.inf, leaf_bound))
                 rows, leaf_ids = rows[fresh], leaf_ids[fresh]
                 scanned += int(self._leaf_count[leaf_ids].sum())
-                self._nn_pairs(rows, leaf_ids, queries, best_sq, best_idx)
+                self._nn_pairs(rows, leaf_ids, queries, best_sq, best_idx, runner_ups)
 
         if stats is not None:
             stats.nodes_visited += visits + scanned

@@ -38,13 +38,17 @@ class SearchStats:
         batch query layer a whole pipeline stage is one batch, so
         ``queries / batches`` is the amortization factor.
     ``reused_queries`` / ``cache_hits``
-        Nested-radius reuse accounting: queries answered by filtering a
-        cached larger-radius result instead of traversing the index
+        Reuse accounting: queries answered without traversing the index
         (``reused_queries``, always ``<= queries``; such queries charge
-        no ``nodes_visited``), and the number of batched calls served
-        that way (``cache_hits``).  ``queries - reused_queries`` is the
-        fresh-search count, so DSE/accelerator work models can tell
-        executed traversals from derived results.
+        no ``nodes_visited``), and the number of batched calls that
+        answered any that way (``cache_hits``).  Two paths reuse: the
+        nested-radius cache, which filters a cached larger-radius
+        result, and ICP's nearest-neighbor batches, which keep each
+        answer a certificate proves unchanged since the previous
+        iteration (:meth:`~repro.core.twostage.TwoStageKDTree.nn_batch_anchored`).
+        ``queries - reused_queries`` is the fresh-search count, so
+        DSE/accelerator work models can tell executed traversals from
+        derived results.
     ``csr_results``
         Radius queries whose results were delivered CSR-natively
         (``radius_batch_csr`` — flat indices/offsets/distances handed

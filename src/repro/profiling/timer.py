@@ -171,9 +171,11 @@ class StageProfiler:
         total, the view ``examples/quickstart.py --profile`` prints.
         Passing a :class:`~repro.kdtree.stats.SearchStats` as
         ``search_stats`` (extended mode only) appends a counters line
-        showing how the run's radius queries were delivered:
-        CSR-natively (``csr``), from the nested-radius reuse cache
-        (``reused``/``cache hits``), or total.  Passing an
+        showing how the run's queries were answered: the total, the
+        radius queries delivered CSR-natively (``csr``), and those
+        answered without a traversal (``reused``/``cache hits``), by
+        the nested-radius reuse cache or as ICP nearest neighbors
+        certified unchanged since the previous iteration.  Passing an
         :class:`~repro.registration.odometry.OdometryStats` as
         ``odometry_stats`` (extended mode only) appends the run's
         health line — non-converged ICP pairs and any recovery-ladder

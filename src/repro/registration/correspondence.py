@@ -21,7 +21,12 @@ import numpy as np
 
 from repro.io.pointcloud import PointCloud
 from repro.registration.keypoints.narf import RangeImage, build_range_image
-from repro.registration.search import NeighborSearcher, SearchConfig, build_searcher
+from repro.registration.search import (
+    NeighborSearcher,
+    NNReuseAnchor,
+    SearchConfig,
+    build_searcher,
+)
 
 __all__ = [
     "Correspondences",
@@ -178,7 +183,7 @@ class RPCEConfig:
             raise ValueError(
                 "method must be 'nearest', 'normal_shooting', or 'projection'"
             )
-        if self.max_distance <= 0:
+        if not self.max_distance > 0:  # also rejects NaN
             raise ValueError("max_distance must be positive")
         if self.k_candidates < 1:
             raise ValueError("k_candidates must be >= 1")
@@ -192,6 +197,7 @@ def estimate_point_correspondences(
     target_range_image: RangeImage | None = None,
     target_cloud: PointCloud | None = None,
     source_searcher: NeighborSearcher | None = None,
+    nn_reuse: NNReuseAnchor | None = None,
 ) -> Correspondences:
     """Match every source point to a target point in 3D.
 
@@ -199,7 +205,10 @@ def estimate_point_correspondences(
     ICP loop applies the current transform before calling).  Extra
     context arguments are required per method: normals for normal
     shooting, a range image or the target cloud for projection, a
-    source searcher for reciprocity.
+    source searcher for reciprocity.  ``nn_reuse`` carries the ``nearest``
+    method's certified answers from one ICP iteration to the next (see
+    :class:`~repro.registration.search.NNReuseAnchor`); the other
+    methods ignore it.
     """
     config = config or RPCEConfig()
     source_points = np.asarray(source_points, dtype=np.float64)
@@ -209,7 +218,7 @@ def estimate_point_correspondences(
         return Correspondences(empty, empty.copy(), np.empty(0))
 
     if config.method == "nearest":
-        matches, dists = _match_nearest(source_points, target_searcher)
+        matches, dists = target_searcher.nn_batch(source_points, nn_reuse)
     elif config.method == "normal_shooting":
         if source_normals is None:
             raise ValueError("normal_shooting requires source_normals")
@@ -241,12 +250,6 @@ def estimate_point_correspondences(
             dists[keep],
         )
     return Correspondences(source_rows, matches, dists)
-
-
-def _match_nearest(
-    source_points: np.ndarray, target_searcher: NeighborSearcher
-) -> tuple[np.ndarray, np.ndarray]:
-    return target_searcher.nn_batch(source_points)
 
 
 def _match_normal_shooting(

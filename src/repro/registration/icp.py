@@ -11,7 +11,12 @@ RPCE is the heaviest NN-search consumer in the pipeline (Fig. 4a); each
 iteration issues **one batched** nearest-neighbor call over all moved
 source points (see :mod:`repro.registration.search`), the software
 analogue of the accelerator streaming a whole query batch through its
-PE array per pass.
+PE array per pass.  The source moves only slightly between iterations,
+so most nearest neighbors stay the same: with ``method="nearest"`` on
+the two-stage tree and no injector, each batch keeps every answer a
+triangle-inequality certificate proves unchanged and searches only the
+other rows (:class:`~repro.registration.search.NNReuseAnchor`).  Every
+result is bit-identical to searching all rows.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from repro.registration.estimation import (
     levenberg_marquardt,
     point_to_plane,
 )
-from repro.kdtree.stats import SearchStats
 from repro.registration.keypoints.narf import RangeImage, build_range_image
 from repro.registration.search import (
     NeighborSearcher,
+    NNReuseAnchor,
     SearchConfig,
     build_searcher,
 )
@@ -56,8 +61,9 @@ class ICPConfig:
         Marquardt [45] for either metric.
     ``transformation_epsilon`` / ``fitness_epsilon`` / ``max_iterations``
         The convergence criteria knob: stop when the incremental
-        transform magnitude, the relative error change, or the
-        iteration budget is reached.
+        transform magnitude, the absolute change in RMSE between
+        iterations, or the iteration budget is reached.  The epsilons
+        must be non-negative (0 disables a criterion; inf is valid).
     """
 
     rpce: RPCEConfig = field(default_factory=RPCEConfig)
@@ -76,6 +82,9 @@ class ICPConfig:
             raise ValueError("solver must be 'svd' or 'lm'")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        for name in ("transformation_epsilon", "fitness_epsilon"):
+            if not getattr(self, name) >= 0:  # also rejects NaN
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass
@@ -183,6 +192,9 @@ def icp(
 
     if config.rpce.method == "projection" and range_image is None:
         range_image = build_range_image(target)
+    # Nearest-neighbor answers certified unchanged since the previous
+    # iteration are kept without a search (bit-identical results).
+    nn_reuse = NNReuseAnchor()
 
     rmse_history: list[float] = []
     previous_rmse = np.inf
@@ -212,9 +224,10 @@ def icp(
             if config.rpce.reciprocal:
                 # Reciprocity needs the reverse search; the moved source
                 # changes every iteration, so its index is rebuilt here
-                # (charged to the RPCE stage, as on the real pipeline).
+                # (charged to the RPCE stage, as on the real pipeline)
+                # and its queries go to the RPCE search counters.
                 source_searcher = build_searcher(
-                    moved, SearchConfig(), profiler, SearchStats()
+                    moved, SearchConfig(), profiler, searcher.stats
                 )
             correspondences = estimate_point_correspondences(
                 moved,
@@ -223,6 +236,7 @@ def icp(
                 source_normals=moved_normals,
                 target_range_image=range_image,
                 source_searcher=source_searcher,
+                nn_reuse=nn_reuse,
             )
         n_pairs = len(correspondences)
         if n_pairs < 6:

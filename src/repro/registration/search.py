@@ -71,6 +71,26 @@ passing ``self_indices`` — the index rows their query points are —
 and the cache is bypassed whenever an injector is active, the
 effective index is not the cache's own (e.g. the stateful approximate
 wrapper), or the radius exceeds the cached one.
+
+Certified nearest-neighbor reuse
+--------------------------------
+ICP's RPCE issues one NN batch per iteration against the same target
+tree, with the source moved only slightly.  An :class:`NNReuseAnchor`
+keeps, between the batches of one ICP call, each row's anchor: the
+query it was last searched at, its nearest neighbor there and a bound
+r on the distance to every other point.  ``icp`` makes one per call and
+passes it through ``estimate_point_correspondences`` to
+:meth:`NeighborSearcher.nn_batch`, where
+:meth:`~repro.core.twostage.TwoStageKDTree.nn_batch_anchored` keeps
+every answer the triangle inequality proves unchanged and searches the
+other rows.  The certificate, the bound r and the order rule for
+recomputing a kept row's distance live in :mod:`repro.core.twostage`.
+Results are bit-identical to a fresh search.  Certified rows charge
+``queries``/``reused_queries``/``results_returned`` and one
+``cache_hits`` per batch, but no traversal work.  Reuse engages only on
+a two-stage tree with no injector: the canonical backend (the Fig. 4
+baseline), the approximate backend's per-iteration searchers, the other
+RPCE methods and the accelerator's traced captures never use it.
 """
 
 from __future__ import annotations
@@ -87,7 +107,7 @@ from repro.core.ragged import (
     csr_radius_select,
     csr_radius_select_csr,
 )
-from repro.core.twostage import TwoStageKDTree
+from repro.core.twostage import NNAnchor, TwoStageKDTree
 from repro.kdtree import bruteforce
 from repro.kdtree.stats import SearchStats
 from repro.kdtree.tree import KDTree
@@ -96,6 +116,7 @@ from repro.profiling.timer import StageProfiler
 __all__ = [
     "SearchConfig",
     "NeighborSearcher",
+    "NNReuseAnchor",
     "RadiusReuseCache",
     "build_searcher",
     "build_index",
@@ -285,6 +306,22 @@ class RadiusReuseCache:
         )
 
 
+class NNReuseAnchor:
+    """Certified nearest-neighbor reuse across one ICP call's RPCE batches.
+
+    Keeps, between batches, the :class:`~repro.core.twostage.NNAnchor` of
+    the last anchored search: per source row, the query it was last
+    searched at, its nearest neighbor there and the bound r.
+    :meth:`NeighborSearcher.nn_batch` hands it to
+    :meth:`~repro.core.twostage.TwoStageKDTree.nn_batch_anchored` and
+    stores the anchor that comes back.  :func:`repro.registration.icp.icp`
+    makes one per call, so no anchor outlives the ICP call it serves.
+    """
+
+    def __init__(self):
+        self.anchor: NNAnchor | None = None
+
+
 class NeighborSearcher:
     """Uniform, instrumented query interface over any backend.
 
@@ -362,14 +399,27 @@ class NeighborSearcher:
     # the scalar methods per row.
     # ------------------------------------------------------------------
 
-    def nn_batch(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest neighbor for every row of ``queries``: ((Q,), (Q,))."""
+    def nn_batch(
+        self, queries: np.ndarray, reuse: NNReuseAnchor | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest neighbor for every row of ``queries``: ((Q,), (Q,)).
+
+        ``reuse``, when given, lets rows its anchor certifies keep their
+        previous answer without a search (bit-identical to a fresh
+        query).  It is used only on a two-stage tree with no injector;
+        any other searcher ignores it.
+        """
         start = time.perf_counter()
         if self._injector is not None:
             if hasattr(self._injector, "nn_batch"):
                 result = self._injector.nn_batch(self._index, queries, self.stats)
             else:
                 result = self._loop_injected_nn(queries)
+        elif reuse is not None and isinstance(self._index, TwoStageKDTree):
+            indices, dists, reuse.anchor = self._index.nn_batch_anchored(
+                queries, reuse.anchor, self.stats
+            )
+            result = indices, dists
         else:
             result = self._index.nn_batch(queries, self.stats)
         self.stats.batches += 1

@@ -1,5 +1,7 @@
 """Unit tests for the ICP fine-tuning loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.io import PointCloud
 from repro.profiling import StageProfiler
 from repro.registration import (
     ICPConfig,
+    ICPResult,
     NormalEstimationConfig,
     RPCEConfig,
     SearchConfig,
@@ -15,6 +18,7 @@ from repro.registration import (
     estimate_normals,
     icp,
 )
+from repro.registration.error_injection import IdentityInjector
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +135,26 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             ICPConfig(max_iterations=0)
 
+    @pytest.mark.parametrize(
+        "config, field, value",
+        [(RPCEConfig, "max_distance", value) for value in (np.nan, 0.0, -1.0)]
+        + [
+            (ICPConfig, field, value)
+            for field in ("transformation_epsilon", "fitness_epsilon")
+            for value in (np.nan, -1.0)
+        ],
+    )
+    def test_rejects_bad_values(self, config, field, value):
+        # NaN compares false both ways: a NaN gate would drop every
+        # correspondence, and a NaN epsilon would turn convergence off.
+        with pytest.raises(ValueError, match=field):
+            config(**{field: value})
+
+    def test_zero_and_inf_stay_valid(self):
+        RPCEConfig(max_distance=np.inf)
+        ICPConfig(transformation_epsilon=0.0, fitness_epsilon=np.inf)
+        ICPConfig(transformation_epsilon=np.inf, fitness_epsilon=0.0)
+
     def test_profiler_stages_charged(self, structured_target, rng):
         target, _ = structured_target
         source, _ = displaced_source(target, rng)
@@ -175,3 +199,68 @@ class TestConfiguration:
         )
         assert not result.converged
         assert result.n_correspondences < 6
+
+
+class TestSearchAccounting:
+    def test_reciprocal_charges_the_reverse_search(self, lidar_pair):
+        source, target, _ = lidar_pair
+        searcher = build_searcher(target.points, SearchConfig())
+        result = icp(
+            source, target, searcher,
+            ICPConfig(rpce=RPCEConfig(reciprocal=True), max_iterations=3,
+                      transformation_epsilon=0.0, fitness_epsilon=0.0),
+        )
+        # No distance gate: every forward match is searched back.
+        assert result.iterations == 3
+        assert searcher.stats.batches == 2 * result.iterations
+        assert searcher.stats.queries == 2 * result.iterations * len(source)
+
+
+def assert_same_result(got: ICPResult, expected: ICPResult) -> None:
+    for field in dataclasses.fields(ICPResult):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if a is None or b is None:
+            assert a is b, field.name
+        else:
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+
+
+class TestNNReuse:
+    """ICP keeps certified nearest neighbors across iterations without a
+    search (see repro.core.twostage); an injector on the RPCE searcher
+    bypasses that reuse, so the two runs must agree field for field."""
+
+    @pytest.mark.parametrize("metric", ["point_to_point", "point_to_plane"])
+    def test_matches_a_run_without_reuse(self, structured_target, rng, metric):
+        target, _ = structured_target
+        source, _ = displaced_source(target, rng)
+        config = ICPConfig(
+            rpce=RPCEConfig(max_distance=1.5), error_metric=metric, max_iterations=50
+        )
+        runs = []
+        for injector in (None, IdentityInjector()):
+            searcher = build_searcher(target.points, SearchConfig(), injector=injector)
+            runs.append((icp(source, target, searcher, config), searcher.stats))
+        (reused, reused_stats), (plain, plain_stats) = runs
+        assert_same_result(reused, plain)
+        assert plain_stats.reused_queries == 0 < reused_stats.reused_queries
+        assert reused_stats.queries == plain_stats.queries
+        assert reused_stats.results_returned == plain_stats.results_returned
+        assert reused_stats.nodes_visited < plain_stats.nodes_visited
+
+    def test_no_reuse_across_calls(self, structured_target, rng):
+        """The anchor lives for one ICP call: a second call on the same
+        searcher searches every row again and charges the same work."""
+        target, _ = structured_target
+        source, _ = displaced_source(target, rng)
+        searcher = build_searcher(target.points, SearchConfig())
+        config = ICPConfig(rpce=RPCEConfig(max_distance=1.5), max_iterations=50)
+        first = icp(source, target, searcher, config)
+        charged = searcher.stats.as_dict()
+        assert_same_result(icp(source, target, searcher, config), first)
+        total = searcher.stats.as_dict()
+        again = {name: total[name] - charged[name] for name in total}
+        assert again == charged
+        assert 0 < charged["reused_queries"] <= charged["queries"] - len(source)
