@@ -13,17 +13,18 @@ leaf-size one"), making "Base-KD vs Base-2SKD vs Acc-KD vs Acc-2SKD"
 a pure configuration sweep.
 
 Exact workload capture passes ``trace=`` to the tree's batched
-searches, which then run the lockstep traversal of
-:mod:`repro.core.twostage`: every query advances its own depth-first
-stack, one pop per round, so each trace records exactly the traversal
-the scalar search performs, in its order, rather than the
-batched schedules of the untraced path (whose NN pass walks every home
-path first and visits a different node set).  Counts therefore replay the
-accelerator-faithful per-query semantics, and the back end's
-order-dependent models (MQSN batching, the node cache) see the scalar
-leaf-visit order.  Approximate capture stays in row order: leader
-buffers fill as queries arrive, so :class:`ApproximateSearch` runs its
-scalar searches one row after another.
+searches (``nn_batch``, ``radius_batch_csr``), which then run the
+lockstep traversal of :mod:`repro.core.twostage`: every query advances
+its own depth-first stack, one pop per round, so each trace records
+exactly the traversal of that query's depth-first search, in its order,
+rather than the batched schedules of the untraced path (whose NN pass
+walks every home path first and visits a different node set).  Counts
+therefore replay the accelerator-faithful per-query semantics, and the
+back end's order-dependent models (MQSN batching, the node cache) see
+the depth-first leaf-visit order.  Approximate capture stays in row
+order: leader buffers fill as queries arrive, so
+:class:`ApproximateSearch` runs its depth-first searches one row after
+another.
 """
 
 from __future__ import annotations
@@ -130,12 +131,12 @@ def build_workload(
         if kind == "nn":
             searcher.nn_batch(queries, trace=traces)
         else:
-            searcher.radius_batch(queries, radius, trace=traces)
+            searcher.radius_batch_csr(queries, radius, trace=traces)
     else:
         if kind == "nn":
             tree.nn_batch(queries, trace=traces)
         else:
-            tree.radius_batch(queries, radius, trace=traces)
+            tree.radius_batch_csr(queries, radius, trace=traces)
 
     return SearchWorkload(
         name=name or f"{kind}-h{tree.top_height}",

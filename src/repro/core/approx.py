@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.ragged import RaggedNeighborhoods
 from repro.core.trace import QueryTrace
 from repro.core.twostage import TwoStageKDTree
+from repro.kdtree._validate import check_batch
 from repro.kdtree.stats import SearchStats
 
 __all__ = ["ApproximateSearchConfig", "ApproximateSearch"]
@@ -192,7 +193,8 @@ class ApproximateSearch:
         return publish
 
     # ------------------------------------------------------------------
-    # Query entry points
+    # One query at a time: the two-stage tree's depth-first search with
+    # Algorithm 1 as its leaf scan.
     # ------------------------------------------------------------------
 
     def nn(
@@ -243,9 +245,9 @@ class ApproximateSearch:
     # Batch queries.  Leaders/followers is *stateful*: each query may
     # publish leaders that change what later queries see, exactly as the
     # hardware's leader buffers fill over one search pass.  The batch
-    # entry points therefore process queries sequentially in row order —
-    # bit-identical to issuing the scalar calls one by one — rather than
-    # reordering work by leaf.
+    # entry points therefore validate the whole batch, then run the
+    # single-query methods in row order rather than reordering work by
+    # leaf.
     # ------------------------------------------------------------------
 
     def nn_batch(
@@ -255,7 +257,7 @@ class ApproximateSearch:
         trace: list[QueryTrace] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Approximate NN for every row of ``queries``, in row order."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = check_batch(queries, self._tree.ndim)
         indices = np.empty(len(queries), dtype=np.int64)
         dists = np.empty(len(queries))
         for i, query in enumerate(queries):
@@ -270,7 +272,7 @@ class ApproximateSearch:
         trace: list[QueryTrace] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Approximate kNN for every row: (Q, min(k, n)) arrays."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = check_batch(queries, self._tree.ndim)
         if k <= 0:
             raise ValueError("k must be positive")
         k = min(k, self._tree.n)
@@ -284,37 +286,21 @@ class ApproximateSearch:
             dists[i, : len(row_dist)] = row_dist
         return indices, dists
 
-    def radius_batch(
-        self,
-        queries: np.ndarray,
-        r: float,
-        stats: SearchStats | None = None,
-        sort: bool = False,
-        trace: list[QueryTrace] | None = None,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Approximate radius search for every row, in row order."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        all_indices, all_dists = [], []
-        for query in queries:
-            indices, dists = self.radius(query, r, stats, sort=sort, trace=trace)
-            all_indices.append(indices)
-            all_dists.append(dists)
-        return all_indices, all_dists
-
     def radius_batch_csr(
         self,
         queries: np.ndarray,
         r: float,
         stats: SearchStats | None = None,
         sort: bool = False,
+        trace: list[QueryTrace] | None = None,
     ) -> RaggedNeighborhoods:
-        """Approximate radius search, flattened to the CSR result form.
-
-        Leaders/followers is stateful and processes queries
-        sequentially by design (see above), so the flat-output path is
-        one concatenation over the per-row results — the conversion the
-        other backends eliminate structurally is inherent here, but the
-        *consumers* still receive the uniform CSR type.
-        """
-        all_indices, all_dists = self.radius_batch(queries, r, stats, sort=sort)
-        return RaggedNeighborhoods.from_lists(all_indices, all_dists)
+        """Approximate radius search for every row, in row order, in CSR
+        form: one concatenation over the per-row results."""
+        queries = check_batch(queries, self._tree.ndim, r)
+        rows = [
+            self.radius(query, r, stats, sort=sort, trace=trace)
+            for query in queries
+        ]
+        return RaggedNeighborhoods.from_lists(
+            [indices for indices, _ in rows], [dists for _, dists in rows]
+        )

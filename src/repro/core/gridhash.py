@@ -8,9 +8,9 @@ first-class backend: points are binned into cubic cells of side
 ``cell_size``; each query probes only the 3^d cells surrounding its
 own (its Chebyshev-1 neighborhood) and scans their members.
 
-Approximation contract (pinned by tests/registration/test_gridhash.py):
+Approximation contract (pinned by tests/core/test_gridhash.py):
 
-* ``radius``/``radius_batch`` probe the fixed 3^d neighborhood, so the
+* ``radius_batch_csr`` probes the fixed 3^d neighborhood, so the
   result is **exact** (bit-identical to brute force, same ascending-
   index order and tie rules as every exact backend) whenever
   ``r <= cell_size`` and no candidate cap triggers.  For larger radii
@@ -25,18 +25,19 @@ Approximation contract (pinned by tests/registration/test_gridhash.py):
   ``R >= r`` filtered down to ``r`` — exactly the nested-radius
   contract :class:`~repro.registration.search.RadiusReuseCache`
   relies on.
-* ``nn``/``knn`` expand Chebyshev rings outward from the query's cell
-  and are **always exact**: ring ``m+1`` can hold nothing closer than
-  ``m * cell_size``, so the scan retires once the current k-th best
-  beats that bound (strictly — a tie defers retirement one ring, the
-  (distance, index) rule shared with the exact backends).  The
+* ``nn_batch``/``knn_batch`` expand Chebyshev rings outward from the
+  query's cell and are **always exact**: ring ``m+1`` can hold nothing
+  closer than ``m * cell_size``, so the scan retires once the current
+  k-th best beats that bound (strictly — a tie defers retirement one
+  ring, the (distance, index) rule shared with the exact backends).  The
   candidate cap does not apply to nn/knn.
 
 Work accounting: ``traversal_steps`` counts cell probes (the hash
 lookups an accelerator address unit would issue), ``nodes_visited``
 counts candidate distance computations, matching the "nodes visited"
-unit of Fig. 6.  All schedules are deterministic, so batched calls
-charge bit-identical counters to a scalar loop.
+unit of Fig. 6.  All schedules are deterministic.  Each batch is
+validated whole before any work
+(:func:`repro.kdtree._validate.check_batch`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.ragged import RadiusHits, RaggedNeighborhoods
+from repro.kdtree._validate import check_batch
 from repro.kdtree.stats import SearchStats
 
 __all__ = ["GridHashConfig", "GridHashIndex"]
@@ -84,9 +86,9 @@ class GridHashConfig:
 class GridHashIndex:
     """Flat voxel-hash index over a fixed point set.
 
-    Implements the shared backend interface (``nn``/``knn``/``radius``
-    plus the batched entry points), with the approximation contract
-    described in the module docstring.  Cells are linearized over the
+    Implements the shared batch interface (``nn_batch``, ``knn_batch``,
+    ``radius_batch_csr``), with the approximation contract described in
+    the module docstring.  Cells are linearized over the
     occupied bounding box and stored as a sorted-key CSR: member lookup
     is one ``searchsorted`` per probed cell, members within a cell are
     in ascending point-index order.
@@ -165,34 +167,8 @@ class GridHashIndex:
         )
 
     # ------------------------------------------------------------------
-    # Validation helpers (shared error contract with the tree backends)
+    # Radius search
     # ------------------------------------------------------------------
-
-    def _check_queries(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if queries.ndim != 2 or queries.shape[1] != self.ndim:
-            raise ValueError(
-                f"queries must be (Q, {self.ndim}), got {queries.shape}"
-            )
-        return queries
-
-    # ------------------------------------------------------------------
-    # Radius search (batch-first; scalar delegates to a 1-row batch)
-    # ------------------------------------------------------------------
-
-    def radius_batch(
-        self,
-        queries: np.ndarray,
-        r: float,
-        stats: SearchStats | None = None,
-        sort: bool = False,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Radius search for every row of ``queries`` (ragged lists).
-
-        Thin compatibility wrapper: slices :meth:`radius_batch_csr`'s
-        flat result into per-query lists.
-        """
-        return self.radius_batch_csr(queries, r, stats, sort=sort).to_list_pair()
 
     def radius_batch_csr(
         self,
@@ -209,9 +185,7 @@ class GridHashIndex:
         squared-distance filter — the kept flat arrays and their query
         offsets ARE the result, no per-query lists anywhere.
         """
-        queries = self._check_queries(queries)
-        if r < 0:
-            raise ValueError("radius must be non-negative")
+        queries = check_batch(queries, self.ndim, r)
         n_queries = len(queries)
         n_slots = len(self._probe_offsets)
 
@@ -275,19 +249,6 @@ class GridHashIndex:
             stats.results_returned += result.n_entries
         return result
 
-    def radius(
-        self,
-        query: np.ndarray,
-        r: float,
-        stats: SearchStats | None = None,
-        sort: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All probed neighbors within ``r``: (indices, distances)."""
-        idx_lists, dist_lists = self.radius_batch(
-            np.atleast_2d(query), r, stats, sort=sort
-        )
-        return idx_lists[0], dist_lists[0]
-
     # ------------------------------------------------------------------
     # nn / knn: expanding Chebyshev rings (always exact)
     # ------------------------------------------------------------------
@@ -321,17 +282,11 @@ class GridHashIndex:
         source = base[ids] + (np.arange(total, dtype=np.int64) - off[:-1][ids])
         return self._order[source], len(offsets)
 
-    def knn(
-        self,
-        query: np.ndarray,
-        k: int,
-        stats: SearchStats | None = None,
+    def _knn(
+        self, query: np.ndarray, k: int, stats: SearchStats | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``min(k, n)`` nearest neighbors, ascending (distance, index)."""
-        query = self._check_queries(query)[0]
-        if k <= 0:
-            raise ValueError("k must be positive")
-        k = min(k, self.n)
+        """Ring scan for one validated query: the ``k <= n`` nearest
+        neighbors, ascending (distance, index)."""
         qcell = np.floor(query / self._cell).astype(np.int64)
         # No occupied cell lies beyond this ring; an absolute stop.
         max_ring = int(
@@ -377,13 +332,6 @@ class GridHashIndex:
             stats.results_returned += k
         return all_cand[order], np.sqrt(all_sq[order])
 
-    def nn(
-        self, query: np.ndarray, stats: SearchStats | None = None
-    ) -> tuple[int, float]:
-        """The nearest neighbor: smallest (distance, index) pair."""
-        indices, dists = self.knn(query, 1, stats)
-        return int(indices[0]), float(dists[0])
-
     def nn_batch(
         self, queries: np.ndarray, stats: SearchStats | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -394,12 +342,12 @@ class GridHashIndex:
         its best candidate is *strictly* inside one cell size — ring 2
         can hold nothing closer.  Unresolved queries (empty
         neighborhood, or a best at >= cell_size that an outer ring
-        could still beat or tie) fall back to the scalar ring scan.
-        Results are bit-identical to the scalar loop; work counters
+        could still beat or tie) fall back to the per-query ring scan.
+        Results equal the ring scan's bit for bit; work counters
         reflect the schedule executed (the fallback re-probes its inner
         rings), as with the tree backends' batch frontiers.
         """
-        queries = self._check_queries(queries)
+        queries = check_batch(queries, self.ndim)
         n_queries = len(queries)
         n_slots = len(self._probe_offsets)
         indices = np.full(n_queries, -1, dtype=np.int64)
@@ -453,7 +401,8 @@ class GridHashIndex:
             # fast path's — counters reflect the schedule executed.
             fallback = SearchStats() if stats is not None else None
             for i in np.flatnonzero(~resolved):
-                indices[i], dists[i] = self.nn(queries[i], fallback)
+                row_idx, row_dist = self._knn(queries[i], 1, fallback)
+                indices[i], dists[i] = row_idx[0], row_dist[0]
             if stats is not None:
                 stats.traversal_steps += fallback.traversal_steps
                 stats.nodes_visited += fallback.nodes_visited
@@ -465,13 +414,13 @@ class GridHashIndex:
         k: int,
         stats: SearchStats | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """kNN per row: (Q, min(k, n)) arrays."""
-        queries = self._check_queries(queries)
+        """kNN per row: (Q, min(k, n)) arrays, one ring scan per row."""
+        queries = check_batch(queries, self.ndim)
         if k <= 0:
             raise ValueError("k must be positive")
         k = min(k, self.n)
         indices = np.empty((len(queries), k), dtype=np.int64)
         dists = np.empty((len(queries), k))
         for i, query in enumerate(queries):
-            indices[i], dists[i] = self.knn(query, k, stats)
+            indices[i], dists[i] = self._knn(query, k, stats)
         return indices, dists

@@ -44,7 +44,6 @@ __all__ = [
     "RaggedNeighborhoods",
     "RadiusHits",
     "segment_sort_order",
-    "csr_radius_select",
     "csr_radius_select_csr",
     "lexsort_voxel_groups",
     "segment_sum",
@@ -117,7 +116,7 @@ class RaggedNeighborhoods:
         neighbor_lists: Sequence[np.ndarray],
         dist_lists: Sequence[np.ndarray] | None = None,
     ) -> "RaggedNeighborhoods":
-        """Flatten ``radius_batch``-style ragged lists into CSR form."""
+        """Flatten per-query ragged lists into CSR form."""
         counts = np.fromiter(
             (len(lst) for lst in neighbor_lists),
             dtype=np.int64,
@@ -176,11 +175,12 @@ class RaggedNeighborhoods:
         return self._segments(self.indices)
 
     def to_list_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Legacy ragged ``(index_lists, dist_lists)`` view of this CSR.
+        """Ragged ``(index_lists, dist_lists)`` view of this CSR.
 
-        The compatibility format of the list-returning ``radius_batch``
-        wrappers: per-segment slices of the flat arrays (views, no
-        copies).  Requires ``distances``.
+        The format of the one list-returning query,
+        :meth:`repro.registration.search.NeighborSearcher.radius_batch`:
+        per-segment slices of the flat arrays (views, no copies).
+        Requires ``distances``.
         """
         if self.distances is None:
             raise ValueError("to_list_pair requires distances")
@@ -376,28 +376,6 @@ def csr_radius_select_csr(
     out_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(np.bincount(kept_ids, minlength=len(rows)), out=out_offsets[1:])
     return RaggedNeighborhoods(kept_idx, out_offsets, kept_dist)
-
-
-def csr_radius_select(
-    indices: np.ndarray,
-    offsets: np.ndarray,
-    sq_dists: np.ndarray,
-    dists: np.ndarray,
-    rows: np.ndarray,
-    r: float,
-    sort: bool = False,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """List-returning wrapper over :func:`csr_radius_select_csr`.
-
-    Returns ragged ``(index_lists, dist_lists)`` exactly like the
-    legacy ``radius_batch`` — per-segment slices of the CSR result.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) == 0:
-        return [], []
-    return csr_radius_select_csr(
-        indices, offsets, sq_dists, dists, rows, r, sort=sort
-    ).to_list_pair()
 
 
 def lexsort_voxel_groups(

@@ -38,19 +38,23 @@ pins it.  Top-tree node distances accumulate left to right
 
 Batch queries
 -------------
-:meth:`TwoStageKDTree.nn_batch` and :meth:`TwoStageKDTree.radius_batch`
-mirror the accelerator's front-end/back-end split: all queries go
-through the top-tree together, as vectorized ``(node, query)`` arrays
-advanced one depth per round, and the leaf sets they reach are scanned
-in bulk.  Results are bit-identical to the scalar methods: ties resolve
-to the lowest point index and radius results come back in ascending
-index order on both paths.
+Callers query in batches.  :meth:`TwoStageKDTree.nn_batch` and
+:meth:`TwoStageKDTree.radius_batch_csr` mirror the accelerator's
+front-end/back-end split: all queries go through the top-tree together,
+as vectorized ``(node, query)`` arrays advanced one depth per round, and
+the leaf sets they reach are scanned in bulk.  Each batch is validated
+whole before any work (:func:`repro.kdtree._validate.check_batch`).
+Results are bit-identical to the per-query depth-first search
+(:meth:`TwoStageKDTree.nn`, :meth:`TwoStageKDTree.radius`), which stays
+as the approximate search's traversal and as the reference the lockstep
+traces are pinned against: ties resolve to the lowest point index and
+radius results come back in ascending index order on every path.
 
 A radius batch sweeps a frontier of ``(node, query, bound, contrib)``
 entries and scans each reached leaf set once against every query that
 arrived at it, grouped by leaf with the block kernel.  Radius pruning
-does not depend on earlier scans, so its counters equal the scalar
-loop's.  Hits are packed into CSR by :class:`repro.core.ragged.RadiusHits`.
+does not depend on earlier scans, so its counters equal the depth-first
+search's.  Hits are packed into CSR by :class:`repro.core.ragged.RadiusHits`.
 
 A nearest-neighbor batch is built around each query's *home path*, its
 descent from the root to its home leaf without backtracking (the
@@ -75,8 +79,9 @@ padded layout, which gathers fixed chunks of leaf slots (a few hundred
 pairs at ICP's leaf sizes).  Members ascend and the padding trails
 them, so a pair's ``argmin`` (first occurrence of the minimum) is the
 set's lowest-index nearest member.  Its bounds tighten in a different
-order than a scalar search's, so its work counters differ from a scalar
-loop's; ``tests/core/test_twostage.py::TestNNBatchCounters`` pins them.
+order than a depth-first search's, so its work counters differ from
+that search's; ``tests/core/test_twostage.py::TestNNBatchCounters``
+pins them.
 
 Anchored NN batches
 -------------------
@@ -128,12 +133,11 @@ its visited top-tree nodes are expanded together by the node arithmetic
 the frontier sweeps use (:meth:`TwoStageKDTree._expand`), far child
 pushed before near.  A query's pruning bound depends only on its own
 earlier pops, never on another query's, so every query visits, prunes
-and scans exactly what the scalar :meth:`TwoStageKDTree.nn` /
+and scans exactly what the depth-first :meth:`TwoStageKDTree.nn` /
 :meth:`TwoStageKDTree.radius` search does, in the same order: its trace,
 its result and its :class:`~repro.kdtree.stats.SearchStats` counts
-equal those of the scalar search.  The scalar methods stay as the
-oracle and as the approximate search's path.
-:meth:`TwoStageKDTree.knn_batch` remains a tight scalar loop — the
+equal those of that search.  :meth:`TwoStageKDTree.knn_batch` remains a
+tight loop over the depth-first :meth:`TwoStageKDTree.knn` — the
 bounded-heap eviction order of kNN is inherently sequential, and kNN is
 not one of the two query kinds (NN, radius) the paper's workloads use.
 """
@@ -148,6 +152,7 @@ import numpy as np
 
 from repro.core.ragged import RadiusHits, RaggedNeighborhoods
 from repro.core.trace import LeafVisitRecord, QueryTrace
+from repro.kdtree._validate import check_batch
 from repro.kdtree.stats import SearchStats
 
 __all__ = ["NNAnchor", "TwoStageKDTree"]
@@ -175,8 +180,8 @@ def _point_sq_dist(query: np.ndarray, point: np.ndarray) -> float:
     """Squared distance accumulated coordinate by coordinate.
 
     The left-to-right accumulation order matches the per-coordinate
-    ufunc accumulation of the batch frontier, so scalar and batched
-    traversals see bit-identical bounds and candidate distances.
+    ufunc accumulation of the batch frontier, so the depth-first search
+    and the batches see bit-identical bounds and candidate distances.
     """
     d_sq = 0.0
     for t in query - point:
@@ -568,15 +573,9 @@ class TwoStageKDTree:
     # Queries
     # ------------------------------------------------------------------
 
-    def _check_query(self, query: np.ndarray) -> np.ndarray:
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        if len(query) != self.ndim:
-            raise ValueError(
-                f"query has dimension {len(query)}, tree has {self.ndim}"
-            )
-        if not np.all(np.isfinite(query)):
-            raise ValueError("query contains NaN or infinity")
-        return query
+    def _check_query(self, query: np.ndarray, r: float | None = None) -> np.ndarray:
+        """One query as a 1-row batch under the shared contract."""
+        return check_batch(np.reshape(query, (1, -1)), self.ndim, r)[0]
 
     def nn(
         self,
@@ -737,9 +736,7 @@ class TwoStageKDTree:
         leaf_scan=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """All neighbors within distance ``r``: (indices, distances)."""
-        query = self._check_query(query)
-        if r < 0:
-            raise ValueError("radius must be non-negative")
+        query = self._check_query(query, r)
         leaf_scan = leaf_scan or self._exact_leaf_scan
         record = QueryTrace()
         r_sq = r * r
@@ -826,9 +823,9 @@ class TwoStageKDTree:
 
         Runs the home-path schedule; with ``trace`` it runs the
         lockstep per-query traversal instead, which records each query's
-        exact scalar traversal for the accelerator model.
+        exact depth-first traversal for the accelerator model.
         """
-        queries = self._check_queries(queries)
+        queries = check_batch(queries, self.ndim)
         if trace is None:
             return self._nn_batch_fast(queries, stats)
         return self._lockstep(queries, None, stats, trace)
@@ -857,7 +854,7 @@ class TwoStageKDTree:
         anchor re-anchoring the searched rows at their query and keeping
         the certified rows' old anchor.
         """
-        queries = self._check_queries(queries)
+        queries = check_batch(queries, self.ndim)
         if (
             anchor is None
             or anchor.tree is not self
@@ -890,48 +887,27 @@ class TwoStageKDTree:
             stats.cache_hits += 1
         return indices, dists, NNAnchor(self, anchor_queries, indices.copy(), bounds)
 
-    def radius_batch(
-        self,
-        queries: np.ndarray,
-        r: float,
-        stats: SearchStats | None = None,
-        sort: bool = False,
-        trace: list[QueryTrace] | None = None,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Radius search for every row of ``queries`` (ragged lists).
-
-        Thin compatibility wrapper: slices the CSR result of
-        :meth:`radius_batch_csr` into per-query lists; with ``trace`` the
-        result comes from the lockstep per-query traversal (see
-        :meth:`nn_batch`).
-        """
-        return self._radius_csr(queries, r, stats, sort, trace).to_list_pair()
-
     def radius_batch_csr(
         self,
         queries: np.ndarray,
         r: float,
         stats: SearchStats | None = None,
         sort: bool = False,
+        trace: list[QueryTrace] | None = None,
     ) -> RaggedNeighborhoods:
-        """Radius search returning the CSR result natively.
+        """Radius search for every row of ``queries``, in CSR form.
 
-        The radius frontier accumulates every hit flat (query
-        id, original point index, squared distance) in a
+        The radius frontier accumulates every hit flat (query id,
+        original point index, squared distance) in a
         :class:`~repro.core.ragged.RadiusHits`, whose one global sort
-        establishes the ascending-index-per-query contract; no
-        per-query list is ever materialized.  The result carries the
-        accepted squared distances as ``sq_distances``.  Content
-        bit-identical to :meth:`radius_batch`, including the
-        ``sort=True`` stable distance sort
-        (:func:`repro.core.ragged.segment_sort_order`).
+        puts each query's hits in ascending index order; the result
+        carries the accepted squared distances as ``sq_distances``.
+        ``sort=True`` applies the stable per-query distance sort once
+        (:func:`repro.core.ragged.segment_sort_order`).  With ``trace``
+        the result comes from the lockstep per-query traversal (see
+        :meth:`nn_batch`).
         """
-        return self._radius_csr(queries, r, stats, sort, None)
-
-    def _radius_csr(self, queries, r, stats, sort, trace) -> RaggedNeighborhoods:
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        queries = self._check_queries(queries)
+        queries = check_batch(queries, self.ndim, r)
         if trace is None:
             result = self._radius_batch_fast(queries, r, stats)
         else:
@@ -949,11 +925,11 @@ class TwoStageKDTree:
     ) -> tuple[np.ndarray, np.ndarray]:
         """kNN for every row of ``queries``: (Q, min(k, n)) arrays.
 
-        A tight loop over the scalar search: kNN's bounded-heap eviction
+        A tight loop over :meth:`knn`: kNN's bounded-heap eviction
         order is inherently sequential (see module docstring).  The whole
         batch is validated before the first row runs.
         """
-        queries = self._check_queries(queries)
+        queries = check_batch(queries, self.ndim)
         if k <= 0:
             raise ValueError("k must be positive")
         k = min(k, self.n)
@@ -966,17 +942,6 @@ class TwoStageKDTree:
     # ------------------------------------------------------------------
     # Batch machinery
     # ------------------------------------------------------------------
-
-    def _check_queries(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if queries.ndim != 2 or queries.shape[1] != self.ndim:
-            raise ValueError(
-                f"queries have shape {queries.shape}, tree has dimension "
-                f"{self.ndim}"
-            )
-        if not np.all(np.isfinite(queries)):
-            raise ValueError("queries contain NaN or infinity")
-        return queries
 
     def _scan_leaf_block(
         self, leaf_id: int, queries: np.ndarray
@@ -1013,7 +978,8 @@ class TwoStageKDTree:
 
     def _node_sq_dists(self, queries_rows: np.ndarray, node_pts: np.ndarray):
         """Per-coordinate squared distances (same order as
-        :func:`_point_sq_dist`, hence bit-identical to the scalar path)."""
+        :func:`_point_sq_dist`, hence bit-identical to the depth-first
+        search)."""
         t = queries_rows[:, 0] - node_pts[:, 0]
         d_sq = t * t
         for j in range(1, self.ndim):
@@ -1065,7 +1031,7 @@ class TwoStageKDTree:
         ``query_rows[i]`` is the query at node ``refs[i]``, reached with
         pruning bound ``bound[i]`` and per-dimension bound terms
         ``contrib[i]``.  The far child's bound swaps the split dimension's
-        term for ``delta**2``, as the scalar search does.  Returns
+        term for ``delta**2``, as the depth-first search does.  Returns
         ``(near, far, far_bound, far_contrib)``; the near child keeps
         ``bound``/``contrib``.
         """
@@ -1380,7 +1346,7 @@ class TwoStageKDTree:
         stats: SearchStats | None,
         trace: list[QueryTrace],
     ):
-        """Every query's scalar depth-first search, advanced in lockstep.
+        """Every query's depth-first search, advanced in lockstep.
 
         NN search when ``r`` is None, radius search otherwise; see the
         module docstring for the schedule and why it is exact.  Leaf

@@ -9,13 +9,15 @@ Batch queries
 -------------
 :func:`sq_distances` is the shared squared-distance kernel behind the
 batched entry points (:func:`nn_batch`, :func:`knn_batch`,
-:func:`radius_batch`).  It accumulates one coordinate at a time with
-elementwise ufuncs, so every output element is produced by the same
-sequence of IEEE operations no matter how many queries share the batch —
-the property that makes batched results *bit-identical* to per-query
-results.  Batches are processed in cache-sized query chunks
-(:func:`query_chunk`) with caller-provided scratch so the hot loop never
-allocates large fresh buffers.
+:func:`radius_batch_csr`).  It accumulates one coordinate at a time,
+left to right, with elementwise ufuncs, so every output element is
+produced by the same sequence of IEEE operations no matter how many
+queries share the batch.  Batches are processed in cache-sized query
+chunks (:func:`query_chunk`) with caller-provided scratch so the hot
+loop never allocates large fresh buffers.  Each batch is validated whole
+before any work (:func:`repro.kdtree._validate.check_batch`).  The
+single-query :func:`nn`, :func:`knn` and :func:`radius` are independent
+reference implementations for tests.
 
 Tie-breaking is deterministic throughout: k-nearest membership is the
 ``k`` smallest by ``(distance, index)`` and radius results come back in
@@ -27,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.ragged import RaggedNeighborhoods
+from repro.kdtree._validate import check_batch
 
 __all__ = [
     "nn",
@@ -34,7 +37,6 @@ __all__ = [
     "radius",
     "nn_batch",
     "knn_batch",
-    "radius_batch",
     "radius_batch_csr",
     "pairwise_sq_distances",
     "sq_distances",
@@ -91,7 +93,7 @@ def radius(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of all points within ``r`` of ``query``."""
     points = _as_2d(points)
-    if r < 0:
+    if not r >= 0:  # also rejects NaN
         raise ValueError("radius must be non-negative")
     diff = points - np.asarray(query, dtype=np.float64)
     sq = np.sum(diff * diff, axis=1)
@@ -157,7 +159,7 @@ def nn_batch(
     ties resolve to the lowest point index (``argmin`` semantics).
     """
     points = _as_2d(points)
-    queries = _as_2d(np.atleast_2d(queries))
+    queries = check_batch(queries, points.shape[1])
     if len(points) == 0:
         raise ValueError("cannot search an empty point set")
     if points_t is None:
@@ -219,7 +221,7 @@ def knn_batch(
     sorted ascending, ties resolved by lowest point index.
     """
     points = _as_2d(points)
-    queries = _as_2d(np.atleast_2d(queries))
+    queries = check_batch(queries, points.shape[1])
     if k <= 0:
         raise ValueError("k must be positive")
     if len(points) == 0:
@@ -262,9 +264,7 @@ def radius_batch_csr(
     distance sort once, via :func:`repro.core.ragged.segment_sort_order`.
     """
     points = _as_2d(points)
-    queries = _as_2d(np.atleast_2d(queries))
-    if r < 0:
-        raise ValueError("radius must be non-negative")
+    queries = check_batch(queries, points.shape[1], r)
     if points_t is None:
         points_t = np.ascontiguousarray(points.T)
     r_sq = r * r
@@ -307,19 +307,3 @@ def radius_batch_csr(
         result = result.sorted_by_distance()
     return result
 
-
-def radius_batch(
-    points: np.ndarray,
-    queries: np.ndarray,
-    r: float,
-    sort: bool = False,
-    points_t: np.ndarray | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Vectorized radius search for every row of ``queries``.
-
-    Thin compatibility wrapper over :func:`radius_batch_csr`: returns
-    ragged per-query (indices, distances) lists sliced from the CSR
-    result; indices come back ascending (``sort=True`` re-orders by
-    distance, stable).
-    """
-    return radius_batch_csr(points, queries, r, sort=sort, points_t=points_t).to_list_pair()

@@ -51,11 +51,13 @@ class SearchStats:
         derived results.
     ``csr_results``
         Radius queries whose results were delivered CSR-natively
-        (``radius_batch_csr`` — flat indices/offsets/distances handed
-        to the consumer with no per-query list materialization on the
-        delivery path).  Benchmarks assert this to prove the zero-copy
-        path is actually taken; the legacy list wrapper does not charge
-        it.
+        (``NeighborSearcher.radius_batch_csr`` — flat indices/offsets/
+        distances handed to the consumer with no per-query list
+        materialization on the delivery path).  The list view
+        ``NeighborSearcher.radius_batch`` does not charge it; the
+        profiler's extended report shows it, and
+        ``tests/registration/test_csr_native.py::TestStatsAccounting``
+        pins it.
     """
 
     nodes_visited: int = 0

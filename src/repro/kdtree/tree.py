@@ -3,44 +3,45 @@
 The classic Bentley KD-tree: every node stores one k-dimensional point
 whose coordinate along the node's split dimension implicitly defines a
 splitting hyperplane; the median point is chosen so the tree is balanced.
-Search recursively traverses the tree, pruning any subtree whose region
-cannot intersect the query's current hypersphere — the pruning that makes
-the search efficient but *inherently sequential*, which is the problem
-the two-stage structure in :mod:`repro.core` exists to solve.
+Search traverses the tree, pruning any subtree whose region cannot
+intersect the query's current hypersphere — the pruning that makes the
+search efficient but *inherently sequential* per query, which is the
+problem the two-stage structure in :mod:`repro.core` exists to solve.
 
 The implementation is array-backed (flat numpy arrays indexed by node id)
-with iterative explicit-stack traversal, and instrumented: every search
-accepts an optional :class:`~repro.kdtree.stats.SearchStats` accumulator.
-Pruning uses the incremental per-axis bound (as in FLANN/scipy) so node
-visit counts are representative of a production implementation.
+and instrumented: every search accepts an optional
+:class:`~repro.kdtree.stats.SearchStats` accumulator.  Pruning uses the
+incremental per-axis bound (as in FLANN/scipy) so node visit counts are
+representative of a production implementation.
 
 Batch queries
 -------------
+Queries come in batches only (a single query is a 1-row batch).
 :meth:`KDTree.nn_batch`, :meth:`KDTree.knn_batch`, and
-:meth:`KDTree.radius_batch` run a *level-synchronous frontier sweep*:
-the per-query traversal stacks are fused into flat ``(node, query)``
-pair arrays advanced one level per round with NumPy masks, pruned
-against each query's running best bound exactly as the scalar recursion
-prunes.  Nearest-neighbor and kNN batches first descend every query
-along its near path (no backtracking) to seed tight bounds — the
-vectorized analogue of the depth-first dive the scalar search performs
-before it backtracks.  Results are bit-identical to the scalar methods:
-distances accumulate per coordinate in the same order on both paths,
+:meth:`KDTree.radius_batch_csr` run a *level-synchronous frontier
+sweep*: the per-query depth-first stacks are fused into flat
+``(node, query)`` pair arrays advanced one level per round with NumPy
+masks, each pair pruned against its query's running best bound.
+Nearest-neighbor and kNN batches first descend every query along its
+near path (no backtracking) to seed tight bounds — the vectorized
+analogue of a depth-first search's first dive.  Distances accumulate
+per coordinate left to right, as in :mod:`repro.kdtree.bruteforce`;
 ties resolve to the lowest point index (nn/knn take the lexicographic
 ``(distance, index)`` minimum) and radius results come back in
-ascending index order.  Radius work counters are exactly the scalar
-loop's (radius pruning is query-history-independent); nn/knn counters
-reflect the frontier schedule actually executed and may differ slightly
-from a scalar loop's.  Validation is hoisted to one pass per batch.
+ascending index order, so every result equals the brute-force
+reference bit for bit.  Radius pruning does not depend on the order of
+visits, so radius work counters are those of a depth-first search;
+nn/knn counters reflect the frontier schedule actually executed.  The
+whole batch is validated before any work
+(:func:`repro.kdtree._validate.check_batch`).
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.core.ragged import RadiusHits, RaggedNeighborhoods
+from repro.kdtree._validate import check_batch
 from repro.kdtree.stats import SearchStats
 
 __all__ = ["KDTree"]
@@ -50,20 +51,6 @@ _SPLIT_RULES = ("widest", "cyclic")
 # Sentinel index paired with +inf distances in unfilled kNN slots while
 # merging; never visible to callers (k is clamped to n).
 _BIG = np.iinfo(np.int64).max
-
-
-def _point_sq_dist(query: np.ndarray, point: np.ndarray) -> float:
-    """Squared distance accumulated coordinate by coordinate.
-
-    The left-to-right accumulation order matches the per-coordinate
-    ufunc accumulation of the batch frontier (:meth:`KDTree._sq_dists`),
-    so scalar and batched traversals see bit-identical bounds and
-    candidate distances.
-    """
-    d_sq = 0.0
-    for t in query - point:
-        d_sq += t * t
-    return float(d_sq)
 
 
 class KDTree:
@@ -199,232 +186,6 @@ class KDTree:
         )
 
     # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def _check_query(self, query: np.ndarray) -> np.ndarray:
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        if len(query) != self.ndim:
-            raise ValueError(
-                f"query has dimension {len(query)}, tree has {self.ndim}"
-            )
-        if not np.all(np.isfinite(query)):
-            raise ValueError("query contains NaN or infinity")
-        return query
-
-    def _check_queries(self, queries: np.ndarray) -> np.ndarray:
-        """One validation pass for a whole batch."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if queries.ndim != 2 or queries.shape[1] != self.ndim:
-            raise ValueError(
-                f"queries have shape {queries.shape}, tree has dimension "
-                f"{self.ndim}"
-            )
-        if not np.all(np.isfinite(queries)):
-            raise ValueError("queries contain NaN or infinity")
-        return queries
-
-    def nn(
-        self, query: np.ndarray, stats: SearchStats | None = None
-    ) -> tuple[int, float]:
-        """Nearest neighbor: (point index, distance)."""
-        query = self._check_query(query)
-        points = self._points
-        best_sq = np.inf
-        best_idx = -1
-        visits = pops = pruned = 0
-
-        contrib = np.zeros(self.ndim)
-        stack: list[tuple[int, float, np.ndarray]] = [(0, 0.0, contrib)]
-        while stack:
-            node, bound_sq, contrib = stack.pop()
-            pops += 1
-            if bound_sq > best_sq:
-                pruned += 1
-                continue
-            pidx = int(self._point_index[node])
-            d_sq = _point_sq_dist(query, points[pidx])
-            visits += 1
-            # Deterministic tie rule shared with the batch frontier:
-            # the global (distance, index) lexicographic minimum.
-            if d_sq < best_sq or (d_sq == best_sq and pidx < best_idx):
-                best_sq = d_sq
-                best_idx = pidx
-            left_child = self._left[node]
-            right_child = self._right[node]
-            if left_child < 0 and right_child < 0:
-                continue
-            dim = self._split_dim[node]
-            delta = query[dim] - self._split_value[node]
-            if delta < 0:
-                near, far = left_child, right_child
-            else:
-                near, far = right_child, left_child
-            if far >= 0:
-                far_bound = bound_sq - contrib[dim] + delta * delta
-                if far_bound <= best_sq:
-                    far_contrib = contrib.copy()
-                    far_contrib[dim] = delta * delta
-                    stack.append((int(far), far_bound, far_contrib))
-                else:
-                    pruned += 1
-            if near >= 0:
-                stack.append((int(near), bound_sq, contrib))
-
-        if stats is not None:
-            stats.nodes_visited += visits
-            stats.traversal_steps += pops
-            stats.pruned_subtrees += pruned
-            stats.queries += 1
-            stats.results_returned += 1
-        return best_idx, float(np.sqrt(best_sq))
-
-    def knn(
-        self, query: np.ndarray, k: int, stats: SearchStats | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``k`` nearest neighbors, sorted by ascending distance."""
-        query = self._check_query(query)
-        if k <= 0:
-            raise ValueError("k must be positive")
-        k = min(k, self.n)
-        points = self._points
-        # Max-heap over (distance, index) via negation: heap[0] is the
-        # lexicographically largest (d_sq, idx) of the kept k, i.e. the
-        # entry the next better candidate evicts.
-        heap: list[tuple[float, int]] = []
-        visits = pops = pruned = 0
-
-        def bound() -> float:
-            return -heap[0][0] if len(heap) == k else np.inf
-
-        def offer(idx: int, d_sq: float) -> None:
-            if len(heap) < k:
-                heapq.heappush(heap, (-d_sq, -idx))
-            else:
-                worst_sq, worst_idx = -heap[0][0], -heap[0][1]
-                if d_sq < worst_sq or (d_sq == worst_sq and idx < worst_idx):
-                    heapq.heapreplace(heap, (-d_sq, -idx))
-
-        contrib = np.zeros(self.ndim)
-        stack: list[tuple[int, float, np.ndarray]] = [(0, 0.0, contrib)]
-        while stack:
-            node, bound_sq, contrib = stack.pop()
-            pops += 1
-            if bound_sq > bound():
-                pruned += 1
-                continue
-            pidx = int(self._point_index[node])
-            d_sq = _point_sq_dist(query, points[pidx])
-            visits += 1
-            offer(pidx, d_sq)
-            left_child = self._left[node]
-            right_child = self._right[node]
-            if left_child < 0 and right_child < 0:
-                continue
-            dim = self._split_dim[node]
-            delta = query[dim] - self._split_value[node]
-            if delta < 0:
-                near, far = left_child, right_child
-            else:
-                near, far = right_child, left_child
-            if far >= 0:
-                far_bound = bound_sq - contrib[dim] + delta * delta
-                if far_bound <= bound():
-                    far_contrib = contrib.copy()
-                    far_contrib[dim] = delta * delta
-                    stack.append((int(far), far_bound, far_contrib))
-                else:
-                    pruned += 1
-            if near >= 0:
-                stack.append((int(near), bound_sq, contrib))
-
-        entries = sorted((-neg_sq, -neg_idx) for neg_sq, neg_idx in heap)
-        indices = np.array([idx for _, idx in entries], dtype=np.int64)
-        dists = np.sqrt(np.array([sq for sq, _ in entries]))
-        if stats is not None:
-            stats.nodes_visited += visits
-            stats.traversal_steps += pops
-            stats.pruned_subtrees += pruned
-            stats.queries += 1
-            stats.results_returned += len(indices)
-        return indices, dists
-
-    def radius(
-        self,
-        query: np.ndarray,
-        r: float,
-        stats: SearchStats | None = None,
-        sort: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All neighbors within distance ``r``: (indices, distances).
-
-        Results come back in ascending index order (ascending distance
-        with ``sort=True``), the deterministic order shared with the
-        batch frontier.
-        """
-        query = self._check_query(query)
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        points = self._points
-        r_sq = r * r
-        found: list[tuple[int, float]] = []
-        visits = pops = pruned = 0
-
-        contrib = np.zeros(self.ndim)
-        stack: list[tuple[int, float, np.ndarray]] = [(0, 0.0, contrib)]
-        while stack:
-            node, bound_sq, contrib = stack.pop()
-            pops += 1
-            if bound_sq > r_sq:
-                pruned += 1
-                continue
-            pidx = int(self._point_index[node])
-            d_sq = _point_sq_dist(query, points[pidx])
-            visits += 1
-            if d_sq <= r_sq:
-                found.append((pidx, d_sq))
-            left_child = self._left[node]
-            right_child = self._right[node]
-            if left_child < 0 and right_child < 0:
-                continue
-            dim = self._split_dim[node]
-            delta = query[dim] - self._split_value[node]
-            if delta < 0:
-                near, far = left_child, right_child
-            else:
-                near, far = right_child, left_child
-            if far >= 0:
-                far_bound = bound_sq - contrib[dim] + delta * delta
-                if far_bound <= r_sq:
-                    far_contrib = contrib.copy()
-                    far_contrib[dim] = delta * delta
-                    stack.append((int(far), far_bound, far_contrib))
-                else:
-                    pruned += 1
-            if near >= 0:
-                stack.append((int(near), bound_sq, contrib))
-
-        if stats is not None:
-            stats.nodes_visited += visits
-            stats.traversal_steps += pops
-            stats.pruned_subtrees += pruned
-            stats.queries += 1
-            stats.results_returned += len(found)
-        if not found:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        indices = np.array([idx for idx, _ in found], dtype=np.int64)
-        sq_found = np.array([sq for _, sq in found])
-        # Canonical ascending-index order, shared with the batch path
-        # (which collects hits round by round, not in DFS order).
-        order = np.argsort(indices, kind="stable")
-        indices = indices[order]
-        dists = np.sqrt(sq_found[order])
-        if sort:
-            order = np.argsort(dists, kind="stable")
-            return indices[order], dists[order]
-        return indices, dists
-
-    # ------------------------------------------------------------------
     # Batch queries: the level-synchronous frontier sweep (see module
     # docstring).
     # ------------------------------------------------------------------
@@ -433,30 +194,16 @@ class KDTree:
         self, queries: np.ndarray, stats: SearchStats | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Nearest neighbor for every row of ``queries``."""
-        return self._nn_batch_fast(self._check_queries(queries), stats)
+        return self._nn_batch_fast(check_batch(queries, self.ndim), stats)
 
     def knn_batch(
         self, queries: np.ndarray, k: int, stats: SearchStats | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """kNN for every row of ``queries``: (Q, min(k, n)) arrays."""
-        queries = self._check_queries(queries)
+        queries = check_batch(queries, self.ndim)
         if k <= 0:
             raise ValueError("k must be positive")
         return self._knn_batch_fast(queries, min(k, self.n), stats)
-
-    def radius_batch(
-        self,
-        queries: np.ndarray,
-        r: float,
-        stats: SearchStats | None = None,
-        sort: bool = False,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Radius search for every row of ``queries`` (ragged lists).
-
-        Thin compatibility wrapper: slices :meth:`radius_batch_csr`'s
-        flat result into per-query lists.
-        """
-        return self.radius_batch_csr(queries, r, stats, sort=sort).to_list_pair()
 
     def radius_batch_csr(
         self,
@@ -465,19 +212,15 @@ class KDTree:
         stats: SearchStats | None = None,
         sort: bool = False,
     ) -> RaggedNeighborhoods:
-        """Radius search returning the CSR result natively.
+        """Radius search for every row of ``queries``, in CSR form.
 
-        The frontier sweep already accumulates its hits flat (in a
-        :class:`~repro.core.ragged.RadiusHits`); this entry point
-        returns them without shredding into per-query lists, with the
-        accepted squared distances as ``sq_distances``.  Bit-identical
-        content to :meth:`radius_batch` — same ascending-index order,
-        same ``sort=True`` stable distance sort (applied once via
-        :func:`repro.core.ragged.segment_sort_order`).
+        The frontier sweep accumulates its hits flat (in a
+        :class:`~repro.core.ragged.RadiusHits`), ascending index per
+        query, with the accepted squared distances as ``sq_distances``;
+        ``sort=True`` applies the stable per-query distance sort once
+        (:func:`repro.core.ragged.segment_sort_order`).
         """
-        queries = self._check_queries(queries)
-        if r < 0:
-            raise ValueError("radius must be non-negative")
+        queries = check_batch(queries, self.ndim, r)
         result = self._radius_batch_fast(queries, r, stats)
         if sort:
             result = result.sorted_by_distance()
@@ -488,8 +231,7 @@ class KDTree:
     # ------------------------------------------------------------------
 
     def _sq_dists(self, query_rows: np.ndarray, node_pts: np.ndarray):
-        """Per-coordinate squared distances (same accumulation order as
-        :func:`_point_sq_dist`, hence bit-identical to the scalar path)."""
+        """Per-coordinate squared distances, summed left to right."""
         t = query_rows[:, 0] - node_pts[:, 0]
         d_sq = t * t
         for j in range(1, self.ndim):
@@ -501,7 +243,7 @@ class KDTree:
         """Pure near-path descent of every query (no backtracking).
 
         Yields ``(query rows, node ids, squared distances)`` per level —
-        the candidates the scalar DFS would evaluate on its first dive.
+        the candidates a depth-first search evaluates on its first dive.
         Used to seed tight nn/knn bounds before the frontier sweep; the
         frontier re-visits (and charges) these nodes, so the descent
         itself is uncharged scheduling work.
@@ -556,7 +298,7 @@ class KDTree:
             lex_update(rows, d_sq, pidx)
 
         # Phase 2: the frontier sweep, pruned against the running bests
-        # exactly as the scalar recursion (push-time and pop-time checks).
+        # at push time and again at pop time.
         refs = np.zeros(n_queries, dtype=np.int64)
         qidx = np.arange(n_queries, dtype=np.int64)
         bound = np.zeros(n_queries)
@@ -740,8 +482,8 @@ class KDTree:
 
         # The radius bound never tightens, so (unlike nn) pushes are
         # pre-filtered and every frontier pair is evaluated — the sweep
-        # visits exactly the (node, query) pairs of the scalar loop and
-        # the work counters match it exactly.
+        # visits exactly the (node, query) pairs of a depth-first search
+        # and its work counters equal that search's.
         if n_queries:
             refs = np.zeros(n_queries, dtype=np.int64)
             qidx = np.arange(n_queries, dtype=np.int64)

@@ -14,14 +14,12 @@ and post-process backend results, so any stage can be degraded
 independently — dense stages (NE, RPCE) to demonstrate robustness,
 sparse KPCE to demonstrate fragility.
 
-Each injector exposes both scalar hooks (``nn``/``knn``/``radius``) and
-batched hooks (``nn_batch``/``knn_batch``/``radius_batch``/
-``radius_batch_csr``) so degraded stages ride the batch query layer at
-full speed; the batched hooks post-process the backend's batched
-results identically, row by row.  The CSR hooks keep results in the
-flat :class:`~repro.core.ragged.RaggedNeighborhoods` form end-to-end —
-the shell filter is one boolean mask over the flat distances rather
-than a per-row loop.
+An injector implements the three batch hooks ``nn_batch``,
+``knn_batch`` and ``radius_batch_csr``, each taking the index, the
+query batch and the stats to charge, so degraded stages ride the batch
+query layer at full speed.  Radius results stay in the flat
+:class:`~repro.core.ragged.RaggedNeighborhoods` form end-to-end — the
+shell filter is one boolean mask over the flat distances.
 """
 
 from __future__ import annotations
@@ -37,23 +35,11 @@ __all__ = ["KthNeighborInjector", "ShellRadiusInjector", "IdentityInjector"]
 class IdentityInjector:
     """Pass-through injector (useful as a control in experiments)."""
 
-    def nn(self, index, query, stats):
-        return index.nn(query, stats)
-
-    def knn(self, index, query, k, stats):
-        return index.knn(query, k, stats)
-
-    def radius(self, index, query, r, stats, sort=False):
-        return index.radius(query, r, stats, sort=sort)
-
     def nn_batch(self, index, queries, stats):
         return index.nn_batch(queries, stats)
 
     def knn_batch(self, index, queries, k, stats):
         return index.knn_batch(queries, k, stats)
-
-    def radius_batch(self, index, queries, r, stats, sort=False):
-        return index.radius_batch(queries, r, stats, sort=sort)
 
     def radius_batch_csr(self, index, queries, r, stats, sort=False):
         return index.radius_batch_csr(queries, r, stats, sort=sort)
@@ -74,23 +60,10 @@ class KthNeighborInjector:
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
-    def nn(self, index, query, stats):
-        indices, dists = index.knn(query, self.k, stats)
-        if len(indices) == 0:
-            return -1, np.inf
-        return int(indices[-1]), float(dists[-1])
-
-    def knn(self, index, query, k, stats):
-        indices, dists = index.knn(query, k + self.k - 1, stats)
-        return indices[self.k - 1 :], dists[self.k - 1 :]
-
-    def radius(self, index, query, r, stats, sort=False):
-        return index.radius(query, r, stats, sort=sort)
-
     def nn_batch(self, index, queries, stats):
         indices, dists = index.knn_batch(queries, self.k, stats)
         # Rows can be padded with -1/inf (approximate backend); take the
-        # last *valid* neighbor per row, as the scalar hook does.
+        # last *valid* neighbor per row, (-1, inf) for an empty row.
         valid = indices >= 0
         last = np.maximum(valid.sum(axis=1) - 1, 0)[:, None]
         out_idx = np.take_along_axis(indices, last, axis=1)[:, 0]
@@ -103,9 +76,6 @@ class KthNeighborInjector:
     def knn_batch(self, index, queries, k, stats):
         indices, dists = index.knn_batch(queries, k + self.k - 1, stats)
         return indices[:, self.k - 1 :], dists[:, self.k - 1 :]
-
-    def radius_batch(self, index, queries, r, stats, sort=False):
-        return index.radius_batch(queries, r, stats, sort=sort)
 
     def radius_batch_csr(self, index, queries, r, stats, sort=False):
         return index.radius_batch_csr(queries, r, stats, sort=sort)
@@ -127,27 +97,11 @@ class ShellRadiusInjector:
         if self.r1 < 0 or self.r2 <= self.r1:
             raise ValueError("need 0 <= r1 < r2")
 
-    def nn(self, index, query, stats):
-        return index.nn(query, stats)
-
-    def knn(self, index, query, k, stats):
-        return index.knn(query, k, stats)
-
-    def radius(self, index, query, r, stats, sort=False):
-        indices, dists = index.radius(query, self.r2, stats, sort=sort)
-        mask = dists >= self.r1
-        return indices[mask], dists[mask]
-
     def nn_batch(self, index, queries, stats):
         return index.nn_batch(queries, stats)
 
     def knn_batch(self, index, queries, k, stats):
         return index.knn_batch(queries, k, stats)
-
-    def radius_batch(self, index, queries, r, stats, sort=False):
-        return self.radius_batch_csr(
-            index, queries, r, stats, sort=sort
-        ).to_list_pair()
 
     def radius_batch_csr(self, index, queries, r, stats, sort=False):
         result = index.radius_batch_csr(queries, self.r2, stats, sort=sort)

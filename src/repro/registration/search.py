@@ -16,37 +16,43 @@ voxel-hash grid — behind one interface, and transparently:
 
 Batch query layer
 -----------------
+Batches are the only query form: a single query is a 1-row batch.
 Pipeline stages issue **one batched call per stage** — ``nn_batch``,
 ``knn_batch`` (rectangular ``(Q, min(k, n))`` results), and
 ``radius_batch_csr`` (one flat
 :class:`~repro.core.ragged.RaggedNeighborhoods` in CSR form) — the
-software analogue of the accelerator's data-parallel PE array.  Each
-backend implements the batch entry points natively: fully vectorized
+software analogue of the accelerator's data-parallel PE array.  Every
+backend implements these three entry points natively: fully vectorized
 chunked scans for brute-force, a vectorized top-tree sweep with bulk
 leaf scans for the two-stage tree (radius grouped by leaf, NN along
 each query's home path with one ``(query, leaf)``-pair kernel), a
 level-synchronous frontier sweep for the canonical KD-tree (the
 per-query depth-first stacks fused into flat ``(node, query)`` arrays;
 one query's pruned traversal is inherently sequential — the very
-bottleneck the paper targets), and sequential leader-state updates for
-the approximate search.  Radius results travel CSR
-end-to-end: every backend *produces* flat ``indices``/``offsets``/
-``distances`` (with any requested per-segment distance sort done once
-by a global lexsort), the reuse cache and injectors pass the CSR form
-through unchanged, and the front-end consumers gather from it directly
-— no per-query Python lists anywhere on the hot path.  The legacy
-``radius_batch`` survives as a thin wrapper that slices the CSR result
-into per-query lists at the delivery edge.  The wrapper charges the
-profiler once per batch and counts one ``SearchStats.batches``
-increment per call; ``queries``/``results_returned`` stay exact per
-query (CSR-delivered queries additionally tick ``csr_results``), while
-the work counters (node visits, pruning) reflect the schedule actually
-executed — identical to the scalar loop for radius batches, and
-different for NN batches, whose bounds tighten in another order; the
-two-stage NN batch's counts are pinned exactly by
+bottleneck the paper targets), ring scans for the voxel-hash grid, and
+sequential leader-state updates for the approximate search.  Each
+backend validates a whole batch before any work
+(:func:`repro.kdtree._validate.check_batch`): a bad row anywhere, or a
+negative or NaN radius, raises before a counter, a leader buffer or an
+anchor changes.  Radius results travel CSR end-to-end: every backend
+*produces* flat ``indices``/``offsets``/``distances`` (with any
+requested per-segment distance sort done once by a global lexsort), the
+reuse cache and injectors pass the CSR form through unchanged, and the
+front-end consumers gather from it directly.
+:meth:`NeighborSearcher.radius_batch` is the one list view: it slices
+the CSR result into per-query lists.
+The searcher charges the profiler once per batch and counts one
+``SearchStats.batches`` increment per call; ``queries``/
+``results_returned`` stay exact per query (CSR-delivered queries
+additionally tick ``csr_results``), while the work counters (node
+visits, pruning) reflect the schedule actually executed; the two-stage
+NN batch's counts are pinned exactly by
 ``tests/core/test_twostage.py::TestNNBatchCounters`` (see
-:mod:`repro.core.twostage`).  Batched *results* are bit-identical to
-issuing the scalar methods row by row.
+:mod:`repro.core.twostage`).  The exact backends — canonical,
+two-stage, brute force, and gridhash up to its cell size — return what
+:mod:`repro.kdtree.bruteforce` returns; their distances match its bits
+wherever they sum squares in its order (the two-stage leaf kernel does
+not), which ``tests/registration/test_batch_parity.py`` checks.
 
 Nested-radius reuse
 -------------------
@@ -57,10 +63,10 @@ subsets of one conceptual all-points radius search at the largest
 planned radius.  A :class:`RadiusReuseCache` (installed by
 ``Pipeline.preprocess``; plain searchers carry none and behave exactly
 as before) runs that search once — the first eligible full-cloud
-``radius_batch`` is transparently inflated to the planned maximum
+radius batch is transparently inflated to the planned maximum
 radius and its CSR result retained — and serves every later nested
 request by row-select plus exact squared-distance re-filter
-(:func:`repro.core.ragged.csr_radius_select`) on the backend's own
+(:func:`repro.core.ragged.csr_radius_select_csr`) on the backend's own
 accepted squared distances, bit-identical to a fresh query.
 Accounting stays honest: the filling stage is charged
 the full inflated search it executed (its ``results_returned`` counts
@@ -70,7 +76,9 @@ result counts but no traversal work.  Callers opt in per call by
 passing ``self_indices`` — the index rows their query points are —
 and the cache is bypassed whenever an injector is active, the
 effective index is not the cache's own (e.g. the stateful approximate
-wrapper), or the radius exceeds the cached one.
+wrapper), or the radius exceeds the cached one.  The searcher validates
+the batch and the radius before it consults the cache, so a served call
+rejects what a fresh search rejects.
 
 Certified nearest-neighbor reuse
 --------------------------------
@@ -102,13 +110,10 @@ import numpy as np
 
 from repro.core.approx import ApproximateSearch, ApproximateSearchConfig
 from repro.core.gridhash import GridHashConfig, GridHashIndex
-from repro.core.ragged import (
-    RaggedNeighborhoods,
-    csr_radius_select,
-    csr_radius_select_csr,
-)
+from repro.core.ragged import RaggedNeighborhoods, csr_radius_select_csr
 from repro.core.twostage import NNAnchor, TwoStageKDTree
 from repro.kdtree import bruteforce
+from repro.kdtree._validate import check_batch
 from repro.kdtree.stats import SearchStats
 from repro.kdtree.tree import KDTree
 from repro.profiling.timer import StageProfiler
@@ -164,11 +169,7 @@ class SearchConfig:
 
 
 class _BruteForceIndex:
-    """Adapter giving the brute-force scan the tree-search interface.
-
-    Scalar queries delegate to the batched kernels with a single row, so
-    batched and per-query results are bit-identical by construction.
-    """
+    """Adapter giving the brute-force scan the batch-search interface."""
 
     def __init__(self, points: np.ndarray):
         self._points = np.array(points, dtype=np.float64)
@@ -186,18 +187,6 @@ class _BruteForceIndex:
             stats.queries += queries
             stats.results_returned += results
 
-    def nn(self, query, stats=None):
-        indices, dists = self.nn_batch(np.atleast_2d(query), stats)
-        return int(indices[0]), float(dists[0])
-
-    def knn(self, query, k, stats=None):
-        indices, dists = self.knn_batch(np.atleast_2d(query), k, stats)
-        return indices[0], dists[0]
-
-    def radius(self, query, r, stats=None, sort=False):
-        indices, dists = self.radius_batch(np.atleast_2d(query), r, stats, sort=sort)
-        return indices[0], dists[0]
-
     def nn_batch(self, queries, stats=None):
         indices, dists = bruteforce.nn_batch(self._points, queries, self._points_t)
         self._charge(stats, len(indices), len(indices))
@@ -207,9 +196,6 @@ class _BruteForceIndex:
         indices, dists = bruteforce.knn_batch(self._points, queries, k, self._points_t)
         self._charge(stats, len(indices), indices.size)
         return indices, dists
-
-    def radius_batch(self, queries, r, stats=None, sort=False):
-        return self.radius_batch_csr(queries, r, stats, sort=sort).to_list_pair()
 
     def radius_batch_csr(self, queries, r, stats=None, sort=False):
         result = bruteforce.radius_batch_csr(
@@ -225,9 +211,9 @@ class RadiusReuseCache:
     Holds the CSR result (flat indices, offsets, distances, and the
     *squared* distances the backend accepted, its ``sq_distances``) of
     a single all-points radius search at ``max_radius`` over ``index``.
-    ``fill`` runs that search; ``serve`` derives any nested request — a
-    row subset at any radius ``r <= max_radius`` — via
-    :func:`repro.core.ragged.csr_radius_select`, bit-identical to a
+    ``fill`` runs that search; ``serve_csr`` derives any nested request —
+    a row subset at any radius ``r <= max_radius`` — via
+    :func:`repro.core.ragged.csr_radius_select_csr`, bit-identical to a
     fresh query of the same rows.  Once filled the cache is immutable,
     so repeated preprocessing of the same frame reuses identically and
     charges identical stats.
@@ -277,24 +263,10 @@ class RadiusReuseCache:
         self._dists, self._sq_dists = result.distances, result.sq_distances
         self.filled = True
 
-    def serve(
-        self, rows: np.ndarray, r: float, sort: bool = False
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Radius-``r`` result for index ``rows``, filtered from the cache."""
-        return csr_radius_select(
-            self._indices,
-            self._offsets,
-            self._sq_dists,
-            self._dists,
-            rows,
-            r,
-            sort=sort,
-        )
-
     def serve_csr(
         self, rows: np.ndarray, r: float, sort: bool = False
     ) -> RaggedNeighborhoods:
-        """Like :meth:`serve` but CSR in, CSR out — no list materialization."""
+        """Radius-``r`` result for index ``rows``, filtered from the cache."""
         return csr_radius_select_csr(
             self._indices,
             self._offsets,
@@ -326,14 +298,13 @@ class NeighborSearcher:
     """Uniform, instrumented query interface over any backend.
 
     All pipeline stages call the batched entry points :meth:`nn_batch`,
-    :meth:`knn_batch`, and :meth:`radius_batch` — one call per stage,
-    one timer read and one ``batches`` increment per call; query and
-    result counters stay exact per query, and work counters reflect
-    the batch schedule actually executed.  The scalar methods
-    :meth:`nn`, :meth:`knn`, and :meth:`radius` remain for one-off
-    queries and produce bit-identical results.  An injector (see
-    :mod:`repro.registration.error_injection`) may post-process results
-    on either path.
+    :meth:`knn_batch`, and :meth:`radius_batch_csr` — one call per
+    stage, one timer read and one ``batches`` increment per call; query
+    and result counters stay exact per query, and work counters reflect
+    the batch schedule actually executed.  :meth:`radius_batch` is the
+    one list view of a radius batch.  An injector (see
+    :mod:`repro.registration.error_injection`) may post-process the
+    results of every entry point.
     """
 
     def __init__(
@@ -361,44 +332,6 @@ class NeighborSearcher:
     def points(self) -> np.ndarray:
         return self._index.points
 
-    def nn(self, query: np.ndarray) -> tuple[int, float]:
-        start = time.perf_counter()
-        if self._injector is not None:
-            result = self._injector.nn(self._index, query, self.stats)
-        else:
-            result = self._index.nn(query, self.stats)
-        if self._profiler is not None:
-            self._profiler.charge_search(time.perf_counter() - start)
-        return result
-
-    def knn(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        start = time.perf_counter()
-        if self._injector is not None:
-            result = self._injector.knn(self._index, query, k, self.stats)
-        else:
-            result = self._index.knn(query, k, self.stats)
-        if self._profiler is not None:
-            self._profiler.charge_search(time.perf_counter() - start)
-        return result
-
-    def radius(
-        self, query: np.ndarray, r: float, sort: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        start = time.perf_counter()
-        if self._injector is not None:
-            result = self._injector.radius(self._index, query, r, self.stats, sort)
-        else:
-            result = self._index.radius(query, r, self.stats, sort=sort)
-        if self._profiler is not None:
-            self._profiler.charge_search(time.perf_counter() - start)
-        return result
-
-    # ------------------------------------------------------------------
-    # Batched queries: one timer read / injector dispatch per stage-sized
-    # batch instead of per point.  Results are bit-identical to issuing
-    # the scalar methods per row.
-    # ------------------------------------------------------------------
-
     def nn_batch(
         self, queries: np.ndarray, reuse: NNReuseAnchor | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -411,10 +344,7 @@ class NeighborSearcher:
         """
         start = time.perf_counter()
         if self._injector is not None:
-            if hasattr(self._injector, "nn_batch"):
-                result = self._injector.nn_batch(self._index, queries, self.stats)
-            else:
-                result = self._loop_injected_nn(queries)
+            result = self._injector.nn_batch(self._index, queries, self.stats)
         elif reuse is not None and isinstance(self._index, TwoStageKDTree):
             indices, dists, reuse.anchor = self._index.nn_batch_anchored(
                 queries, reuse.anchor, self.stats
@@ -433,10 +363,7 @@ class NeighborSearcher:
         """kNN for every row of ``queries``: ((Q, min(k, n)), same)."""
         start = time.perf_counter()
         if self._injector is not None:
-            if hasattr(self._injector, "knn_batch"):
-                result = self._injector.knn_batch(self._index, queries, k, self.stats)
-            else:
-                result = self._loop_injected_knn(queries, k)
+            result = self._injector.knn_batch(self._index, queries, k, self.stats)
         else:
             result = self._index.knn_batch(queries, k, self.stats)
         self.stats.batches += 1
@@ -453,15 +380,15 @@ class NeighborSearcher:
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Radius search for every row of ``queries``: ragged lists.
 
-        Thin compatibility wrapper: runs the CSR-native path of
-        :meth:`radius_batch_csr` and slices the flat result into
-        per-query lists.  Because the slicing happens *here*, on the
-        delivery edge, the queries are not counted as CSR-delivered
-        (``stats.csr_results`` stays untouched); all other counters are
-        charged identically to the CSR entry point.
+        The list view of :meth:`radius_batch_csr`: the same search,
+        sliced into per-query ``(index_lists, dist_lists)``.  Because
+        the slicing happens here, on the delivery edge, the queries are
+        not counted as CSR-delivered (``stats.csr_results`` stays
+        untouched); every other counter is charged as by
+        :meth:`radius_batch_csr`.
         """
         start = time.perf_counter()
-        result, _ = self._radius_batch_impl(queries, r, sort, self_indices)
+        result = self._radius(queries, r, sort, self_indices)
         self.stats.batches += 1
         if self._profiler is not None:
             self._profiler.charge_search(time.perf_counter() - start)
@@ -480,60 +407,38 @@ class NeighborSearcher:
         flat indices/offsets/distances, never materialized as per-query
         lists anywhere between the index and the consumer.  Entries per
         segment follow the backend's radius order (ascending index), or
-        ascending distance when ``sort=True``; bit-identical to slicing
-        :meth:`radius_batch`'s lists.
+        ascending distance when ``sort=True``.
 
         ``self_indices``, when given, asserts that row ``i`` of
         ``queries`` is index point ``self_indices[i]`` — the hint that
         lets an installed :class:`RadiusReuseCache` serve the call by
         filtering its cached larger-radius result (bit-identical to the
-        fresh search).  Searchers without a cache ignore it.
-
-        Queries answered without any list round-trip are counted in
-        ``stats.csr_results``; an injector that lacks a
-        ``radius_batch_csr`` hook forces a list fallback, which is
-        repacked but not counted.
+        fresh search).  Searchers without a cache ignore it.  The batch
+        and ``r`` are validated first, so a call the backend would
+        reject is rejected before the cache is consulted.  Every query
+        is counted in ``stats.csr_results``.
         """
         start = time.perf_counter()
-        result, csr_native = self._radius_batch_impl(
-            queries, r, sort, self_indices
-        )
-        if csr_native:
-            self.stats.csr_results += result.n_segments
+        result = self._radius(queries, r, sort, self_indices)
+        self.stats.csr_results += result.n_segments
         self.stats.batches += 1
         if self._profiler is not None:
             self._profiler.charge_search(time.perf_counter() - start)
         return result
 
-    def _radius_batch_impl(
-        self, queries, r, sort, self_indices
-    ) -> tuple[RaggedNeighborhoods, bool]:
-        """Shared dispatch for both radius entry points.
-
-        Returns ``(result, csr_native)`` where ``csr_native`` is False
-        only when a legacy injector forced a per-query list fallback.
-        """
+    def _radius(self, queries, r, sort, self_indices) -> RaggedNeighborhoods:
+        """The radius search behind both radius entry points."""
+        queries = check_batch(queries, self.points.shape[1], r)
         if self._injector is not None:
-            if hasattr(self._injector, "radius_batch_csr"):
-                return (
-                    self._injector.radius_batch_csr(
-                        self._index, queries, r, self.stats, sort
-                    ),
-                    True,
-                )
-            if hasattr(self._injector, "radius_batch"):
-                lists = self._injector.radius_batch(
-                    self._index, queries, r, self.stats, sort
-                )
-            else:
-                lists = self._loop_injected_radius(queries, r, sort)
-            return RaggedNeighborhoods.from_lists(*lists), False
+            return self._injector.radius_batch_csr(
+                self._index, queries, r, self.stats, sort
+            )
         result = self._reused_radius_csr(r, sort, self_indices)
         if result is None:
             result = self._index.radius_batch_csr(
                 queries, r, self.stats, sort=sort
             )
-        return result, True
+        return result
 
     def _reused_radius_csr(self, r, sort, self_indices):
         """Serve a radius batch from the reuse cache, or None for fresh.
@@ -561,43 +466,6 @@ class NeighborSearcher:
             self.stats.cache_hits += 1
             self.stats.results_returned += result.n_entries
         return result
-
-    # Fallbacks for third-party injectors that only define scalar hooks.
-
-    def _loop_injected_nn(self, queries):
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        indices = np.empty(len(queries), dtype=np.int64)
-        dists = np.empty(len(queries))
-        for i, query in enumerate(queries):
-            indices[i], dists[i] = self._injector.nn(self._index, query, self.stats)
-        return indices, dists
-
-    def _loop_injected_knn(self, queries, k):
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        rows = [
-            self._injector.knn(self._index, query, k, self.stats)
-            for query in queries
-        ]
-        # Rows can be ragged (approximate backend); pad to a rectangle
-        # with (-1, inf) misses like the backends' own knn_batch.
-        width = max((len(r[0]) for r in rows), default=0)
-        indices = np.full((len(rows), width), -1, dtype=np.int64)
-        dists = np.full((len(rows), width), np.inf)
-        for i, (row_idx, row_dist) in enumerate(rows):
-            indices[i, : len(row_idx)] = row_idx
-            dists[i, : len(row_dist)] = row_dist
-        return indices, dists
-
-    def _loop_injected_radius(self, queries, r, sort):
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        all_indices, all_dists = [], []
-        for query in queries:
-            indices, dists = self._injector.radius(
-                self._index, query, r, self.stats, sort
-            )
-            all_indices.append(indices)
-            all_dists.append(dists)
-        return all_indices, all_dists
 
 
 def build_index(

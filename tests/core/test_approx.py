@@ -194,9 +194,9 @@ class TestWorkReduction:
             scale=0.03, size=(200, 3)
         )
         exact_stats = SearchStats()
-        tree.radius_batch(queries, 0.8, exact_stats)
+        tree.radius_batch_csr(queries, 0.8, exact_stats)
         approx_stats = SearchStats()
-        ApproximateSearch(tree).radius_batch(queries, 0.8, approx_stats)
+        ApproximateSearch(tree).radius_batch_csr(queries, 0.8, approx_stats)
         assert approx_stats.total_work < exact_stats.nodes_visited
 
 

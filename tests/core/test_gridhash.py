@@ -43,11 +43,11 @@ class TestExactMatchContract:
         queries = make_queries(seed, points)
         index = GridHashIndex(points, GridHashConfig(cell_size=1.0))
         for sort in (False, True):
-            gi, gd = index.radius_batch(queries, r, sort=sort)
-            bi, bd = bruteforce.radius_batch(points, queries, r, sort=sort)
-            for a, b, c, d in zip(gi, bi, gd, bd):
-                assert np.array_equal(a, b)
-                assert np.array_equal(c, d)
+            got = index.radius_batch_csr(queries, r, sort=sort)
+            expected = bruteforce.radius_batch_csr(points, queries, r, sort=sort)
+            assert np.array_equal(got.offsets, expected.offsets)
+            assert np.array_equal(got.indices, expected.indices)
+            assert np.array_equal(got.distances, expected.distances)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -57,8 +57,8 @@ class TestExactMatchContract:
         points = make_cloud(seed)
         queries = make_queries(seed, points)
         index = GridHashIndex(points, GridHashConfig(cell_size=0.5))
-        gi, gd = index.radius_batch(queries, 1.4)
-        bi, bd = bruteforce.radius_batch(points, queries, 1.4)
+        gi, gd = index.radius_batch_csr(queries, 1.4).to_list_pair()
+        bi, bd = bruteforce.radius_batch_csr(points, queries, 1.4).to_list_pair()
         missed = 0
         for a, b, c, d in zip(gi, bi, gd, bd):
             keep = np.isin(b, a)
@@ -98,7 +98,8 @@ class TestExactMatchContract:
             ]
         )
         index = GridHashIndex(points, GridHashConfig(cell_size=1.0))
-        assert index.nn(np.array([1.0, 0.0, 0.0])) == (0, 1.0)
+        indices, dists = index.nn_batch(np.array([1.0, 0.0, 0.0]))
+        assert (indices.tolist(), dists.tolist()) == ([0], [1.0])
 
 
 class TestCandidateCap:
@@ -112,9 +113,9 @@ class TestCandidateCap:
         index = GridHashIndex(
             points, GridHashConfig(cell_size=1.0, max_candidates=cap)
         )
-        big_i, big_d = index.radius_batch(queries, 1.0)
+        big_i, big_d = index.radius_batch_csr(queries, 1.0).to_list_pair()
         for r in (0.0, 0.3, 0.8):
-            small_i, small_d = index.radius_batch(queries, r)
+            small_i, small_d = index.radius_batch_csr(queries, r).to_list_pair()
             for si, sd, bi, bd in zip(small_i, small_d, big_i, big_d):
                 keep = bd <= r
                 assert np.array_equal(si, bi[keep])
@@ -126,8 +127,8 @@ class TestCandidateCap:
         capped = GridHashIndex(points, GridHashConfig(1.0, max_candidates=5))
         free = GridHashIndex(points, GridHashConfig(1.0))
         s_cap, s_free = SearchStats(), SearchStats()
-        ci, _ = capped.radius_batch(queries, 1.0, s_cap)
-        fi, _ = free.radius_batch(queries, 1.0, s_free)
+        ci = capped.radius_batch_csr(queries, 1.0, s_cap).to_lists()
+        fi = free.radius_batch_csr(queries, 1.0, s_free).to_lists()
         assert s_cap.nodes_visited <= 5 * len(queries)
         assert s_cap.nodes_visited < s_free.nodes_visited
         for a, b in zip(ci, fi):
@@ -146,24 +147,25 @@ class TestCandidateCap:
 
 class TestStatsAndStructure:
     def test_batch_stats_equal_scalar_loop(self):
+        """A batch charges what its rows charge as 1-row batches."""
         points = make_cloud(6)
         queries = make_queries(6, points, n=30)
         index = GridHashIndex(points, GridHashConfig(cell_size=0.8))
         s_batch, s_loop = SearchStats(), SearchStats()
-        index.radius_batch(queries, 0.8, s_batch)
+        index.radius_batch_csr(queries, 0.8, s_batch)
         for q in queries:
-            index.radius(q, 0.8, s_loop)
+            index.radius_batch_csr(q, 0.8, s_loop)
         assert s_batch == s_loop
 
     def test_counters_count_probes_and_distances(self):
         points = make_cloud(7)
         index = GridHashIndex(points, GridHashConfig(cell_size=1.0))
         stats = SearchStats()
-        idx_lists, _ = index.radius_batch(points[:10], 1.0, stats)
+        result = index.radius_batch_csr(points[:10], 1.0, stats)
         assert stats.queries == 10
         assert stats.traversal_steps == 10 * 27  # 3^3 probes per query
         assert stats.nodes_visited > 0
-        assert stats.results_returned == sum(len(lst) for lst in idx_lists)
+        assert stats.results_returned == result.n_entries
 
     def test_occupancy_and_validation(self):
         points = np.array([[0.0, 0.0, 0.0], [0.1, 0.1, 0.1], [5.0, 5.0, 5.0]])
@@ -176,8 +178,8 @@ class TestStatsAndStructure:
         with pytest.raises(ValueError):
             GridHashConfig(cell_size=1.0, max_candidates=0)
         with pytest.raises(ValueError):
-            index.radius(points[0], -1.0)
+            index.radius_batch_csr(points[0], -1.0)
         with pytest.raises(ValueError):
-            index.knn(points[0], 0)
+            index.knn_batch(points[0], 0)
         with pytest.raises(ValueError):
             GridHashIndex(points, GridHashConfig(cell_size=1e-18))

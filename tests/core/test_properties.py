@@ -100,20 +100,21 @@ def test_traced_batch_equals_scalar_and_untraced(data, radius):
 
     for sort in (False, True):
         stats, trace = SearchStats(), []
-        got = tree.radius_batch(queries, radius, stats, sort=sort, trace=trace)
+        got = tree.radius_batch_csr(queries, radius, stats, sort=sort, trace=trace)
         scalar_stats, scalar_trace = SearchStats(), []
         scalar = [
             tree.radius(query, radius, scalar_stats, sort=sort, trace=scalar_trace)
             for query in queries
         ]
-        untraced = tree.radius_batch(queries, radius, sort=sort)
+        untraced = tree.radius_batch_csr(queries, radius, sort=sort)
         assert trace == scalar_trace
         assert stats == scalar_stats
-        for lists in (got, untraced):
-            assert len(lists[0]) == len(scalar)
+        for result in (got, untraced):
+            assert result.n_segments == len(scalar)
             for row, (scalar_idx, scalar_dist) in enumerate(scalar):
-                assert np.array_equal(lists[0][row], scalar_idx)
-                assert lists[1][row].tobytes() == scalar_dist.tobytes()
+                segment = slice(result.offsets[row], result.offsets[row + 1])
+                assert np.array_equal(result.indices[segment], scalar_idx)
+                assert result.distances[segment].tobytes() == scalar_dist.tobytes()
 
 
 @given(

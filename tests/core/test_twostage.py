@@ -287,8 +287,7 @@ class TestQueries:
         queries = rng.normal(size=(8, 3))
         indices, dists = tree.nn_batch(queries)
         assert len(indices) == 8
-        radius_indices, _ = tree.radius_batch(queries, 0.8)
-        assert len(radius_indices) == 8
+        assert tree.radius_batch_csr(queries, 0.8).n_segments == 8
         knn_indices, _ = tree.knn_batch(queries, 4)
         assert len(knn_indices) == 8
 
@@ -324,7 +323,7 @@ class TestRedundancy:
             if kind == "nn":
                 tree.nn_batch(queries, stats)
             else:
-                tree.radius_batch(queries, r, stats)
+                tree.radius_batch_csr(queries, r, stats)
             return stats.nodes_visited
 
         deep_nn, shallow_nn = visits(6, "nn"), visits(1, "nn")
@@ -376,8 +375,8 @@ class TestPaddedLeaves:
         points, tree = uneven
         queries = rng.normal(size=(6, 3))
         assert np.all(tree.radius_batch_csr(queries, np.inf).counts == len(points))
-        traced, _ = tree.radius_batch(queries, np.inf, trace=[])
-        assert [len(hits) for hits in traced] == [len(points)] * len(queries)
+        traced = tree.radius_batch_csr(queries, np.inf, trace=[])
+        assert np.all(traced.counts == len(points))
         for query in queries:
             assert len(tree.radius(query, np.inf)[0]) == len(points)
 
@@ -412,6 +411,7 @@ INVALID_BATCHES = {
     "wrong-dimension": (np.zeros((3, 2)), 1.0),
     "negative-radius-empty": (np.empty((0, 3)), -1.0),
     "negative-radius": (np.zeros((3, 3)), -1.0),
+    "nan-radius": (np.zeros((3, 3)), np.nan),
 }
 QUERY_CASES = [case for case in INVALID_BATCHES if "radius" not in case]
 
@@ -428,7 +428,7 @@ class TestBatchValidation:
         tree = TwoStageKDTree(points, top_height=3)
         stats, trace = SearchStats(), [] if traced else None
         with pytest.raises(ValueError):
-            tree.radius_batch(queries, r, stats, trace=trace)
+            tree.radius_batch_csr(queries, r, stats, trace=trace)
         assert not trace
         assert stats == SearchStats()
 
@@ -568,9 +568,7 @@ def assert_traced_batch_exact(tree, queries, radii):
     for r in radii:
         for sort in (False, True):
             stats, trace = SearchStats(), []
-            got_idx, got_dist = tree.radius_batch(
-                queries, r, stats, sort=sort, trace=trace
-            )
+            got = tree.radius_batch_csr(queries, r, stats, sort=sort, trace=trace)
             oracle_stats, oracle_trace = SearchStats(), []
             oracle = [
                 tree.radius(query, r, oracle_stats, sort=sort, trace=oracle_trace)
@@ -578,14 +576,15 @@ def assert_traced_batch_exact(tree, queries, radii):
             ]
             assert trace == oracle_trace, (r, sort)
             assert stats == oracle_stats, (r, sort)
-            assert len(got_idx) == len(got_dist) == len(oracle)
+            assert got.n_segments == len(oracle)
             for row, (expected_idx, expected_dist) in enumerate(oracle):
-                assert_bits_equal(got_idx[row], expected_idx)
-                assert_bits_equal(got_dist[row], expected_dist)
+                segment = slice(got.offsets[row], got.offsets[row + 1])
+                assert_bits_equal(got.indices[segment], expected_idx)
+                assert_bits_equal(got.distances[segment], expected_dist)
 
 
 class TestTracedBatch:
-    """``nn_batch(trace=)`` and ``radius_batch(trace=)`` advance every
+    """``nn_batch(trace=)`` and ``radius_batch_csr(trace=)`` advance every
     query's own depth-first search in lockstep; each query must visit,
     prune and scan exactly what the scalar search does, in its order."""
 

@@ -27,21 +27,21 @@ class TestCorrectness:
     def test_nn_matches_bruteforce(self, feature_sets, dim):
         features = feature_sets[dim]
         tree = KDTree(features)
-        rng = np.random.default_rng(1)
-        for query in rng.normal(size=(10, dim)):
-            idx, dist = tree.nn(query)
-            bf_idx, bf_dist = bruteforce.nn(features, query)
-            assert idx == bf_idx
-            assert dist == pytest.approx(bf_dist)
+        queries = np.random.default_rng(1).normal(size=(10, dim))
+        idx, dist = tree.nn_batch(queries)
+        bf_idx, bf_dist = bruteforce.nn_batch(features, queries)
+        assert np.array_equal(idx, bf_idx)
+        assert dist.tobytes() == bf_dist.tobytes()
 
     @pytest.mark.parametrize("dim", [33, 352])
     def test_knn_matches_bruteforce(self, feature_sets, dim):
         features = feature_sets[dim]
         tree = KDTree(features)
         query = np.random.default_rng(2).normal(size=dim)
-        _, dists = tree.knn(query, 5)
-        _, bf_dists = bruteforce.knn(features, query, 5)
-        assert np.allclose(dists, bf_dists)
+        indices, dists = tree.knn_batch(query, 5)
+        bf_indices, bf_dists = bruteforce.knn_batch(features, query, 5)
+        assert np.array_equal(indices, bf_indices)
+        assert dists.tobytes() == bf_dists.tobytes()
 
     def test_two_stage_in_feature_space(self, feature_sets):
         features = feature_sets[33]
@@ -54,9 +54,9 @@ class TestCorrectness:
     def test_query_on_feature_returns_itself(self, feature_sets):
         features = feature_sets[33]
         tree = KDTree(features)
-        idx, dist = tree.nn(features[7])
-        assert idx == 7
-        assert dist == pytest.approx(0.0, abs=1e-12)
+        idx, dist = tree.nn_batch(features[7])
+        assert idx.tolist() == [7]
+        assert dist.tolist() == [0.0]
 
 
 class TestDegradation:
@@ -70,8 +70,7 @@ class TestDegradation:
             points = rng.normal(size=(n, dim))
             tree = KDTree(points)
             stats = SearchStats()
-            for query in rng.normal(size=(10, dim)):
-                tree.nn(query, stats)
+            tree.nn_batch(rng.normal(size=(10, dim)), stats)
             return stats.nodes_visited / stats.queries
 
         low = visits(3)

@@ -1,5 +1,9 @@
 """Property-based tests: the KD-tree must agree with brute force on
-arbitrary inputs, for every query type, split rule, and dimension."""
+arbitrary inputs, for every query type, split rule, and dimension.
+
+Both sum squared distances left to right and share the (distance, index)
+tie rule, so the batches must agree bit for bit.
+"""
 
 import numpy as np
 from hypothesis import given, settings
@@ -31,33 +35,31 @@ def cloud_and_queries(draw):
 def test_nn_matches_bruteforce(data):
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
-    for query in queries:
-        idx, dist = tree.nn(query)
-        _, bf_dist = bruteforce.nn(points, query)
-        # Ties on distance may legitimately return different indices.
-        assert np.isclose(dist, bf_dist, atol=1e-9)
-        assert np.isclose(np.linalg.norm(points[idx] - query), dist, atol=1e-9)
+    idx, dist = tree.nn_batch(queries)
+    bf_idx, bf_dist = bruteforce.nn_batch(points, queries)
+    assert np.array_equal(idx, bf_idx)
+    assert dist.tobytes() == bf_dist.tobytes()
 
 
 @given(data=cloud_and_queries(), k=st.integers(1, 10))
 def test_knn_matches_bruteforce(data, k):
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
-    for query in queries:
-        _, dists = tree.knn(query, k)
-        _, bf_dists = bruteforce.knn(points, query, k)
-        assert np.allclose(dists, bf_dists, atol=1e-9)
+    indices, dists = tree.knn_batch(queries, k)
+    bf_indices, bf_dists = bruteforce.knn_batch(points, queries, k)
+    assert np.array_equal(indices, bf_indices)
+    assert dists.tobytes() == bf_dists.tobytes()
 
 
 @given(data=cloud_and_queries(), radius=st.floats(0.0, 30.0, allow_nan=False))
 def test_radius_matches_bruteforce(data, radius):
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
-    for query in queries:
-        indices, dists = tree.radius(query, radius)
-        bf_indices, _ = bruteforce.radius(points, query, radius)
-        assert set(indices.tolist()) == set(bf_indices.tolist())
-        assert np.all(dists <= radius + 1e-12)
+    got = tree.radius_batch_csr(queries, radius)
+    expected = bruteforce.radius_batch_csr(points, queries, radius)
+    assert np.array_equal(got.offsets, expected.offsets)
+    assert np.array_equal(got.indices, expected.indices)
+    assert got.distances.tobytes() == expected.distances.tobytes()
 
 
 @given(data=cloud_and_queries())
@@ -65,10 +67,10 @@ def test_knn_is_prefix_consistent(data):
     """The k-NN list must be a prefix of the (k+1)-NN list by distance."""
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
-    for query in queries:
-        _, d3 = tree.knn(query, 3)
-        _, d5 = tree.knn(query, 5)
-        assert np.allclose(d5[: len(d3)], d3, atol=1e-12)
+    i3, d3 = tree.knn_batch(queries, 3)
+    i5, d5 = tree.knn_batch(queries, 5)
+    assert np.array_equal(i5[:, : i3.shape[1]], i3)
+    assert np.array_equal(d5[:, : d3.shape[1]], d3)
 
 
 @given(data=cloud_and_queries())
@@ -77,8 +79,7 @@ def test_stats_conservation(data):
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
     stats = SearchStats()
-    for query in queries:
-        tree.nn(query, stats)
+    tree.nn_batch(queries, stats)
     assert stats.queries == len(queries)
     assert stats.nodes_visited <= len(queries) * tree.n
     assert stats.traversal_steps >= stats.nodes_visited
@@ -90,7 +91,6 @@ def test_radius_of_nn_dist_includes_nn(data):
     """Radius search at the NN distance must contain the NN itself."""
     points, queries, split_rule = data
     tree = KDTree(points, split_rule=split_rule)
-    for query in queries:
-        idx, dist = tree.nn(query)
-        indices, _ = tree.radius(query, dist + 1e-9)
-        assert idx in indices
+    idx, dist = tree.nn_batch(queries)
+    for query, nn_idx, nn_dist in zip(queries, idx, dist):
+        assert nn_idx in tree.radius_batch_csr(query, nn_dist + 1e-9).indices

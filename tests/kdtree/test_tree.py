@@ -1,4 +1,9 @@
-"""Unit tests for the canonical KD-tree: construction and queries."""
+"""Unit tests for the canonical KD-tree: construction and batch queries.
+
+The tree answers batches only; a single query is a 1-row batch.  Its
+distances sum left to right like :mod:`repro.kdtree.bruteforce`, so every
+result is compared with the brute-force reference bit for bit.
+"""
 
 import numpy as np
 import pytest
@@ -14,6 +19,12 @@ def points(rng):
 @pytest.fixture
 def tree(points):
     return KDTree(points)
+
+
+def assert_csr_equal(got, expected):
+    assert np.array_equal(got.offsets, expected.offsets)
+    assert np.array_equal(got.indices, expected.indices)
+    assert got.distances.tobytes() == expected.distances.tobytes()
 
 
 class TestConstruction:
@@ -39,9 +50,9 @@ class TestConstruction:
         tree = KDTree(np.array([[1.0, 2.0, 3.0]]))
         assert tree.n == 1
         assert tree.height == 1
-        idx, dist = tree.nn([1.0, 2.0, 3.0])
-        assert idx == 0
-        assert dist == pytest.approx(0.0)
+        idx, dist = tree.nn_batch([1.0, 2.0, 3.0])
+        assert idx.tolist() == [0]
+        assert dist.tolist() == [0.0]
 
     def test_balanced_height(self, points):
         tree = KDTree(points)
@@ -56,21 +67,26 @@ class TestConstruction:
     def test_duplicate_points_handled(self):
         points = np.tile([1.0, 2.0, 3.0], (20, 1))
         tree = KDTree(points)
-        idx, dist = tree.nn([1.0, 2.0, 3.0])
-        assert dist == pytest.approx(0.0)
-        indices, _ = tree.radius([1.0, 2.0, 3.0], 0.1)
-        assert len(indices) == 20
+        idx, dist = tree.nn_batch([1.0, 2.0, 3.0])
+        # Every point ties at distance 0; the lowest index wins.
+        assert idx.tolist() == [0] and dist.tolist() == [0.0]
+        result = tree.radius_batch_csr([1.0, 2.0, 3.0], 0.1)
+        assert result.indices.tolist() == list(range(20))
 
     def test_cyclic_split_rule(self, points):
         tree = KDTree(points, split_rule="cyclic")
-        query = points[0] + 0.01
-        assert tree.nn(query)[0] == bruteforce.nn(points, query)[0]
+        queries = points[:20] + 0.01
+        assert np.array_equal(
+            tree.nn_batch(queries)[0], bruteforce.nn_batch(points, queries)[0]
+        )
 
     def test_high_dimensional(self, rng):
         features = rng.normal(size=(100, 33))
         tree = KDTree(features)
-        query = rng.normal(size=33)
-        assert tree.nn(query)[0] == bruteforce.nn(features, query)[0]
+        queries = rng.normal(size=(5, 33))
+        assert np.array_equal(
+            tree.nn_batch(queries)[0], bruteforce.nn_batch(features, queries)[0]
+        )
 
     def test_subtree_indices_cover_all(self, tree):
         indices = tree.subtree_point_indices(0)
@@ -84,110 +100,114 @@ class TestConstruction:
 
 class TestNN:
     def test_matches_bruteforce(self, tree, points, rng):
-        for query in rng.normal(size=(40, 3)):
-            idx, dist = tree.nn(query)
-            bf_idx, bf_dist = bruteforce.nn(points, query)
-            assert idx == bf_idx
-            assert dist == pytest.approx(bf_dist)
+        queries = rng.normal(size=(40, 3))
+        idx, dist = tree.nn_batch(queries)
+        bf_idx, bf_dist = bruteforce.nn_batch(points, queries)
+        assert np.array_equal(idx, bf_idx)
+        assert dist.tobytes() == bf_dist.tobytes()
 
     def test_query_on_data_point(self, tree, points):
-        idx, dist = tree.nn(points[17])
-        assert dist == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(points[idx], points[17])
+        idx, dist = tree.nn_batch(points[17])
+        assert idx.tolist() == [17]
+        assert dist.tolist() == [0.0]
 
     def test_rejects_dim_mismatch(self, tree):
         with pytest.raises(ValueError):
-            tree.nn([1.0, 2.0])
+            tree.nn_batch([1.0, 2.0])
 
     def test_rejects_nan_query(self, tree):
         with pytest.raises(ValueError):
-            tree.nn([np.nan, 0.0, 0.0])
+            tree.nn_batch([np.nan, 0.0, 0.0])
 
     def test_far_query(self, tree, points):
         query = np.array([1e4, 1e4, 1e4])
-        idx, _ = tree.nn(query)
-        assert idx == bruteforce.nn(points, query)[0]
+        idx, _ = tree.nn_batch(query)
+        assert idx[0] == bruteforce.nn(points, query)[0]
 
     def test_batch_matches_single(self, tree, rng):
+        """A batch answers each row as a 1-row batch does, bit for bit."""
         queries = rng.normal(size=(10, 3))
         batch_idx, batch_dist = tree.nn_batch(queries)
         for i, query in enumerate(queries):
-            idx, dist = tree.nn(query)
-            assert batch_idx[i] == idx
-            assert batch_dist[i] == pytest.approx(dist)
+            idx, dist = tree.nn_batch(query)
+            assert batch_idx[i] == idx[0]
+            assert batch_dist[i] == dist[0]
 
 
 class TestKNN:
     def test_matches_bruteforce(self, tree, points, rng):
-        for query in rng.normal(size=(15, 3)):
-            indices, dists = tree.knn(query, 8)
-            bf_indices, bf_dists = bruteforce.knn(points, query, 8)
-            assert np.allclose(dists, bf_dists)
-            assert set(indices) == set(bf_indices)
+        queries = rng.normal(size=(15, 3))
+        indices, dists = tree.knn_batch(queries, 8)
+        bf_indices, bf_dists = bruteforce.knn_batch(points, queries, 8)
+        assert np.array_equal(indices, bf_indices)
+        assert dists.tobytes() == bf_dists.tobytes()
 
     def test_sorted_ascending(self, tree, rng):
-        _, dists = tree.knn(rng.normal(size=3), 10)
-        assert np.all(np.diff(dists) >= 0)
+        _, dists = tree.knn_batch(rng.normal(size=(4, 3)), 10)
+        assert np.all(np.diff(dists, axis=1) >= 0)
 
     def test_k_larger_than_n(self, tree):
-        indices, dists = tree.knn(np.zeros(3), tree.n + 50)
-        assert len(indices) == tree.n
-        assert len(set(indices.tolist())) == tree.n
+        indices, dists = tree.knn_batch(np.zeros(3), tree.n + 50)
+        assert indices.shape == dists.shape == (1, tree.n)
+        assert len(set(indices[0].tolist())) == tree.n
 
     def test_k_one_equals_nn(self, tree, rng):
-        query = rng.normal(size=3)
-        indices, dists = tree.knn(query, 1)
-        nn_idx, nn_dist = tree.nn(query)
-        assert indices[0] == nn_idx
-        assert dists[0] == pytest.approx(nn_dist)
+        queries = rng.normal(size=(10, 3))
+        indices, dists = tree.knn_batch(queries, 1)
+        nn_idx, nn_dist = tree.nn_batch(queries)
+        assert np.array_equal(indices[:, 0], nn_idx)
+        assert dists[:, 0].tobytes() == nn_dist.tobytes()
 
     def test_rejects_nonpositive_k(self, tree):
         with pytest.raises(ValueError):
-            tree.knn(np.zeros(3), 0)
+            tree.knn_batch(np.zeros(3), 0)
 
 
 class TestRadius:
     def test_matches_bruteforce(self, tree, points, rng):
-        for query in rng.normal(size=(15, 3)):
-            indices, dists = tree.radius(query, 0.8)
-            bf_indices, bf_dists = bruteforce.radius(points, query, 0.8)
-            assert set(indices) == set(bf_indices)
-            assert np.all(dists <= 0.8)
+        queries = rng.normal(size=(15, 3))
+        for sort in (False, True):
+            assert_csr_equal(
+                tree.radius_batch_csr(queries, 0.8, sort=sort),
+                bruteforce.radius_batch_csr(points, queries, 0.8, sort=sort),
+            )
 
     def test_zero_radius(self, tree, points):
-        indices, _ = tree.radius(points[5], 0.0)
-        assert 5 in indices
+        result = tree.radius_batch_csr(points[5], 0.0)
+        assert result.indices.tolist() == [5]
 
     def test_huge_radius_returns_all(self, tree):
-        indices, _ = tree.radius(np.zeros(3), 1e6)
-        assert len(indices) == tree.n
+        result = tree.radius_batch_csr(np.zeros(3), 1e6)
+        assert result.indices.tolist() == list(range(tree.n))
 
     def test_sorted_option(self, tree, rng):
-        _, dists = tree.radius(rng.normal(size=3), 1.0, sort=True)
-        assert np.all(np.diff(dists) >= 0)
+        result = tree.radius_batch_csr(rng.normal(size=3), 1.0, sort=True)
+        assert result.n_entries > 1
+        assert np.all(np.diff(result.distances) >= 0)
 
     def test_no_results(self, tree):
-        indices, dists = tree.radius(np.array([1e5, 1e5, 1e5]), 0.5)
-        assert len(indices) == 0
-        assert len(dists) == 0
+        result = tree.radius_batch_csr(np.array([1e5, 1e5, 1e5]), 0.5)
+        assert result.counts.tolist() == [0]
+        assert len(result.distances) == 0
 
     def test_rejects_negative_radius(self, tree):
         with pytest.raises(ValueError):
-            tree.radius(np.zeros(3), -1.0)
+            tree.radius_batch_csr(np.zeros(3), -1.0)
 
     def test_batch(self, tree, rng):
+        """A batch answers each row as a 1-row batch does, bit for bit."""
         queries = rng.normal(size=(5, 3))
-        all_indices, all_dists = tree.radius_batch(queries, 0.7)
-        assert len(all_indices) == 5
+        result = tree.radius_batch_csr(queries, 0.7)
+        assert result.n_segments == 5
         for i, query in enumerate(queries):
-            single, _ = tree.radius(query, 0.7)
-            assert set(all_indices[i]) == set(single)
+            single = tree.radius_batch_csr(query, 0.7)
+            assert_csr_equal(result.select(np.array([i])), single)
 
 
 class TestStatsAccounting:
     def test_nn_charges_stats(self, tree, rng):
         stats = SearchStats()
-        tree.nn(rng.normal(size=3), stats)
+        tree.nn_batch(rng.normal(size=3), stats)
         assert stats.queries == 1
         assert stats.results_returned == 1
         assert 0 < stats.nodes_visited <= tree.n
@@ -195,18 +215,18 @@ class TestStatsAccounting:
 
     def test_pruning_happens(self, tree, rng):
         stats = SearchStats()
-        for query in rng.normal(size=(10, 3)):
-            tree.nn(query, stats)
+        tree.nn_batch(rng.normal(size=(10, 3)), stats)
         # NN search on 300 points should visit far fewer than all nodes.
         assert stats.nodes_visited < 10 * tree.n / 2
         assert stats.pruned_subtrees > 0
 
     def test_radius_results_counted(self, tree, rng):
         stats = SearchStats()
-        indices, _ = tree.radius(rng.normal(size=3), 1.0, stats)
-        assert stats.results_returned == len(indices)
+        result = tree.radius_batch_csr(rng.normal(size=(4, 3)), 1.0, stats)
+        assert result.n_entries > 0
+        assert stats.results_returned == result.n_entries
 
     def test_knn_visits_bounded(self, tree, rng):
         stats = SearchStats()
-        tree.knn(rng.normal(size=3), 5, stats)
+        tree.knn_batch(rng.normal(size=3), 5, stats)
         assert stats.nodes_visited <= tree.n

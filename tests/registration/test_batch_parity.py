@@ -1,9 +1,29 @@
-"""Batch/scalar parity: batched queries must be bit-identical to
-per-query calls on every backend, with and without error injectors.
+"""Differential harness: every backend's batches against an oracle.
 
-These are the acceptance tests of the batch query layer: no tolerance
-comparisons — indices and distances must match exactly, including tie
-cases manufactured through duplicated points.
+Batches are the only query form; a single query is a 1-row batch.  A
+batch is therefore checked against an independent reference, not a loop
+of per-query calls:
+
+* The exact backends — canonical, two-stage, brute force, and gridhash
+  for radii up to its cell size — must equal the batches of
+  :mod:`repro.kdtree.bruteforce` bit for bit: indices, distances,
+  offsets and tie order.
+* Each error injector must equal its own definition applied to that
+  oracle: the k-th neighbor is column k - 1 of the oracle's kNN (the
+  last column when the cloud has fewer than k points), and the shell is
+  the oracle's r2 ball masked to distances >= r1.
+* The approximate backend's leader state makes each answer depend on the
+  rows before it, so its batch must equal its own row-by-row path: the
+  single-query methods of a twin, called in row order.  So must gridhash
+  beyond its cell size, where it deliberately misses neighbors.
+
+Coordinates sit on a dyadic grid (multiples of 1/64; integers and
+halves near +-2**20), so every squared distance here is exact in float64
+and every summation order gives the same bits.  A mismatch is then a
+search error — a wrong prune, tie or order — never rounding.  (On
+arbitrary floats the two-stage leaf kernel sums (dx² + dz²) + dy² while
+brute force sums left to right, and the last bits may differ;
+``tests/core/test_properties.py`` compares those with a tolerance.)
 """
 
 import numpy as np
@@ -11,23 +31,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ApproximateSearch, GridHashConfig, TwoStageKDTree
+from repro.kdtree import KDTree, bruteforce
 from repro.kdtree.stats import SearchStats
 from repro.registration.error_injection import (
     IdentityInjector,
     KthNeighborInjector,
     ShellRadiusInjector,
 )
-from repro.registration.search import NeighborSearcher, SearchConfig, build_searcher
+from repro.registration.search import SearchConfig, build_searcher
 
 BACKENDS = ("canonical", "twostage", "approximate", "bruteforce", "gridhash")
+EXACT = ("canonical", "twostage", "bruteforce", "gridhash")
+# Gridhash is exact up to its cell size; the harness radii stay within it
+# except where a test says otherwise.
+CELL = 1.5
+
+
+def dyadic(values, scale=64):
+    return np.round(np.asarray(values) * scale) / scale
 
 
 def make_cloud(seed: int, n: int, duplicates: bool = False) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    points = rng.normal(size=(n, 3)) * 3.0
+    points = dyadic(rng.normal(size=(n, 3)) * 3.0)
     if duplicates:
-        # Exact duplicates manufacture distance ties; the deterministic
-        # tie rules must agree between scalar and batch paths.
+        # Exact duplicates manufacture distance ties; every path must
+        # resolve them by the shared (distance, index) rule.
         points = np.vstack([points, points[:: max(1, n // 7)]])
     return points
 
@@ -35,18 +65,65 @@ def make_cloud(seed: int, n: int, duplicates: bool = False) -> np.ndarray:
 def make_queries(seed: int, points: np.ndarray, n_queries: int) -> np.ndarray:
     rng = np.random.default_rng(seed + 1)
     near = points[rng.integers(0, len(points), size=n_queries // 2)]
-    near = near + rng.normal(size=near.shape) * 0.05
-    far = rng.normal(size=(n_queries - len(near), 3)) * 4.0
+    near = near + dyadic(rng.normal(size=near.shape) * 0.05)
+    far = dyadic(rng.normal(size=(n_queries - len(near), 3)) * 4.0)
     return np.vstack([near, far])
 
 
-def pair_of_searchers(points, backend, injector=None):
+def config_for(backend, leaf_size=16):
+    return SearchConfig(
+        backend=backend, leaf_size=leaf_size, gridhash=GridHashConfig(cell_size=CELL)
+    )
+
+
+def pair_of_searchers(points, backend, injector=None, leaf_size=16):
     """Two independently built searchers (fresh approximate leader state
-    each) so the scalar loop and the batch see identical start states."""
-    config = SearchConfig(backend=backend, leaf_size=16)
-    scalar = build_searcher(points, config, injector=injector)
-    batched = build_searcher(points, config, injector=injector)
-    return scalar, batched
+    each): one answers the batch, the twin the reference rows."""
+    config = config_for(backend, leaf_size)
+    return (
+        build_searcher(points, config, injector=injector),
+        build_searcher(points, config, injector=injector),
+    )
+
+
+def assert_pair_equal(got, expected):
+    for a, b in zip(got, expected):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def assert_csr_equal(got, expected):
+    assert np.array_equal(got.offsets, expected.offsets)
+    assert np.array_equal(got.indices, expected.indices)
+    assert got.distances.tobytes() == expected.distances.tobytes()
+
+
+def nn_rows(nn, queries, *args):
+    """A single-query NN method applied in row order, as batch arrays."""
+    rows = [nn(query, *args) for query in queries]
+    return (
+        np.array([index for index, _ in rows], dtype=np.int64),
+        np.array([dist for _, dist in rows], dtype=np.float64),
+    )
+
+
+def radius_rows(radius, queries, *args, **kwargs):
+    """A single-query radius method applied in row order, as lists."""
+    rows = [radius(query, *args, **kwargs) for query in queries]
+    return [indices for indices, _ in rows], [dists for _, dists in rows]
+
+
+def expected_radius(backend, points, queries, r, sort, twin):
+    """Per-row (index, distance) lists the radius batch must return."""
+    if backend == "approximate":
+        return radius_rows(twin.index.radius, queries, r, sort=sort)
+    if backend == "gridhash" and r > CELL:
+        # Beyond the cell gridhash misses neighbors by design; a batch
+        # still answers each row as a 1-row batch does.
+        rows = [twin.radius_batch_csr(query, r, sort=sort) for query in queries]
+        return [row.indices for row in rows], [row.distances for row in rows]
+    return bruteforce.radius_batch_csr(points, queries, r, sort=sort).to_list_pair()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -55,11 +132,12 @@ def pair_of_searchers(points, backend, injector=None):
 def test_nn_batch_parity(backend, seed, duplicates):
     points = make_cloud(seed, 60, duplicates)
     queries = make_queries(seed, points, 20)
-    scalar, batched = pair_of_searchers(points, backend)
-    expected = [scalar.nn(q) for q in queries]
-    indices, dists = batched.nn_batch(queries)
-    assert np.array_equal(indices, np.array([e[0] for e in expected]))
-    assert np.array_equal(dists, np.array([e[1] for e in expected]))
+    searcher, twin = pair_of_searchers(points, backend)
+    if backend == "approximate":
+        expected = nn_rows(twin.index.nn, queries)
+    else:
+        expected = bruteforce.nn_batch(points, queries)
+    assert_pair_equal(searcher.nn_batch(queries), expected)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -73,11 +151,14 @@ def test_knn_batch_parity(backend, seed, k, duplicates):
     """Includes k > n: results are rectangular (Q, min(k, n))."""
     points = make_cloud(seed, 50, duplicates)
     queries = make_queries(seed, points, 12)
-    scalar, batched = pair_of_searchers(points, backend)
-    indices, dists = batched.knn_batch(queries, k)
+    searcher, twin = pair_of_searchers(points, backend)
+    indices, dists = searcher.knn_batch(queries, k)
     assert indices.shape == dists.shape == (len(queries), min(k, len(points)))
+    if backend != "approximate":
+        assert_pair_equal((indices, dists), bruteforce.knn_batch(points, queries, k))
+        return
     for i, q in enumerate(queries):
-        row_idx, row_dist = scalar.knn(q, k)
+        row_idx, row_dist = twin.index.knn(q, k)
         # The approximate backend pads short rows with (-1, inf).
         assert np.array_equal(indices[i, : len(row_idx)], row_idx)
         assert np.array_equal(dists[i, : len(row_dist)], row_dist)
@@ -94,78 +175,74 @@ def test_knn_batch_parity(backend, seed, k, duplicates):
 )
 @settings(max_examples=10, deadline=None)
 def test_radius_batch_parity(backend, seed, r, sort, duplicates):
-    """Includes r=0 and tiny r (empty result sets) and huge r (all)."""
+    """The searcher's list view; includes r=0 and tiny r (empty result
+    sets) and huge r (all)."""
     points = make_cloud(seed, 60, duplicates)
     queries = make_queries(seed, points, 15)
-    scalar, batched = pair_of_searchers(points, backend)
-    all_indices, all_dists = batched.radius_batch(queries, r, sort=sort)
-    assert len(all_indices) == len(all_dists) == len(queries)
-    for i, q in enumerate(queries):
-        row_idx, row_dist = scalar.radius(q, r, sort=sort)
-        assert np.array_equal(all_indices[i], row_idx)
-        assert np.array_equal(all_dists[i], row_dist)
+    searcher, twin = pair_of_searchers(points, backend)
+    all_indices, all_dists = searcher.radius_batch(queries, r, sort=sort)
+    exp_indices, exp_dists = expected_radius(backend, points, queries, r, sort, twin)
+    assert len(all_indices) == len(all_dists) == len(exp_indices) == len(queries)
+    for got_i, got_d, exp_i, exp_d in zip(all_indices, all_dists, exp_indices, exp_dists):
+        assert np.array_equal(got_i, exp_i)
+        assert got_d.tobytes() == np.asarray(exp_d).tobytes()
+
+
+def injected_oracle(injector, points, queries, k, r, sort=False):
+    """An injector's definition applied to the brute-force oracle:
+    ``(nn, knn at k, radius at r)``."""
+    nn = bruteforce.nn_batch(points, queries)
+    knn = bruteforce.knn_batch(points, queries, k)
+    ball = bruteforce.radius_batch_csr(points, queries, r, sort=sort)
+    if isinstance(injector, KthNeighborInjector):
+        # Column k - 1, or the last one when the cloud has fewer points.
+        kth_idx, kth_dist = bruteforce.knn_batch(points, queries, injector.k)
+        nn = kth_idx[:, -1], kth_dist[:, -1]
+        assert kth_idx.shape[1] == min(injector.k, len(points))
+        shifted = bruteforce.knn_batch(points, queries, k + injector.k - 1)
+        knn = shifted[0][:, injector.k - 1 :], shifted[1][:, injector.k - 1 :]
+    elif isinstance(injector, ShellRadiusInjector):
+        ball = bruteforce.radius_batch_csr(points, queries, injector.r2, sort=sort)
+        ball = ball.mask(ball.distances >= injector.r1)
+    return nn, knn, ball
+
+
+INJECTORS = [
+    IdentityInjector(),
+    KthNeighborInjector(k=3),
+    ShellRadiusInjector(r1=0.2, r2=1.2),
+]
+INJECTOR_IDS = ["identity", "kth", "shell"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "injector",
-    [
-        IdentityInjector(),
-        KthNeighborInjector(k=3),
-        ShellRadiusInjector(r1=0.2, r2=1.2),
-    ],
-    ids=["identity", "kth", "shell"],
-)
+@pytest.mark.parametrize("injector", INJECTORS, ids=INJECTOR_IDS)
 def test_injected_batch_parity(backend, injector):
     points = make_cloud(7, 70)
     queries = make_queries(7, points, 18)
-    scalar, batched = pair_of_searchers(points, backend, injector=injector)
+    if backend != "approximate":
+        searcher, _ = pair_of_searchers(points, backend, injector)
+        exp_nn, exp_knn, exp_ball = injected_oracle(injector, points, queries, 4, 0.9)
+        assert_pair_equal(searcher.nn_batch(queries), exp_nn)
+        assert_csr_equal(searcher.radius_batch_csr(queries, 0.9), exp_ball)
+        assert_pair_equal(searcher.knn_batch(queries, 4), exp_knn)
+        return
+    # The injected approximate search's own row-by-row path: a twin fed
+    # 1-row batches in row order, fresh leader state per entry point.
+    searcher, twin = pair_of_searchers(points, backend, injector)
+    rows = [twin.nn_batch(query) for query in queries]
+    expected = [np.concatenate(part) for part in zip(*rows)]
+    assert_pair_equal(searcher.nn_batch(queries), expected)
 
-    expected = [scalar.nn(q) for q in queries]
-    indices, dists = batched.nn_batch(queries)
-    assert np.array_equal(indices, np.array([e[0] for e in expected]))
-    assert np.array_equal(dists, np.array([e[1] for e in expected]))
+    searcher, twin = pair_of_searchers(points, backend, injector)
+    rows = [twin.knn_batch(query, 4) for query in queries]
+    expected = [np.concatenate(part) for part in zip(*rows)]
+    assert_pair_equal(searcher.knn_batch(queries, 4), expected)
 
-    scalar, batched = pair_of_searchers(points, backend, injector=injector)
-    all_indices, all_dists = batched.radius_batch(queries, 0.9)
-    for i, q in enumerate(queries):
-        row_idx, row_dist = scalar.radius(q, 0.9)
-        assert np.array_equal(all_indices[i], row_idx)
-        assert np.array_equal(all_dists[i], row_dist)
-
-    scalar, batched = pair_of_searchers(points, backend, injector=injector)
-    indices, dists = batched.knn_batch(queries, 4)
-    for i, q in enumerate(queries):
-        row_idx, row_dist = scalar.knn(q, 4)
-        assert np.array_equal(indices[i, : len(row_idx)], row_idx)
-        assert np.array_equal(dists[i, : len(row_dist)], row_dist)
-
-
-def test_scalar_injector_fallback():
-    """Third-party injectors without batch hooks fall back to a loop."""
-
-    class ScalarOnlyInjector:
-        def nn(self, index, query, stats):
-            return index.nn(query, stats)
-
-        def knn(self, index, query, k, stats):
-            return index.knn(query, k, stats)
-
-        def radius(self, index, query, r, stats, sort=False):
-            return index.radius(query, r, stats, sort=sort)
-
-    points = make_cloud(3, 40)
-    queries = make_queries(3, points, 10)
-    plain = build_searcher(points, SearchConfig(backend="twostage"))
-    wrapped = build_searcher(
-        points, SearchConfig(backend="twostage"), injector=ScalarOnlyInjector()
-    )
-    for (a, b), (c, d) in [
-        (plain.nn_batch(queries), wrapped.nn_batch(queries)),
-        (plain.knn_batch(queries, 3), wrapped.knn_batch(queries, 3)),
-    ]:
-        assert np.array_equal(np.asarray(a), np.asarray(c))
-        assert np.array_equal(np.asarray(b), np.asarray(d))
+    searcher, twin = pair_of_searchers(points, backend, injector)
+    got = searcher.radius_batch_csr(queries, 0.9)
+    for i, query in enumerate(queries):
+        assert_csr_equal(got.select(np.array([i])), twin.radius_batch_csr(query, 0.9))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -186,36 +263,34 @@ def test_batch_stats_per_query_counters(backend):
     assert stats.queries == 2 * len(queries)
 
 
+WORK = ("nodes_visited", "traversal_steps", "pruned_subtrees", "leader_checks")
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_radius_stats_match_scalar(backend):
-    """Radius batch work counters equal the scalar loop's exactly (the
-    pruning decisions are query-independent)."""
-    if backend == "approximate":
-        pytest.skip("leader state makes scalar-loop stats the definition")
+    """Radius batch work counters equal the sum over its rows' 1-row
+    batches: radius pruning does not depend on the other queries (and
+    the approximate backend's twin builds the same leader state)."""
     points = make_cloud(13, 90)
     queries = make_queries(13, points, 20)
-    config = SearchConfig(backend=backend, leaf_size=16)
     s1, s2 = SearchStats(), SearchStats()
-    scalar = build_searcher(points, config, stats=s1)
+    config = config_for(backend)
+    single = build_searcher(points, config, stats=s1)
     batched = build_searcher(points, config, stats=s2)
     for q in queries:
-        scalar.radius(q, 0.7)
-    batched.radius_batch(queries, 0.7)
-    assert (s1.nodes_visited, s1.traversal_steps, s1.pruned_subtrees) == (
-        s2.nodes_visited,
-        s2.traversal_steps,
-        s2.pruned_subtrees,
-    )
+        single.radius_batch_csr(q, 0.7)
+    batched.radius_batch_csr(queries, 0.7)
+    assert [getattr(s1, name) for name in WORK] == [getattr(s2, name) for name in WORK]
+    assert (s1.queries, s1.results_returned) == (s2.queries, s2.results_returned)
 
 
 class TestCanonicalFrontierParity:
-    """The canonical KD-tree's level-synchronous frontier sweep must be
-    bit-identical to a loop over its scalar searches.  Radius sweeps
-    also charge identical work counters (radius pruning is
-    bound-independent, so the frontier replays the exact schedule);
-    nn/knn frontiers tighten their bounds in level order rather than
-    depth-first order, so only their results — not their node visit
-    counts — are pinned."""
+    """The canonical KD-tree's level-synchronous frontier sweep equals
+    the brute-force oracle bit for bit.  Radius sweeps also charge the
+    work counters of 1-row sweeps, whose visits are a depth-first
+    search's (radius pruning is bound-independent); nn/knn frontiers
+    tighten their bounds in level order, so only their results and
+    per-query counts are pinned."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -225,39 +300,29 @@ class TestCanonicalFrontierParity:
     )
     @settings(max_examples=15, deadline=None)
     def test_frontier_equals_sequential(self, seed, duplicates, k, r):
-        from repro.kdtree.tree import KDTree
-
         points = make_cloud(seed, 70, duplicates)
         queries = make_queries(seed, points, 18)
         tree = KDTree(points)
 
-        s_seq, s_fast = SearchStats(), SearchStats()
-        loop = [tree.nn(q, s_seq) for q in queries]
-        fi, fd = tree.nn_batch(queries, s_fast)
-        assert np.array_equal([i for i, _ in loop], fi)
-        assert np.array_equal([d for _, d in loop], fd)
-        assert (s_seq.queries, s_seq.results_returned) == (
-            s_fast.queries,
-            s_fast.results_returned,
+        stats = SearchStats()
+        assert_pair_equal(
+            tree.nn_batch(queries, stats), bruteforce.nn_batch(points, queries)
         )
+        assert (stats.queries, stats.results_returned) == (18, 18)
 
-        s_seq, s_fast = SearchStats(), SearchStats()
-        loop = [tree.knn(q, k, s_seq) for q in queries]
-        fi, fd = tree.knn_batch(queries, k, s_fast)
-        assert np.array_equal([i for i, _ in loop], fi)
-        assert np.array_equal([d for _, d in loop], fd)
-        assert (s_seq.queries, s_seq.results_returned) == (
-            s_fast.queries,
-            s_fast.results_returned,
+        stats = SearchStats()
+        assert_pair_equal(
+            tree.knn_batch(queries, k, stats), bruteforce.knn_batch(points, queries, k)
         )
+        assert (stats.queries, stats.results_returned) == (18, 18 * min(k, len(points)))
 
         for sort in (False, True):
-            s_seq, s_fast = SearchStats(), SearchStats()
-            loop = [tree.radius(q, r, s_seq, sort=sort) for q in queries]
-            fi, fd = tree.radius_batch(queries, r, s_fast, sort=sort)
-            for (a, c), b, d in zip(loop, fi, fd):
-                assert np.array_equal(a, b) and np.array_equal(c, d)
-            assert s_seq == s_fast
+            s_rows, s_batch = SearchStats(), SearchStats()
+            for query in queries:
+                tree.radius_batch_csr(query, r, s_rows, sort=sort)
+            got = tree.radius_batch_csr(queries, r, s_batch, sort=sort)
+            assert_csr_equal(got, bruteforce.radius_batch_csr(points, queries, r, sort=sort))
+            assert s_rows == s_batch
 
 
 def test_uniform_points_property():
@@ -266,3 +331,156 @@ def test_uniform_points_property():
         searcher = build_searcher(points, SearchConfig(backend=backend))
         assert np.array_equal(searcher.points, points)
         assert np.array_equal(searcher.index.points, points)
+
+
+# ---------------------------------------------------------------------------
+# Adversarial clouds: each builder returns (points, queries).
+# ---------------------------------------------------------------------------
+
+
+def _offsets_near(center, seed):
+    """60 integer points within 6 of ``center`` on every axis (with copies),
+    and queries on them, half a unit off them, and further out."""
+    rng = np.random.default_rng(seed)
+    points = center + rng.integers(-6, 7, size=(50, 3)).astype(np.float64)
+    points = np.vstack([points, points[:10]])
+    queries = np.vstack(
+        [
+            points[:8],
+            points[10:18] + 0.5,
+            center + rng.integers(-12, 13, size=(6, 3)) + 0.5,
+            [center + [40.0, -40.0, 40.0]],
+        ]
+    )
+    return points, queries
+
+
+def _duplicates():
+    points = make_cloud(3, 60, duplicates=True)
+    return points, make_queries(3, points, 16)
+
+
+def _lattice():
+    axis = np.arange(5.0)
+    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    queries = np.vstack(
+        [points[::9], points[::11] + 0.5, [[2.0, 2.0, 2.5], [2.5, 2.5, 2.5], [-3.0, 9.0, 2.0]]]
+    )
+    return points, queries
+
+
+def _collinear():
+    t = np.arange(-20.0, 21.0)
+    points = np.outer(t, [1.0, 2.0, -1.0]) / 8
+    points = np.vstack([points, points[::6]])
+    queries = np.vstack(
+        [points[::5], points[:8] + [0.5, 0.0, 0.0], [[0.0, 0.0, 0.0], [3.0, 3.0, 3.0]]]
+    )
+    return points, queries
+
+
+def _coplanar():
+    rng = np.random.default_rng(5)
+    xy = dyadic(rng.uniform(-3, 3, size=(80, 2)), 8)
+    points = np.column_stack([xy, np.zeros(len(xy))])
+    points = np.vstack([points, points[:7]])
+    queries = np.vstack(
+        [points[::9], points[:8] + [0.0, 0.0, 0.5], points[20:26] + [0.25, -0.125, 0.0]]
+    )
+    return points, queries
+
+
+def _single_point():
+    points = np.array([[0.5, -1.5, 2.0]])
+    queries = np.array([[0.5, -1.5, 2.0], [1.0, -1.5, 2.0], [-3.0, 4.0, 0.5]])
+    return points, queries
+
+
+def _copies_of_one_point():
+    points = np.tile([1.0, 2.0, 3.0], (30, 1))
+    queries = np.array([[1.0, 2.0, 3.0], [1.5, 2.0, 3.0], [1.0, 2.0, 4.0], [9.0, 9.0, 9.0]])
+    return points, queries
+
+
+ADVERSARIAL = {
+    "duplicates": _duplicates,
+    "all-copies": _copies_of_one_point,
+    "lattice": _lattice,
+    "collinear": _collinear,
+    "coplanar": _coplanar,
+    "single-point": _single_point,
+    "near-plus-2^20": lambda: _offsets_near(np.full(3, 2.0**20), 1),
+    "near-minus-2^20": lambda: _offsets_near(np.full(3, -(2.0**20)), 2),
+}
+RADII = (0.0, 0.5, 1.0, CELL)
+WIDE_RADII = RADII + (2.5, np.inf)
+
+
+@pytest.mark.parametrize("cloud", list(ADVERSARIAL))
+@pytest.mark.parametrize("backend", EXACT)
+class TestAdversarialClouds:
+    def test_exact_backends_equal_the_oracle(self, backend, cloud):
+        points, queries = ADVERSARIAL[cloud]()
+        searcher = build_searcher(points, config_for(backend, leaf_size=4))
+        assert_pair_equal(searcher.nn_batch(queries), bruteforce.nn_batch(points, queries))
+        for k in (1, 3, len(points) + 2):
+            assert_pair_equal(
+                searcher.knn_batch(queries, k), bruteforce.knn_batch(points, queries, k)
+            )
+        for r in RADII if backend == "gridhash" else WIDE_RADII:
+            for sort in (False, True):
+                assert_csr_equal(
+                    searcher.radius_batch_csr(queries, r, sort=sort),
+                    bruteforce.radius_batch_csr(points, queries, r, sort=sort),
+                )
+
+    @pytest.mark.parametrize(
+        "injector",
+        # r1 = 0.5 and r2 = 1.0 are distances the lattice clouds hit
+        # exactly, so both shell boundaries are exercised.
+        [KthNeighborInjector(k=3), ShellRadiusInjector(r1=0.5, r2=1.0)],
+        ids=["kth", "shell"],
+    )
+    def test_injectors_equal_their_definition(self, backend, cloud, injector):
+        points, queries = ADVERSARIAL[cloud]()
+        searcher = build_searcher(
+            points, config_for(backend, leaf_size=4), injector=injector
+        )
+        for sort in (False, True):
+            exp_nn, exp_knn, exp_ball = injected_oracle(
+                injector, points, queries, 2, 1.0, sort
+            )
+            assert_pair_equal(searcher.nn_batch(queries), exp_nn)
+            assert_pair_equal(searcher.knn_batch(queries, 2), exp_knn)
+            assert_csr_equal(searcher.radius_batch_csr(queries, 1.0, sort=sort), exp_ball)
+
+
+@pytest.mark.parametrize("kind", ["nn", "knn", "radius"])
+@pytest.mark.parametrize("cloud", list(ADVERSARIAL))
+def test_approximate_batch_equals_its_row_by_row_path(cloud, kind):
+    """Same results, counters and leader buffers as the single-query
+    methods called in row order on a twin."""
+    points, queries = ADVERSARIAL[cloud]()
+    tree = TwoStageKDTree.from_leaf_size(points, 4)
+    batch, twin = ApproximateSearch(tree), ApproximateSearch(tree)
+    s_batch, s_rows = SearchStats(), SearchStats()
+    if kind == "nn":
+        assert_pair_equal(
+            batch.nn_batch(queries, s_batch), nn_rows(twin.nn, queries, s_rows)
+        )
+    elif kind == "knn":
+        indices, dists = batch.knn_batch(queries, 3, s_batch)
+        for row, query in enumerate(queries):
+            exp_i, exp_d = twin.knn(query, 3, s_rows)
+            # A short row is padded with (-1, inf).
+            assert np.array_equal(indices[row, : len(exp_i)], exp_i)
+            assert dists[row, : len(exp_d)].tobytes() == exp_d.tobytes()
+            assert np.all(indices[row, len(exp_i) :] == -1)
+    else:
+        got = batch.radius_batch_csr(queries, 1.0, s_batch).to_list_pair()
+        expected = radius_rows(twin.radius, queries, 1.0, s_rows)
+        for got_i, got_d, exp_i, exp_d in zip(*got, *expected):
+            assert np.array_equal(got_i, exp_i)
+            assert got_d.tobytes() == exp_d.tobytes()
+    assert s_batch == s_rows
+    assert batch.total_leaders == twin.total_leaders

@@ -1,14 +1,14 @@
-"""CSR-native radius path: bit-parity with the legacy list path.
+"""CSR-native radius path.
 
-The PR 8 contract: every backend produces radius results as one flat
-:class:`~repro.core.ragged.RaggedNeighborhoods`, and the legacy
-``radius_batch`` lists are nothing but that CSR result sliced at the
-delivery edge.  These tests pin the bit-identity of the two paths for
-all five backends, the edge cases the flat layout must survive (empty
-rows, duplicate queries, exact distance ties, zero queries), the
-chunk-size invariance of the brute-force flat kernel, the
-``csr_results`` stats accounting, and the injector / reuse-cache CSR
-hooks.
+Every backend produces radius results as one flat
+:class:`~repro.core.ragged.RaggedNeighborhoods`, and the one list view,
+``NeighborSearcher.radius_batch``, is nothing but that CSR result sliced
+at the delivery edge.  These tests pin the bit-identity of the two for
+all five backends, that a batch answers each row as a 1-row batch does,
+the edge cases the flat layout must survive (empty rows, duplicate
+queries, exact distance ties, zero queries), the chunk-size invariance
+of the brute-force flat kernel, the ``csr_results`` stats accounting,
+and the injector / reuse-cache CSR hooks.
 """
 
 import numpy as np
@@ -72,14 +72,16 @@ class TestBackendParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("sort", [False, True])
     def test_csr_equals_scalar_loop(self, points, rng, backend, sort):
+        """A batch answers each row as a 1-row batch does, in row order
+        (the approximate backend's leader state included)."""
         queries = rng.normal(size=(15, 3))
         csr = fresh(points, backend).radius_batch_csr(queries, 0.7, sort=sort)
-        scalar = fresh(points, backend)
+        single = fresh(points, backend)
         got_idx, got_dist = csr.to_list_pair()
         for row, query in enumerate(queries):
-            exp_i, exp_d = scalar.radius(query, 0.7, sort=sort)
-            assert np.array_equal(got_idx[row], exp_i)
-            assert np.array_equal(got_dist[row], exp_d)
+            one = single.radius_batch_csr(query, 0.7, sort=sort)
+            assert np.array_equal(got_idx[row], one.indices)
+            assert np.array_equal(got_dist[row], one.distances)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_all_rows_empty(self, points, rng, backend):
@@ -163,30 +165,20 @@ class TestStatsAccounting:
         searcher.radius_batch_csr(rng.normal(size=(9, 3)), 0.5)
         assert stats.csr_results == 9
 
-    def test_list_only_injector_not_counted(self, points, rng):
-        class ListOnlyInjector:
-            def radius_batch(self, index, queries, r, stats, sort=False):
-                return index.radius_batch(queries, r, stats, sort=sort)
-
-        stats = SearchStats()
-        searcher = fresh(points, "twostage", stats=stats, injector=ListOnlyInjector())
-        result = searcher.radius_batch_csr(rng.normal(size=(9, 3)), 0.5)
-        assert isinstance(result, RaggedNeighborhoods)
-        assert stats.csr_results == 0
-
 
 class TestInjectorParity:
     @pytest.mark.parametrize("sort", [False, True])
     def test_shell_csr_matches_scalar_shell(self, points, rng, sort):
+        """The shell is the r2 ball of the brute-force reference, masked
+        to distances >= r1."""
         shell = ShellRadiusInjector(r1=0.3, r2=0.9)
         queries = rng.normal(size=(20, 3))
         searcher = fresh(points, "bruteforce", injector=shell)
         got_idx, got_dist = searcher.radius_batch_csr(
             queries, 0.5, sort=sort
         ).to_list_pair()
-        reference = build_index(points, SearchConfig(backend="bruteforce"))[0]
         for row, query in enumerate(queries):
-            exp_i, exp_d = reference.radius(query, 0.9, sort=sort)
+            exp_i, exp_d = bruteforce.radius(points, query, 0.9, sort=sort)
             keep = exp_d >= 0.3
             assert np.array_equal(got_idx[row], exp_i[keep])
             assert np.array_equal(got_dist[row], exp_d[keep])
@@ -196,14 +188,20 @@ class TestReuseCacheCSR:
     @pytest.mark.parametrize("sort", [False, True])
     @pytest.mark.parametrize("r", [0.4, 1.0])
     def test_serve_csr_matches_serve(self, points, rng, sort, r):
+        """Each served row equals a fresh 1-row search of that row, up to
+        the cached radius itself."""
         index, _ = build_index(points, SearchConfig(backend="twostage"))
         cache = RadiusReuseCache(index, max_radius=1.0)
         cache.fill(SearchStats())
         rows = rng.choice(len(points), size=60, replace=False).astype(np.int64)
-        exp_idx, exp_dist = cache.serve(rows, r, sort=sort)
+        fresh_rows = [index.radius_batch_csr(points[row], r, sort=sort) for row in rows]
         csr = cache.serve_csr(rows, r, sort=sort)
         assert_well_formed(csr)
-        assert_csr_matches_lists(csr, exp_idx, exp_dist)
+        assert_csr_matches_lists(
+            csr,
+            [one.indices for one in fresh_rows],
+            [one.distances for one in fresh_rows],
+        )
 
     @pytest.mark.parametrize("sort", [False, True])
     def test_serve_csr_matches_fresh_search(self, points, rng, sort):

@@ -1,4 +1,4 @@
-"""Unit tests for the Fig. 7 error injectors."""
+"""Unit tests for the Fig. 7 error injectors, against the brute-force oracle."""
 
 import numpy as np
 import pytest
@@ -19,59 +19,75 @@ def setup(rng):
     return points
 
 
+@pytest.fixture
+def queries(rng):
+    return rng.normal(size=(20, 3))
+
+
+def assert_csr_equal(got, expected):
+    assert np.array_equal(got.offsets, expected.offsets)
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.distances, expected.distances)
+
+
 class TestIdentityInjector:
-    def test_passthrough(self, setup, rng):
+    def test_passthrough(self, setup, queries):
         points = setup
         searcher = build_searcher(points, SearchConfig(), injector=IdentityInjector())
         plain = build_searcher(points, SearchConfig())
-        query = rng.normal(size=3)
-        assert searcher.nn(query) == plain.nn(query)
+        for got, expected in (
+            (searcher.nn_batch(queries), plain.nn_batch(queries)),
+            (searcher.knn_batch(queries, 4), plain.knn_batch(queries, 4)),
+        ):
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+        assert_csr_equal(
+            searcher.radius_batch_csr(queries, 0.8),
+            plain.radius_batch_csr(queries, 0.8),
+        )
 
 
 class TestKthNeighbor:
-    def test_k1_is_exact(self, setup, rng):
+    def test_k1_is_exact(self, setup, queries):
         points = setup
         searcher = build_searcher(
             points, SearchConfig(), injector=KthNeighborInjector(k=1)
         )
-        query = rng.normal(size=3)
-        idx, dist = searcher.nn(query)
-        bf_idx, bf_dist = bruteforce.nn(points, query)
-        assert idx == bf_idx
-        assert dist == pytest.approx(bf_dist)
+        idx, dist = searcher.nn_batch(queries)
+        bf_idx, bf_dist = bruteforce.nn_batch(points, queries)
+        assert np.array_equal(idx, bf_idx)
+        assert np.allclose(dist, bf_dist)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_returns_kth_neighbor(self, setup, rng, k):
+    def test_returns_kth_neighbor(self, setup, queries, k):
         points = setup
         searcher = build_searcher(
             points, SearchConfig(), injector=KthNeighborInjector(k=k)
         )
-        query = rng.normal(size=3)
-        idx, dist = searcher.nn(query)
-        bf_indices, bf_dists = bruteforce.knn(points, query, k)
-        assert idx == bf_indices[-1]
-        assert dist == pytest.approx(bf_dists[-1])
+        idx, dist = searcher.nn_batch(queries)
+        bf_indices, bf_dists = bruteforce.knn_batch(points, queries, k)
+        assert np.array_equal(idx, bf_indices[:, k - 1])
+        assert np.allclose(dist, bf_dists[:, k - 1])
 
-    def test_knn_shifted(self, setup, rng):
+    def test_knn_shifted(self, setup, queries):
         points = setup
         searcher = build_searcher(
             points, SearchConfig(), injector=KthNeighborInjector(k=3)
         )
-        query = rng.normal(size=3)
-        indices, dists = searcher.knn(query, 4)
-        bf_indices, bf_dists = bruteforce.knn(points, query, 6)
-        assert np.array_equal(indices, bf_indices[2:])
-        assert np.allclose(dists, bf_dists[2:])
+        indices, dists = searcher.knn_batch(queries, 4)
+        bf_indices, bf_dists = bruteforce.knn_batch(points, queries, 6)
+        assert np.array_equal(indices, bf_indices[:, 2:])
+        assert np.allclose(dists, bf_dists[:, 2:])
 
-    def test_radius_untouched(self, setup, rng):
+    def test_radius_untouched(self, setup, queries):
         points = setup
         searcher = build_searcher(
             points, SearchConfig(), injector=KthNeighborInjector(k=4)
         )
-        query = rng.normal(size=3)
-        indices, _ = searcher.radius(query, 0.8)
-        bf_indices, _ = bruteforce.radius(points, query, 0.8)
-        assert set(indices.tolist()) == set(bf_indices.tolist())
+        got = searcher.radius_batch_csr(queries, 0.8)
+        expected = bruteforce.radius_batch_csr(points, queries, 0.8)
+        assert np.array_equal(got.offsets, expected.offsets)
+        assert np.array_equal(got.indices, expected.indices)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -79,37 +95,36 @@ class TestKthNeighbor:
 
 
 class TestShellRadius:
-    def test_shell_membership(self, setup, rng):
+    def test_shell_membership(self, setup, queries):
         points = setup
         searcher = build_searcher(
             points, SearchConfig(), injector=ShellRadiusInjector(r1=0.3, r2=0.9)
         )
-        query = rng.normal(size=3)
-        indices, dists = searcher.radius(query, 0.6)  # nominal r ignored
-        assert np.all(dists >= 0.3)
-        assert np.all(dists <= 0.9 + 1e-12)
-        bf_indices, bf_dists = bruteforce.radius(points, query, 0.9)
-        shell = set(bf_indices[bf_dists >= 0.3].tolist())
-        assert set(indices.tolist()) == shell
+        got = searcher.radius_batch_csr(queries, 0.6)  # nominal r ignored
+        assert np.all(got.distances >= 0.3)
+        assert np.all(got.distances <= 0.9 + 1e-12)
+        ball = bruteforce.radius_batch_csr(points, queries, 0.9)
+        shell = ball.mask(ball.distances >= 0.3)
+        assert np.array_equal(got.offsets, shell.offsets)
+        assert np.array_equal(got.indices, shell.indices)
 
-    def test_degenerate_exact_shell(self, setup, rng):
+    def test_degenerate_exact_shell(self, setup, queries):
         points = setup
         searcher = build_searcher(
             points, SearchConfig(), injector=ShellRadiusInjector(r1=0.0, r2=0.7)
         )
-        query = rng.normal(size=3)
-        indices, _ = searcher.radius(query, 0.7)
-        bf_indices, _ = bruteforce.radius(points, query, 0.7)
-        assert set(indices.tolist()) == set(bf_indices.tolist())
+        got = searcher.radius_batch_csr(queries, 0.7)
+        expected = bruteforce.radius_batch_csr(points, queries, 0.7)
+        assert np.array_equal(got.offsets, expected.offsets)
+        assert np.array_equal(got.indices, expected.indices)
 
-    def test_nn_untouched(self, setup, rng):
+    def test_nn_untouched(self, setup, queries):
         points = setup
         searcher = build_searcher(
             points, SearchConfig(), injector=ShellRadiusInjector(r1=0.3, r2=0.9)
         )
-        query = rng.normal(size=3)
-        idx, _ = searcher.nn(query)
-        assert idx == bruteforce.nn(points, query)[0]
+        idx, _ = searcher.nn_batch(queries)
+        assert np.array_equal(idx, bruteforce.nn_batch(points, queries)[0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,6 +143,6 @@ class TestStatsStillCharged:
             stats=stats,
             injector=KthNeighborInjector(k=3),
         )
-        searcher.nn(rng.normal(size=3))
+        searcher.nn_batch(rng.normal(size=3))
         assert stats.nodes_visited > 0
         assert stats.queries == 1

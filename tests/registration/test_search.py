@@ -29,15 +29,15 @@ class TestBackends:
 
     def test_bruteforce_backend(self, points):
         searcher = build_searcher(points, SearchConfig(backend="bruteforce"))
-        idx, dist = searcher.nn(points[3] + 0.001)
-        assert idx == 3
+        idx, dist = searcher.nn_batch(points[3] + 0.001)
+        assert idx.tolist() == [3]
 
     def test_all_backends_agree_on_nn(self, points, rng):
         queries = rng.normal(size=(10, 3))
         answers = {}
         for backend in ("canonical", "twostage", "bruteforce"):
             searcher = build_searcher(points, SearchConfig(backend=backend))
-            answers[backend] = [searcher.nn(q)[1] for q in queries]
+            answers[backend] = searcher.nn_batch(queries)[1]
         assert np.allclose(answers["canonical"], answers["bruteforce"])
         assert np.allclose(answers["twostage"], answers["bruteforce"])
 
@@ -46,15 +46,15 @@ class TestBackends:
         sets = {}
         for backend in ("canonical", "twostage", "bruteforce"):
             searcher = build_searcher(points, SearchConfig(backend=backend))
-            indices, _ = searcher.radius(query, 0.9)
+            indices = searcher.radius_batch_csr(query, 0.9).indices
             sets[backend] = set(indices.tolist())
         assert sets["canonical"] == sets["bruteforce"] == sets["twostage"]
 
     def test_knn_wrapper(self, points, rng):
         searcher = build_searcher(points, SearchConfig())
-        indices, dists = searcher.knn(rng.normal(size=3), 5)
-        assert len(indices) == 5
-        assert np.all(np.diff(dists) >= 0)
+        indices, dists = searcher.knn_batch(rng.normal(size=(3, 3)), 5)
+        assert indices.shape == (3, 5)
+        assert np.all(np.diff(dists, axis=1) >= 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -67,16 +67,17 @@ class TestInstrumentation:
     def test_stats_accumulate(self, points, rng):
         stats = SearchStats()
         searcher = build_searcher(points, SearchConfig(), stats=stats)
-        searcher.nn(rng.normal(size=3))
-        searcher.radius(rng.normal(size=3), 0.5)
+        searcher.nn_batch(rng.normal(size=3))
+        searcher.radius_batch_csr(rng.normal(size=3), 0.5)
         assert stats.queries == 2
+        assert stats.batches == 2
         assert stats.nodes_visited > 0
 
     def test_profiler_charged(self, points, rng):
         profiler = StageProfiler()
         with profiler.stage("Normal Estimation"):
             searcher = build_searcher(points, SearchConfig(), profiler=profiler)
-            searcher.nn(rng.normal(size=3))
+            searcher.nn_batch(rng.normal(size=3))
         timing = profiler.stages["Normal Estimation"]
         assert timing.kdtree_construction > 0
         assert timing.kdtree_search > 0
