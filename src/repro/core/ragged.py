@@ -383,9 +383,9 @@ def lexsort_voxel_groups(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group integer voxel keys: ``(order, sorted_keys, starts, counts)``.
 
-    The shared lexsort -> boundary-scan preamble of every voxel-binning
-    consumer (``PointCloud.voxel_downsample``, ``VoxelMap._apply``):
-    ``order`` sorts points by key; group ``g`` occupies
+    The lexsort -> boundary-scan preamble of voxel binning
+    (``PointCloud.voxel_downsample``; ``VoxelMap`` groups packed keys
+    instead): ``order`` sorts points by key; group ``g`` occupies
     ``order[starts[g]:starts[g] + counts[g]]`` and its key is
     ``sorted_keys[starts[g]]``.  ``keys`` must be non-empty ``(N, 3)``.
     """

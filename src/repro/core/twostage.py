@@ -699,8 +699,7 @@ class TwoStageKDTree:
                 continue
             record.toptree_visits += 1
             pidx = self._node_point[ref]
-            diff = query - self._points[pidx]
-            offer(int(pidx), float(diff @ diff))
+            offer(int(pidx), _point_sq_dist(query, self._points[pidx]))
             dim = self._node_dim[ref]
             delta = query[dim] - self._node_value[ref]
             left_child = self._node_left[ref]

@@ -11,8 +11,8 @@ pipeline that turns open-loop odometry into a drift-corrected map:
   proximity, verified through the existing ``Pipeline.match`` path;
 * :mod:`~repro.mapping.pose_graph` — SE(3) graph optimization that
   redistributes loop-closure corrections over the trajectory;
-* :mod:`~repro.mapping.voxel_map` — an incremental, re-anchorable
-  voxel-hash global map with fused points and occupancy counts;
+* :mod:`~repro.mapping.voxel_map` — a re-anchorable global voxel map
+  with fused points and occupancy counts, one table per keyframe;
 * :mod:`~repro.mapping.mapper` — :class:`StreamingMapper`, the engine
   that streams frames through all of the above.
 """

@@ -1,41 +1,31 @@
-"""Incremental voxel-hash global map with per-voxel point fusion.
+"""Re-anchorable global voxel map: one grouped table per keyframe.
 
-The global map is a hash from integer voxel coordinates to a fused
-point: the running centroid of every inserted point that fell in the
-voxel, plus an occupancy count.  Contributions are tracked **per
-keyframe within each voxel** — a voxel entry is a small map from
-source id to that source's exact point-sum and count — so when
-pose-graph optimization moves keyframes, :meth:`VoxelMap.re_anchor`
-subtracts each moved keyframe's old contribution and re-inserts it at
-the corrected pose, leaving untouched keyframes' work bit-for-bit in
-place.  Removing a contribution deletes the source's entry rather than
-subtracting floats from a shared accumulator, so repeated
-subtract/re-add cycles cannot drift surviving voxel sums, and removing
-mass a source never contributed raises instead of silently emptying
-the voxel.  Spatial queries (nearest / radius) walk only the voxel-key
-neighborhood that can contain hits, the map-level analogue of the
-pipeline's leaf-scan search backends.
+The map fuses keyframe points into cubic voxels of edge ``voxel_size``:
+each occupied voxel holds the centroid of every point that fell in it,
+plus their count.  Each keyframe's contribution is stored once — its
+recorded sensor-frame points and pose, plus the grouping of those
+points at that pose: packed voxel keys (ascending), per-voxel point
+sums and counts.
 
-Internally voxel coordinates are packed into one signed-21-bit-per-axis
-``int64`` hash key: scalar ints hash faster than coordinate tuples and
-a grouped array of them round-trips to Python lists in one flat
-``tolist``, which is what lets :meth:`VoxelMap.re_anchor` batch all
-moved keyframes through a single vectorized grouping pass.  Each
-source's entire contribution lives in **one shared table**
-``[sums (G, 3), counts (G,), rowmap {key: row}, keys (G,)]`` that every
-voxel the source touches references; a voxel entry is just a pointer
-to its source's table, and the packed voxel key indexes the row.  The
-payoff is in :meth:`VoxelMap.re_anchor`: moving a source mutates its
-table in place — one array swap plus one C-level ``dict(zip(...))``
-rebuild — so the per-voxel Python work shrinks to the *symmetric
-difference* of the old and new voxel-key sets instead of every touched
-voxel (re-binning hundreds of thousands of per-voxel entries was the
-old hot spot).
+:meth:`VoxelMap.insert` and :meth:`VoxelMap.re_anchor` compute every
+new grouping before they store anything, then replace whole tables.  A
+rejected call therefore leaves the map as it was, no other keyframe's
+table is ever touched, and nothing is subtracted from a shared sum, so
+no number of re-anchorings can drift the map.
+
+Readers see the fused view: one row per occupied voxel, ascending by
+packed key, each voxel's sum one ``reduceat`` over its keyframes' sums
+taken in keyframe-id order.  The view is built from the tables by the
+same grouping routine that builds a table, on the first read after a
+change, and cached until the next change.  It depends only on the keyframes' points and
+current poses, never on the inserts and re-anchors that led there.
+Spatial queries (nearest / radius) are vectorized scans of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,18 +39,32 @@ __all__ = ["VoxelMapConfig", "VoxelMap"]
 # packed keys reproduces the lexicographic voxel order exactly.
 _KEY_BITS = 21
 _KEY_BIAS = 1 << (_KEY_BITS - 1)
-_KEY_MASK = (1 << _KEY_BITS) - 1
+
+# A keyframe whose optimized pose moved less than both tolerances keeps
+# its table on re-anchoring: re-binning points that moved microns buys
+# nothing.
+_REANCHOR_TRANSLATION_TOL = 1e-6  # meters
+_REANCHOR_ROTATION_TOL_DEG = 1e-4
+
+# The grouping of no points: (keys (0,), sums (0, 3), counts (0,)).
+_NO_ROWS = (
+    np.empty(0, dtype=np.int64),
+    np.empty((0, 3)),
+    np.empty(0, dtype=np.int64),
+)
 
 
-def _pack_keys(keys: np.ndarray) -> np.ndarray:
-    """Pack (N, 3) integer voxel coordinates into (N,) int64 hash keys."""
-    if len(keys) and (
-        int(keys.min()) < -_KEY_BIAS or int(keys.max()) >= _KEY_BIAS
-    ):
+def _pack_keys(cells: np.ndarray) -> np.ndarray:
+    """Pack (N, 3) voxel coordinates into (N,) int64 keys.
+
+    ``cells`` may hold floored floats: the range check runs before the
+    integer cast, so no coordinate can wrap into a neighbouring field.
+    """
+    if len(cells) and (cells.min() < -_KEY_BIAS or cells.max() >= _KEY_BIAS):
         raise ValueError(
             f"voxel coordinates exceed the packed +-{_KEY_BIAS} range"
         )
-    biased = keys + _KEY_BIAS
+    biased = cells.astype(np.int64) + _KEY_BIAS
     return (
         (biased[:, 0] << (2 * _KEY_BITS))
         | (biased[:, 1] << _KEY_BITS)
@@ -68,38 +72,41 @@ def _pack_keys(keys: np.ndarray) -> np.ndarray:
     )
 
 
-def _pack_key(kx: int, ky: int, kz: int) -> int:
-    """Scalar form of :func:`_pack_keys` (Python ints, no range check)."""
+def _group(keys: np.ndarray, sums: np.ndarray, counts: np.ndarray):
+    """Merge rows that share a packed key: ``(keys, sums, counts)``.
+
+    A stable argsort keeps each key's rows in input order, the run
+    starts mark where the sorted key changes, and one ``reduceat`` each
+    adds a run's sums and counts.  Output keys ascend.  This one routine
+    builds a keyframe's table (rows: its world points, count 1 each) and
+    the fused view (rows: every table's rows, tables in keyframe-id
+    order).
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # Packed keys are non-negative, so the -1 sentinel opens the first run.
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return (
-        ((kx + _KEY_BIAS) << (2 * _KEY_BITS))
-        | ((ky + _KEY_BIAS) << _KEY_BITS)
-        | (kz + _KEY_BIAS)
+        keys[starts],
+        # take() gathers (N, 3) rows ~3x faster than fancy indexing.
+        np.add.reduceat(sums.take(order, axis=0), starts, axis=0),
+        np.add.reduceat(counts[order], starts),
     )
 
 
-def _unpack_key(packed: int) -> tuple[int, int, int]:
-    """Inverse of :func:`_pack_key`, for error messages and key dumps."""
-    return (
-        int((packed >> (2 * _KEY_BITS)) - _KEY_BIAS),
-        int(((packed >> _KEY_BITS) & _KEY_MASK) - _KEY_BIAS),
-        int((packed & _KEY_MASK) - _KEY_BIAS),
-    )
+class _Keyframe(NamedTuple):
+    """One keyframe's contribution: its recorded input and grouping."""
+
+    points: np.ndarray  # (N, 3) sensor-frame points
+    pose: np.ndarray  # (4, 4) pose the table was grouped at
+    table: tuple[np.ndarray, np.ndarray, np.ndarray]  # keys, sums, counts
 
 
 @dataclass(frozen=True)
 class VoxelMapConfig:
-    """Map resolution and re-anchoring sensitivity.
-
-    ``voxel_size`` is the fusion cell edge in meters.  Keyframes whose
-    optimized pose moved less than ``reanchor_translation_tol`` meters
-    and ``reanchor_rotation_tol_deg`` degrees keep their existing map
-    contribution on :meth:`VoxelMap.re_anchor` — re-binning points that
-    moved microns buys nothing.
-    """
+    """Map resolution: ``voxel_size`` is the fusion cell edge in meters."""
 
     voxel_size: float = 0.25
-    reanchor_translation_tol: float = 1e-6
-    reanchor_rotation_tol_deg: float = 1e-4
 
     def __post_init__(self):
         if self.voxel_size <= 0:
@@ -107,19 +114,13 @@ class VoxelMapConfig:
 
 
 class VoxelMap:
-    """A fused global point map, keyed by voxel hash, re-anchorable."""
+    """A fused global point map, keyed by packed voxel key, re-anchorable."""
 
     def __init__(self, config: VoxelMapConfig | None = None):
         self.config = config or VoxelMapConfig()
-        # packed voxel key -> {source id: that source's shared table}
-        self._voxels: dict[int, dict[int, list]] = {}
-        # source id -> [sums (G, 3), counts (G,), rowmap {key: row},
-        # keys (G,)]: the source's whole grouped contribution, one
-        # object shared by every voxel entry that references it.
-        self._tables: dict[int, list] = {}
-        # keyframe id -> (local points (N, 3), pose used at insertion)
-        self._sources: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._n_points = 0
+        self._keyframes: dict[int, _Keyframe] = {}
+        # (keys (V,), sums (V, 3), counts (V,)); None after a change.
+        self._view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Occupancy accounting.
@@ -127,22 +128,19 @@ class VoxelMap:
 
     @property
     def n_voxels(self) -> int:
-        return len(self._voxels)
+        return len(self._fused_view()[0])
 
     @property
     def n_points(self) -> int:
         """Total fused points (occupancy mass) across all voxels."""
-        return self._n_points
+        return int(self._fused_view()[2].sum())
 
     def count(self, key: tuple[int, int, int]) -> int:
         """Occupancy count of one voxel (0 when empty)."""
-        packed = _pack_key(*key)
-        contributions = self._voxels.get(packed)
-        if contributions is None:
-            return 0
-        return int(
-            sum(table[1][table[2][packed]] for table in contributions.values())
-        )
+        keys, _, counts = self._fused_view()
+        packed = _pack_keys(np.array([key], dtype=np.int64))[0]
+        row = int(np.searchsorted(keys, packed))
+        return int(counts[row]) if row < len(keys) and keys[row] == packed else 0
 
     def keys(self, points: np.ndarray) -> np.ndarray:
         """Integer voxel coordinates for an (N, 3) array of points."""
@@ -158,384 +156,103 @@ class VoxelMap:
 
         ``source_id`` identifies the contribution for later
         re-anchoring; inserting an id twice replaces its previous
-        contribution (the degenerate form of re-anchoring).
+        contribution.  Non-finite input or a voxel outside the packed
+        key range raises ``ValueError`` and leaves the map as it was.
         """
         local_points = np.atleast_2d(np.asarray(local_points, dtype=np.float64))
         if local_points.shape[1] != 3:
             raise ValueError(f"points must be (N, 3), got {local_points.shape}")
-        if source_id in self._sources:
-            self._remove(source_id)
-        pose = np.array(pose, dtype=np.float64)
-        self._sources[source_id] = (local_points, pose)
-        self._add(source_id, local_points, pose)
+        self._keyframes[source_id] = self._grouped(
+            local_points, np.array(pose, dtype=np.float64)
+        )
+        self._view = None
 
     def re_anchor(self, poses: dict[int, np.ndarray]) -> int:
         """Move contributions to optimized poses; returns how many moved.
 
-        Only keyframes whose pose changed beyond the configured
-        tolerances are re-binned; the rest of the map is untouched —
-        the "incremental" half of the contract.  Because contributions
-        are stored per source, the subtract/re-add cycle rebuilds the
-        moved keyframe's voxel sums exactly and cannot perturb the
-        sums of keyframes that stayed put.
-
-        All moved keyframes are re-binned in **one** grouped
-        subtract/re-add cycle (:meth:`_apply`): their old-pose and
-        new-pose voxel groups come from two batched sort passes, each
-        source's shared table is swapped to the new grouping in place
-        (which retargets every voxel that references it at once), and
-        per-voxel dict updates run only over the symmetric difference
-        of the old and new key sets.  Sums are bit-identical to the
-        per-source cycle because every group is a contiguous
-        stably-sorted run of one source's points.
+        Keyframes whose pose moved less than the re-anchoring tolerances
+        keep their table, and ids the map does not hold are ignored.
+        Every moved keyframe's table is regrouped before any is stored,
+        so a rejected pose raises ``ValueError`` and leaves the map as
+        it was.
         """
-        moves = []
+        moved = {}
         for source_id, new_pose in poses.items():
-            if source_id not in self._sources:
+            keyframe = self._keyframes.get(source_id)
+            if keyframe is None:
                 continue
-            local_points, old_pose = self._sources[source_id]
-            rotation, translation = se3.transform_distance(old_pose, new_pose)
+            rotation, translation = se3.transform_distance(keyframe.pose, new_pose)
             if (
-                translation < self.config.reanchor_translation_tol
-                and np.degrees(rotation) < self.config.reanchor_rotation_tol_deg
+                translation < _REANCHOR_TRANSLATION_TOL
+                and np.degrees(rotation) < _REANCHOR_ROTATION_TOL_DEG
             ):
                 continue
-            moves.append(
-                (source_id, local_points, old_pose, np.array(new_pose, dtype=np.float64))
+            moved[source_id] = self._grouped(
+                keyframe.points, np.array(new_pose, dtype=np.float64)
             )
-        if not moves:
-            return 0
-        self._apply(moves)
-        for source_id, local_points, _, new_pose in moves:
-            self._sources[source_id] = (local_points, new_pose)
-        return len(moves)
+        if moved:
+            self._keyframes.update(moved)
+            self._view = None
+        return len(moved)
 
-    def _remove(self, source_id: int) -> None:
-        local_points, pose = self._sources.pop(source_id)
-        self._subtract(source_id, local_points, pose)
-
-    def _grouped(self, local_points: np.ndarray, pose: np.ndarray):
-        """Voxel groups of one contribution: ``(keys, sums, counts)``.
-
-        ``keys`` is the (G,) int64 array of packed voxel keys (one per
-        touched voxel, ascending), ``sums`` the matching ``(G, 3)``
-        per-voxel point sums from one ``reduceat`` pass over the stably
-        sorted world-frame points, ``counts`` the (G,) int64 occupancy
-        counts.  Deterministic: the same points and pose always produce
-        the same groups, which is what lets removal re-derive exactly
-        the voxels an insertion touched.
-        """
+    def _grouped(self, local_points: np.ndarray, pose: np.ndarray) -> _Keyframe:
+        """A keyframe's record: its points grouped by voxel at ``pose``."""
+        if not (np.isfinite(local_points).all() and np.isfinite(pose).all()):
+            raise ValueError("keyframe points and pose must be finite")
         world = se3.apply_transform(pose, local_points)
-        if len(world) == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, 3)),
-                np.empty(0, dtype=np.int64),
-            )
-        packed = _pack_keys(self.keys(world))
-        order = np.argsort(packed, kind="stable")
-        sorted_keys = packed[order]
-        boundary = np.empty(len(order), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = np.diff(sorted_keys) != 0
-        starts = np.nonzero(boundary)[0]
-        counts = np.diff(np.append(starts, len(order)))
-        sums = np.add.reduceat(world[order], starts, axis=0)
-        return sorted_keys[starts], sums, counts
-
-    @staticmethod
-    def _make_table(keys: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> list:
-        """A source's shared contribution table for one grouping."""
-        return [sums, counts, dict(zip(keys.tolist(), range(len(keys)))), keys]
-
-    def _add(self, source_id: int, local_points: np.ndarray, pose: np.ndarray) -> None:
-        keys, sums, counts = self._grouped(local_points, pose)
-        table = self._make_table(keys, sums, counts)
-        self._tables[source_id] = table
-        voxels = self._voxels
-        for key in keys.tolist():
-            contributions = voxels.get(key)
-            if contributions is None:
-                voxels[key] = {source_id: table}
-            else:
-                contributions[source_id] = table
-        self._n_points += int(counts.sum())
-
-    def _validate_grouping(self, source_id: int, keys: np.ndarray, counts: np.ndarray):
-        """Check a recomputed grouping against the source's stored table.
-
-        The recorded ``(points, pose)`` must reproduce the stored
-        grouping exactly (grouping is deterministic), so any mismatch
-        is an accounting error: ``KeyError`` when the source claims a
-        voxel its table never touched (or vice versa), ``ValueError``
-        when a shared voxel's count disagrees — the errors the old
-        aggregate representation silently swallowed by deleting voxels
-        whose count went negative.
-        """
-        table = self._tables.get(source_id)
-        if table is None:
-            raise KeyError(f"source {source_id} has no contribution table")
-        if not np.array_equal(keys, table[3]):
-            rowmap = table[2]
-            for key in keys.tolist():
-                if key not in rowmap:
-                    raise KeyError(
-                        f"source {source_id} has no contribution in voxel "
-                        f"{_unpack_key(key)}"
-                    )
-            raise KeyError(
-                f"source {source_id}: recorded points touch fewer voxels "
-                "than its contribution table"
-            )
-        if not np.array_equal(counts, table[1]):
-            row = int(np.nonzero(counts != table[1])[0][0])
-            raise ValueError(
-                f"voxel {_unpack_key(int(keys[row]))}: source {source_id} "
-                f"removing {int(counts[row])} points but contributed "
-                f"{int(table[1][row])}"
-            )
-        return table
-
-    def _subtract(self, source_id: int, local_points: np.ndarray, pose: np.ndarray) -> None:
-        """Delete one source's voxel entries and table (exact, no float math)."""
-        keys, _, counts = self._grouped(local_points, pose)
-        self._validate_grouping(source_id, keys, counts)
-        voxels = self._voxels
-        for key in keys.tolist():
-            contributions = voxels.get(key)
-            if contributions is None or source_id not in contributions:
-                raise KeyError(
-                    f"source {source_id} has no contribution in voxel "
-                    f"{_unpack_key(key)}"
-                )
-            del contributions[source_id]
-            if not contributions:
-                del voxels[key]
-        del self._tables[source_id]
-        self._n_points -= int(counts.sum())
-
-    def _grouped_moves(self, moves: list, side: int, with_sums: bool = True):
-        """Voxel groups of every move's old (0) or new (1) pose, batched.
-
-        Returns ``(slots, keys, sums, counts)`` — one row per touched
-        ``(move slot, voxel)`` pair, sorted by (slot, packed key).  One
-        lexsort and one ``reduceat`` cover all moved sources; each
-        group is a contiguous run of a single source's points in their
-        stable per-source order, so its sum is bit-identical to the
-        per-source :meth:`_grouped` pass.  ``with_sums=False`` skips
-        the ``reduceat`` for the old side, where only keys and counts
-        feed validation.
-        """
-        key_parts, point_parts, slot_parts = [], [], []
-        for slot, (_, local_points, old_pose, new_pose) in enumerate(moves):
-            world = se3.apply_transform(
-                old_pose if side == 0 else new_pose, local_points
-            )
-            if len(world) == 0:
-                continue
-            key_parts.append(_pack_keys(self.keys(world)))
-            point_parts.append(world)
-            slot_parts.append(np.full(len(world), slot, dtype=np.int64))
-        if not key_parts:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty((0, 3)),
-                np.empty(0, dtype=np.int64),
-            )
-        keys = np.concatenate(key_parts)
-        slots = np.concatenate(slot_parts)
-        order = np.lexsort((keys, slots))
-        sorted_keys = keys[order]
-        sorted_slots = slots[order]
-        boundary = np.empty(len(order), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (np.diff(sorted_slots) != 0) | (np.diff(sorted_keys) != 0)
-        starts = np.nonzero(boundary)[0]
-        counts = np.diff(np.append(starts, len(order)))
-        if with_sums:
-            points = np.concatenate(point_parts)
-            sums = np.add.reduceat(points[order], starts, axis=0)
-        else:
-            sums = np.empty((0, 3))
-        return sorted_slots[starts], sorted_keys[starts], sums, counts
-
-    def _apply(self, moves: list) -> None:
-        """One grouped subtract/re-add cycle over all moved keyframes.
-
-        The old-pose and new-pose voxel groups come from two batched
-        sort passes.  Per moved source, the recomputed old grouping is
-        validated against its stored table
-        (:meth:`_validate_grouping`), the table is swapped to the new
-        grouping **in place** — every voxel referencing it sees the
-        move at once, no per-voxel visits — and only the symmetric
-        difference of the old and new key sets pays per-voxel dict
-        updates (pops on vacated voxels, inserts on newly occupied
-        ones).
-        """
-        old_slots, old_keys, _, old_counts = self._grouped_moves(
-            moves, 0, with_sums=False
-        )
-        new_slots, new_keys, new_sums, new_counts = self._grouped_moves(moves, 1)
-
-        voxels = self._voxels
-        delta = 0
-        for slot, (source_id, _, _, _) in enumerate(moves):
-            old_lo, old_hi = np.searchsorted(old_slots, [slot, slot + 1])
-            new_lo, new_hi = np.searchsorted(new_slots, [slot, slot + 1])
-            keys_before = old_keys[old_lo:old_hi]
-            keys_after = new_keys[new_lo:new_hi]
-            table = self._validate_grouping(
-                source_id, keys_before, old_counts[old_lo:old_hi]
-            )
-            delta += int(new_counts[new_lo:new_hi].sum()) - int(table[1].sum())
-
-            vacated = keys_before[
-                ~np.isin(keys_before, keys_after, assume_unique=True)
-            ]
-            occupied = keys_after[
-                ~np.isin(keys_after, keys_before, assume_unique=True)
-            ]
-            # Swap the shared table to the new grouping: rows reindex
-            # into this move's slice, and the rowmap rebuild is one
-            # C-level dict(zip(...)) instead of a per-voxel loop.
-            table[0] = new_sums[new_lo:new_hi]
-            table[1] = new_counts[new_lo:new_hi]
-            table[2] = dict(zip(keys_after.tolist(), range(len(keys_after))))
-            table[3] = keys_after
-
-            for key in vacated.tolist():
-                contributions = voxels.get(key)
-                if contributions is None or source_id not in contributions:
-                    raise KeyError(
-                        f"source {source_id} has no contribution in voxel "
-                        f"{_unpack_key(key)}"
-                    )
-                del contributions[source_id]
-                if not contributions:
-                    del voxels[key]
-
-            for key in occupied.tolist():
-                contributions = voxels.get(key)
-                if contributions is None:
-                    voxels[key] = {source_id: table}
-                else:
-                    contributions[source_id] = table
-
-        self._n_points += delta
+        keys = _pack_keys(np.floor(world / self.config.voxel_size))
+        table = _group(keys, world, np.ones(len(world), dtype=np.int64))
+        return _Keyframe(local_points, pose, table)
 
     # ------------------------------------------------------------------
     # Fused views and spatial queries.
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _fused(key: int, contributions: dict[int, list]) -> np.ndarray:
-        """One voxel's fused centroid from its sources' shared tables."""
-        tables = iter(contributions.values())
-        first = next(tables)
-        row = first[2][key]
-        point_sum = first[0][row]
-        count = first[1][row]
-        for table in tables:
-            row = table[2][key]
-            point_sum = point_sum + table[0][row]
-            count = count + table[1][row]
-        return point_sum / count
+    def _fused_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fused view ``(keys, sums, counts)``, ascending by key."""
+        if self._view is None:
+            # Stack the tables column by column, in keyframe-id order.
+            columns = zip(
+                _NO_ROWS,
+                *(self._keyframes[i].table for i in sorted(self._keyframes)),
+            )
+            self._view = _group(*(np.concatenate(c) for c in columns))
+        return self._view
 
     def fused_points(self) -> np.ndarray:
-        """Per-voxel fused centroids, (V, 3), in hash order."""
-        if not self._voxels:
-            return np.empty((0, 3))
-        return np.array(
-            [
-                self._fused(key, contributions)
-                for key, contributions in self._voxels.items()
-            ]
-        )
+        """Per-voxel fused centroids, (V, 3), ascending by voxel key."""
+        _, sums, counts = self._fused_view()
+        return sums / counts[:, None]
 
     def to_cloud(self) -> PointCloud:
         """The fused map as a ``PointCloud`` with a ``count`` channel."""
-        counts = np.array(
-            [
-                sum(table[1][table[2][key]] for table in contributions.values())
-                for key, contributions in self._voxels.items()
-            ],
-            dtype=np.int64,
-        )
-        return PointCloud(self.fused_points().reshape(-1, 3), count=counts)
+        return PointCloud(self.fused_points(), count=self._fused_view()[2].copy())
 
     def radius(self, query: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Fused points within ``r`` of ``query``: (points (K, 3), dists).
 
-        Visits only voxel keys whose cell can intersect the ball, so
-        cost scales with the neighborhood, not the map.  Results are
-        ordered by ascending distance.
+        Results are ordered by ascending distance.
         """
         if r < 0:
             raise ValueError("radius must be non-negative")
-        query = np.asarray(query, dtype=np.float64).reshape(3)
-        size = self.config.voxel_size
-        # Clamp to the packable key range: no voxel exists outside it,
-        # and packing out-of-range cells could alias in-range keys.
-        lo = np.clip(
-            np.floor((query - r) / size), -_KEY_BIAS, _KEY_BIAS - 1
-        ).astype(np.int64)
-        hi = np.clip(
-            np.floor((query + r) / size), -_KEY_BIAS, _KEY_BIAS - 1
-        ).astype(np.int64)
-        hits: list[np.ndarray] = []
-        dists: list[float] = []
-        for kx in range(int(lo[0]), int(hi[0]) + 1):
-            for ky in range(int(lo[1]), int(hi[1]) + 1):
-                for kz in range(int(lo[2]), int(hi[2]) + 1):
-                    packed = _pack_key(kx, ky, kz)
-                    contributions = self._voxels.get(packed)
-                    if contributions is None:
-                        continue
-                    fused = self._fused(packed, contributions)
-                    dist = float(np.linalg.norm(fused - query))
-                    if dist <= r:
-                        hits.append(fused)
-                        dists.append(dist)
-        if not hits:
-            return np.empty((0, 3)), np.empty(0)
-        order = np.argsort(dists, kind="stable")
-        return np.array(hits)[order], np.asarray(dists)[order]
+        points, dists = self._distances(query)
+        hits = np.flatnonzero(dists <= r)
+        hits = hits[np.argsort(dists[hits], kind="stable")]
+        return points[hits], dists[hits]
 
     def nearest(self, query: np.ndarray) -> tuple[np.ndarray, float]:
         """The fused point nearest ``query``: (point (3,), distance).
 
-        Expands the search radius geometrically from one voxel edge, so
-        near queries stay cheap; raises on an empty map.
+        Raises on an empty map.
         """
-        if not self._voxels:
+        points, dists = self._distances(query)
+        if len(points) == 0:
             raise ValueError("cannot query an empty map")
-        query = np.asarray(query, dtype=np.float64).reshape(3)
-        r = self.config.voxel_size
-        while True:
-            points, dists = self.radius(query, r)
-            # A hit is conclusive only once the ball provably contains
-            # it: a fused point can sit in a voxel outside a smaller r.
-            if len(points) > 0:
-                return points[0], float(dists[0])
-            r *= 2.0
-            if r > self._span() + 2.0 * self.config.voxel_size:
-                # One final exhaustive pass (query far outside the map).
-                fused = self.fused_points()
-                all_dists = np.linalg.norm(fused - query, axis=1)
-                best = int(np.argmin(all_dists))
-                return fused[best], float(all_dists[best])
+        best = int(np.argmin(dists))
+        return points[best], float(dists[best])
 
-    def _span(self) -> float:
-        """Diagonal of the occupied-voxel bounding box, in meters."""
-        packed = np.fromiter(
-            self._voxels, dtype=np.int64, count=len(self._voxels)
-        )
-        keys = np.empty((len(packed), 3))
-        keys[:, 0] = (packed >> (2 * _KEY_BITS)) - _KEY_BIAS
-        keys[:, 1] = ((packed >> _KEY_BITS) & _KEY_MASK) - _KEY_BIAS
-        keys[:, 2] = (packed & _KEY_MASK) - _KEY_BIAS
-        return float(
-            np.linalg.norm((keys.max(axis=0) - keys.min(axis=0) + 1.0))
-            * self.config.voxel_size
-        )
+    def _distances(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every fused centroid and its distance to ``query``."""
+        points = self.fused_points()
+        query = np.asarray(query, dtype=np.float64).reshape(3)
+        return points, np.linalg.norm(points - query, axis=1)

@@ -156,6 +156,22 @@ class TestSummationOrder:
             assert np.array_equal(got, lanes), self.GOLDEN
             assert np.all(padding == np.inf)
 
+    @pytest.mark.parametrize("leaf_size", [1, 8, 64])
+    def test_knn_of_one_equals_nn(self, leaf_size):
+        """Every path sums a top-tree node point's distance left to right.
+
+        On coordinates that are not dyadic another order moves the last
+        bit of some distances, so a 1-NN kNN batch must equal the NN
+        batch bit for bit."""
+        rng = np.random.default_rng(0)
+        points = 20.0 * rng.normal(size=(3000, 3))
+        queries = 20.0 * rng.normal(size=(2000, 3))
+        tree = TwoStageKDTree.from_leaf_size(points, leaf_size)
+        nn_indices, nn_dists = tree.nn_batch(queries)
+        knn_indices, knn_dists = tree.knn_batch(queries, 1)
+        assert np.array_equal(knn_indices[:, 0], nn_indices)
+        assert np.array_equal(knn_dists[:, 0], nn_dists)
+
 
 def assert_backends_agree(points, queries, radii, heights=(0, 1, 2, 3, 5)):
     """Twostage batch, twostage scalar and brute force, bit for bit."""

@@ -19,6 +19,7 @@ from repro.geometry import metrics, se3
 from repro.io import SceneSuite, default_test_model
 from repro.mapping import (
     StreamingMapper,
+    voxel_map,
     urban_loop_mapper_config,
     urban_loop_pipeline,
 )
@@ -176,9 +177,9 @@ class TestMapperMechanics:
         assert mapper.stats.n_optimizations >= 1
         assert mapper.stats.n_reanchored >= 1
         for keyframe, pose in zip(mapper.keyframes, mapper.keyframe_poses()):
-            _, recorded_pose = mapper.map._sources[keyframe.index]
+            recorded_pose = mapper.map._keyframes[keyframe.index].pose
             rotation, translation = se3.transform_distance(recorded_pose, pose)
-            assert translation < mapper.map.config.reanchor_translation_tol + 1e-9
+            assert translation < voxel_map._REANCHOR_TRANSLATION_TOL + 1e-9
         assert mapper.stats.loop_seconds > 0.0
         assert mapper.stats.optimize_seconds > 0.0
         # Re-anchoring is accounted separately from the solver.

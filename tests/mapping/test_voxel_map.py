@@ -1,4 +1,4 @@
-"""Unit tests for the incremental voxel-hash global map."""
+"""Unit tests for the re-anchorable voxel map."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,21 @@ from repro.mapping import VoxelMap, VoxelMapConfig
 
 def make_map(voxel_size: float = 0.5) -> VoxelMap:
     return VoxelMap(VoxelMapConfig(voxel_size=voxel_size))
+
+
+def assert_same_map(vmap: VoxelMap, expected: VoxelMap) -> None:
+    """Fused points and counts are equal bit for bit, row for row, and
+    the rows ascend by voxel key."""
+    ours, theirs = vmap.to_cloud(), expected.to_cloud()
+    np.testing.assert_array_equal(ours.points, theirs.points)
+    np.testing.assert_array_equal(
+        ours.get_attribute("count"), theirs.get_attribute("count")
+    )
+    rows = [tuple(key) for key in vmap.keys(ours.points).tolist()]
+    assert rows == sorted(set(rows))
+
+
+FAR = se3.make_transform(np.eye(3), [3e6, 0.0, 0.0])  # beyond the key range
 
 
 class TestInsertion:
@@ -93,27 +108,13 @@ class TestReAnchoring:
         keys = vmap.keys(static)
         assert all(vmap.count(tuple(key)) > 0 for key in keys)
 
-    def test_mismatched_removal_raises(self):
-        """Removing mass a source never contributed is an accounting
-        error and must raise, not silently delete voxels (the old
-        aggregate representation swallowed negative counts)."""
-        vmap = make_map(1.0)
-        vmap.insert(0, [[0.5, 0.5, 0.5]], se3.identity())
-        vmap.insert(1, [[0.5, 0.5, 0.5]], se3.identity())
-        # Corrupt the bookkeeping the way a mismatched removal would:
-        # source 1's recorded points no longer match what it inserted.
-        points, pose = vmap._sources[1]
-        vmap._sources[1] = (np.array([[9.5, 9.5, 9.5]]), pose)
-        with pytest.raises(KeyError):
-            vmap.re_anchor({1: se3.make_transform(np.eye(3), [3.0, 0, 0])})
-
     def test_repeated_reanchor_cycles_do_not_drift(self, rng):
-        """Many subtract/re-add cycles leave surviving sums exact.
+        """Many re-anchorings leave no drift.
 
         A keyframe sharing voxels with a static keyframe is re-anchored
-        back and forth many times; per-source contribution storage means
-        the static keyframe's sums are bit-identical afterwards and the
-        final map matches a from-scratch rebuild."""
+        back and forth many times; each re-anchoring replaces its table
+        whole, so the final map equals a from-scratch rebuild bit for
+        bit."""
         points_static = rng.uniform(-2, 2, size=(300, 3))
         points_moving = rng.uniform(-2, 2, size=(300, 3))
         vmap = make_map(0.5)
@@ -131,16 +132,7 @@ class TestReAnchoring:
         fresh.insert(1, points_moving, final_pose)
         assert vmap.n_voxels == fresh.n_voxels
         assert vmap.n_points == fresh.n_points
-        ours, theirs = vmap.to_cloud(), fresh.to_cloud()
-        order_a = np.lexsort(ours.points.T)
-        order_b = np.lexsort(theirs.points.T)
-        np.testing.assert_allclose(
-            ours.points[order_a], theirs.points[order_b], atol=1e-12
-        )
-        np.testing.assert_array_equal(
-            ours.get_attribute("count")[order_a],
-            theirs.get_attribute("count")[order_b],
-        )
+        assert_same_map(vmap, fresh)
 
     def test_reanchor_matches_fresh_insertion(self, rng):
         """Re-anchoring equals building the map at the new pose."""
@@ -152,13 +144,104 @@ class TestReAnchoring:
         fresh = make_map(0.5)
         fresh.insert(0, points, new_pose)
         assert incremental.n_voxels == fresh.n_voxels
-        a = incremental.to_cloud()
-        b = fresh.to_cloud()
-        order_a = np.lexsort(a.points.T)
-        order_b = np.lexsort(b.points.T)
-        np.testing.assert_allclose(
-            a.points[order_a], b.points[order_b], atol=1e-9
-        )
+        assert_same_map(incremental, fresh)
+
+
+class TestHistoryIndependence:
+    def test_map_equals_a_fresh_build_at_the_final_poses(self, rng):
+        """A map depends on its keyframes' points and final poses only.
+
+        Four overlapping keyframes share voxels, so the order their sums
+        are added in shows in the fused points.  Each is re-anchored a
+        different number of times; a fresh map built at the final poses,
+        inserted in another order, must match bit for bit."""
+        clouds = [rng.uniform(-2, 2, size=(200, 3)) for _ in range(4)]
+        vmap = make_map(0.5)
+        final = {}
+        for source_id, cloud in enumerate(clouds):
+            final[source_id] = se3.identity()
+            vmap.insert(source_id, cloud, final[source_id])
+        for cycle in range(12):
+            moves = {
+                source_id: se3.make_transform(
+                    se3.rot_z(0.013 * (cycle + source_id)),
+                    [0.07 * cycle, -0.05 * source_id, 0.01 * cycle],
+                )
+                for source_id in range(4)
+                if (cycle + source_id) % 3
+            }
+            assert vmap.re_anchor(moves) == len(moves)
+            final.update(moves)
+        fresh = make_map(0.5)
+        for source_id in (2, 0, 3, 1):
+            fresh.insert(source_id, clouds[source_id], final[source_id])
+        assert_same_map(vmap, fresh)
+
+    def test_shared_voxels_sum_in_keyframe_id_order(self, rng):
+        """Each voxel's sum is one ``reduceat`` over its keyframes' sums
+        taken in keyframe-id order, whatever the insertion order."""
+        cells = np.stack(
+            np.meshgrid(np.arange(10), np.arange(10), np.arange(5), indexing="ij"),
+            axis=-1,
+        ).reshape(-1, 3)  # lexicographic, so ascending by voxel key
+        clouds = [cells + rng.uniform(0.01, 0.99, size=cells.shape) for _ in range(3)]
+        vmap = make_map(1.0)
+        for source_id in (2, 0, 1):
+            vmap.insert(source_id, clouds[source_id], se3.identity())
+        # One point per keyframe and voxel: voxel v's rows are keyframes
+        # 0, 1, 2 at rows 3v, 3v + 1, 3v + 2.
+        rows = np.stack(clouds, axis=1).reshape(-1, 3)
+        sums = np.add.reduceat(rows, np.arange(0, len(rows), 3), axis=0)
+        np.testing.assert_array_equal(vmap.fused_points(), sums / 3)
+
+
+class TestRejectedInput:
+    """A rejected insert or re-anchor leaves the map as it was, and every
+    keyframe the map holds can still be re-anchored afterwards."""
+
+    SHIFT = se3.make_transform(np.eye(3), [4.0, 0.0, 0.0])
+
+    @staticmethod
+    def two_keyframes() -> VoxelMap:
+        vmap = make_map(1.0)
+        vmap.insert(0, [[0.5, 0.5, 0.5], [0.6, 0.6, 0.6]], se3.identity())
+        vmap.insert(1, [[2.5, 0.5, 0.5]], se3.identity())
+        return vmap
+
+    @staticmethod
+    def assert_unchanged(vmap: VoxelMap) -> None:
+        assert (vmap.n_voxels, vmap.n_points) == (2, 3)
+        assert_same_map(vmap, TestRejectedInput.two_keyframes())
+
+    @pytest.mark.parametrize(
+        "source_id, points, pose, message",
+        [
+            (2, [[0.5, 0.5, 0.5]], FAR, "packed"),
+            (0, [[0.5, 0.5, 0.5]], FAR, "packed"),
+            (2, [[np.nan, 0.5, 0.5]], se3.identity(), "finite"),
+            (0, [[0.5, 0.5, 0.5]], np.full((4, 4), np.inf), "finite"),
+        ],
+        ids=["new-id-out-of-range", "repeated-id-out-of-range", "nan-point", "inf-pose"],
+    )
+    def test_rejected_insert(self, source_id, points, pose, message):
+        vmap = self.two_keyframes()
+        with pytest.raises(ValueError, match=message):
+            vmap.insert(source_id, points, pose)
+        self.assert_unchanged(vmap)
+        assert vmap.re_anchor({0: self.SHIFT, 1: self.SHIFT, 2: self.SHIFT}) == 2
+        assert vmap.count((4, 0, 0)) == 2 and vmap.count((6, 0, 0)) == 1
+
+    @pytest.mark.parametrize(
+        "pose, message",
+        [(FAR, "packed"), (np.full((4, 4), np.nan), "finite")],
+        ids=["out-of-range", "nan-pose"],
+    )
+    def test_rejected_reanchor(self, pose, message):
+        vmap = self.two_keyframes()
+        with pytest.raises(ValueError, match=message):
+            vmap.re_anchor({0: self.SHIFT, 1: pose})
+        self.assert_unchanged(vmap)
+        assert vmap.re_anchor({0: self.SHIFT, 1: self.SHIFT}) == 2
 
 
 class TestQueries:
