@@ -109,8 +109,8 @@ def main():
 
     global_map = mapper.global_map()
     print(
-        f"\nglobal map: {mapper.stats.n_map_points} fused points in "
-        f"{mapper.stats.n_map_voxels} voxels"
+        f"\nglobal map: {mapper.map.n_points} fused points in "
+        f"{mapper.map.n_voxels} voxels"
     )
     print(f"map extent: {np.round(global_map.extent(), 2)} m")
 

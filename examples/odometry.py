@@ -6,15 +6,12 @@ registered and the relative transforms chained into a trajectory, which
 is scored with the KITTI odometry metrics (translational % and
 rotational deg/m) — the exact accuracy setup of the paper's evaluation.
 
-Frames flow through the streaming engine by default: each frame is
-preprocessed once into a FrameState and handed from "source of pair k"
-to "target of pair k+1", so the steady-state per-pair cost is one
-preprocess plus one match.  ``--pairwise`` switches to the uncached
-pair-by-pair driver (bit-identical trajectory, roughly twice the
-per-frame preprocessing).
+Frames flow through the streaming engine: each frame is preprocessed
+once into a FrameState and handed from "source of pair k" to "target
+of pair k+1", so the steady-state per-pair cost is one preprocess plus
+one match.
 
-Run:  python examples/odometry.py [--frames N] [--dense] [--pairwise]
-                                  [--trace out.json]
+Run:  python examples/odometry.py [--frames N] [--dense] [--trace out.json]
 
 ``--trace out.json`` records the run through the telemetry layer and
 writes a Chrome trace (Perfetto / ``chrome://tracing``; a ``.jsonl``
@@ -35,7 +32,6 @@ from repro.registration import (
     PipelineConfig,
     RPCEConfig,
     run_odometry,
-    run_streaming_odometry,
 )
 from repro.telemetry import Tracer, write_trace
 
@@ -64,11 +60,6 @@ def main():
         help="use a 32x360 scan pattern (slower, much more accurate)",
     )
     parser.add_argument(
-        "--pairwise",
-        action="store_true",
-        help="use the uncached pair-by-pair driver instead of streaming",
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -89,16 +80,11 @@ def main():
         f"~{len(sequence.frames[0])} points each"
     )
 
-    # Both drivers register all consecutive pairs with a constant-
-    # velocity prior and score against ground truth; the streaming one
-    # preprocesses each frame once and reuses it across pairs.
-    if args.pairwise:
-        driver, label = run_odometry, "pair-by-pair (uncached)"
-    else:
-        driver, label = run_streaming_odometry, "streaming (artifact reuse)"
-    print(f"driver: {label}")
+    # Register all consecutive pairs with a constant-velocity prior and
+    # score against ground truth; each frame is preprocessed once and
+    # reused across its two pairs.
     tracer = Tracer() if args.trace else None
-    result = driver(sequence, build_pipeline(), tracer=tracer)
+    result = run_odometry(sequence, build_pipeline(), tracer=tracer)
     for index, (pair, seconds) in enumerate(
         zip(result.pair_results, result.pair_seconds)
     ):
@@ -124,7 +110,9 @@ def main():
         f"over {travelled:.1f} m travelled"
     )
     if args.trace:
-        write_trace(tracer, args.trace)
+        write_trace(
+            tracer, args.trace, profiler_totals=result.profiler.stage_totals()
+        )
         print(f"wrote trace {args.trace}")
     return 0
 

@@ -289,6 +289,79 @@ class _RunnerUps:
         return np.sqrt(r_sq)
 
 
+class _Nearest:
+    """The depth-first NN search's result: the (distance, index)
+    lexicographic minimum, the tie rule shared with the batch paths."""
+
+    def __init__(self):
+        self.sq = np.inf
+        self.idx = -1
+
+    def bound(self) -> float:
+        return self.sq
+
+    def point(self, idx: int, d_sq: float) -> None:
+        if d_sq < self.sq or (d_sq == self.sq and idx < self.idx):
+            self.sq = d_sq
+            self.idx = idx
+
+    def leaf(self, indices, sq, visit) -> None:
+        if len(indices):
+            jv = float(np.min(sq))
+            if jv <= self.sq:
+                self.point(int(np.min(np.asarray(indices)[sq == jv])), jv)
+
+
+class _NearestK:
+    """The depth-first kNN search's result: a bounded max-heap.
+
+    Both fields are negated, so ``heap[0]`` is the lexicographically
+    largest (d_sq, idx), the element the shared tie rule evicts first.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.heap: list[tuple[float, int]] = []
+
+    def bound(self) -> float:
+        return -self.heap[0][0] if len(self.heap) == self.k else np.inf
+
+    def point(self, idx: int, d_sq: float) -> None:
+        heap = self.heap
+        if len(heap) < self.k:
+            heapq.heappush(heap, (-d_sq, -idx))
+        elif (d_sq, idx) < (-heap[0][0], -heap[0][1]):
+            heapq.heapreplace(heap, (-d_sq, -idx))
+
+    def leaf(self, indices, sq, visit) -> None:
+        for idx, d_sq in zip(indices, sq):
+            self.point(int(idx), float(d_sq))
+
+
+class _InRadius:
+    """The depth-first radius search's result: every hit within r."""
+
+    def __init__(self, r_sq: float):
+        self.r_sq = r_sq
+        self.idx: list[np.ndarray] = []
+        self.sq: list[np.ndarray] = []
+
+    def bound(self) -> float:
+        return self.r_sq
+
+    def point(self, idx: int, d_sq: float) -> None:
+        if d_sq <= self.r_sq:
+            self.idx.append(np.array([idx], dtype=np.int64))
+            self.sq.append(np.array([d_sq]))
+
+    def leaf(self, indices, sq, visit) -> None:
+        mask = sq <= self.r_sq
+        if np.any(mask):
+            self.idx.append(np.asarray(indices)[mask])
+            self.sq.append(np.asarray(sq)[mask])
+        visit.result_size = int(np.count_nonzero(mask))
+
+
 # The certificate's margin τ (see the module docstring).  Rounding in the
 # distances that decide a row is relative to them, and they are at most
 # about r, so τ = 2**-30 r (some four million ulps of r) covers it; the
@@ -577,24 +650,23 @@ class TwoStageKDTree:
         """One query as a 1-row batch under the shared contract."""
         return check_batch(np.reshape(query, (1, -1)), self.ndim, r)[0]
 
-    def nn(
-        self,
-        query: np.ndarray,
-        stats: SearchStats | None = None,
-        trace: list[QueryTrace] | None = None,
-        leaf_scan=None,
-    ) -> tuple[int, float]:
-        """Nearest neighbor: (point index, distance)."""
-        query = self._check_query(query)
+    def _depth_first(self, query: np.ndarray, keep, leaf_scan) -> QueryTrace:
+        """One query's depth-first search, folding results into ``keep``.
+
+        The stack loop shared by :meth:`nn`, :meth:`knn` and
+        :meth:`radius`; only the result holder (:class:`_Nearest`,
+        :class:`_NearestK`, :class:`_InRadius`) differs.  A subtree or
+        leaf is pruned when its bound exceeds ``keep.bound()``; the
+        holder folds in each visited node's point (``keep.point``) and
+        each scanned leaf set (``keep.leaf``).  A node pushes its far
+        child first, so the near child is popped next.  Returns the
+        query's trace record.
+        """
         leaf_scan = leaf_scan or self._exact_leaf_scan
         record = QueryTrace()
-        best_sq = np.inf
-        best_idx = -1
-
-        contrib = np.zeros(self.ndim)
         stack: list[tuple[int, float, np.ndarray]] = []
         if self._root_ref != _NO_CHILD:
-            stack.append((self._root_ref, 0.0, contrib))
+            stack.append((self._root_ref, 0.0, np.zeros(self.ndim)))
             record.stack_pushes += 1
         while stack:
             ref, bound_sq, contrib = stack.pop()
@@ -602,29 +674,17 @@ class TwoStageKDTree:
                 leaf_id = _decode_leaf(ref)
                 visit = LeafVisitRecord(leaf_id=leaf_id)
                 record.leaf_visits.append(visit)
-                if bound_sq > best_sq:
+                if bound_sq > keep.bound():
                     visit.pruned = True
-                    continue
-                indices, sq = leaf_scan(leaf_id, query, visit)
-                if len(indices):
-                    # Deterministic tie rule shared with the batch path:
-                    # the global (distance, index) lexicographic minimum.
-                    jv = float(np.min(sq))
-                    if jv <= best_sq:
-                        cand = int(np.min(np.asarray(indices)[sq == jv]))
-                        if jv < best_sq or cand < best_idx:
-                            best_sq = jv
-                            best_idx = cand
+                else:
+                    keep.leaf(*leaf_scan(leaf_id, query, visit), visit)
                 continue
-            if bound_sq > best_sq:
+            if bound_sq > keep.bound():
                 record.toptree_bypassed += 1
                 continue
             record.toptree_visits += 1
             pidx = int(self._node_point[ref])
-            d_sq = _point_sq_dist(query, self._points[pidx])
-            if d_sq < best_sq or (d_sq == best_sq and pidx < best_idx):
-                best_sq = d_sq
-                best_idx = pidx
+            keep.point(pidx, _point_sq_dist(query, self._points[pidx]))
             dim = self._node_dim[ref]
             delta = query[dim] - self._node_value[ref]
             left_child = self._node_left[ref]
@@ -642,10 +702,23 @@ class TwoStageKDTree:
             if near != _NO_CHILD:
                 stack.append((int(near), bound_sq, contrib))
                 record.stack_pushes += 1
+        return record
 
-        record.results = 1 if best_idx >= 0 else 0
+    def nn(
+        self,
+        query: np.ndarray,
+        stats: SearchStats | None = None,
+        trace: list[QueryTrace] | None = None,
+        leaf_scan=None,
+    ) -> tuple[int, float]:
+        """Nearest neighbor: (point index, distance)."""
+        query = self._check_query(query)
+        keep = _Nearest()
+        record = self._depth_first(query, keep, leaf_scan)
+        found = keep.idx >= 0
+        record.results = 1 if found else 0
         self._account(record, stats, trace)
-        return best_idx, float(np.sqrt(best_sq)) if best_idx >= 0 else np.inf
+        return keep.idx, float(np.sqrt(keep.sq)) if found else np.inf
 
     def knn(
         self,
@@ -659,66 +732,9 @@ class TwoStageKDTree:
         query = self._check_query(query)
         if k <= 0:
             raise ValueError("k must be positive")
-        k = min(k, self.n)
-        leaf_scan = leaf_scan or self._exact_leaf_scan
-        record = QueryTrace()
-        # Max-heap via negated keys; both fields negated so heap[0] is
-        # the lexicographically largest (d_sq, idx) — the element the
-        # shared (distance, index) tie rule evicts first.
-        heap: list[tuple[float, int]] = []
-
-        def bound() -> float:
-            return -heap[0][0] if len(heap) == k else np.inf
-
-        def offer(idx: int, d_sq: float) -> None:
-            if len(heap) < k:
-                heapq.heappush(heap, (-d_sq, -idx))
-            elif (d_sq, idx) < (-heap[0][0], -heap[0][1]):
-                heapq.heapreplace(heap, (-d_sq, -idx))
-
-        contrib = np.zeros(self.ndim)
-        stack: list[tuple[int, float, np.ndarray]] = []
-        if self._root_ref != _NO_CHILD:
-            stack.append((self._root_ref, 0.0, contrib))
-            record.stack_pushes += 1
-        while stack:
-            ref, bound_sq, contrib = stack.pop()
-            if ref <= _LEAF_BASE:
-                leaf_id = _decode_leaf(ref)
-                visit = LeafVisitRecord(leaf_id=leaf_id)
-                record.leaf_visits.append(visit)
-                if bound_sq > bound():
-                    visit.pruned = True
-                    continue
-                indices, sq = leaf_scan(leaf_id, query, visit)
-                for idx, d_sq in zip(indices, sq):
-                    offer(int(idx), float(d_sq))
-                continue
-            if bound_sq > bound():
-                record.toptree_bypassed += 1
-                continue
-            record.toptree_visits += 1
-            pidx = self._node_point[ref]
-            offer(int(pidx), _point_sq_dist(query, self._points[pidx]))
-            dim = self._node_dim[ref]
-            delta = query[dim] - self._node_value[ref]
-            left_child = self._node_left[ref]
-            right_child = self._node_right[ref]
-            if delta < 0:
-                near, far = left_child, right_child
-            else:
-                near, far = right_child, left_child
-            if far != _NO_CHILD:
-                far_bound = bound_sq - contrib[dim] + delta * delta
-                far_contrib = contrib.copy()
-                far_contrib[dim] = delta * delta
-                stack.append((int(far), far_bound, far_contrib))
-                record.stack_pushes += 1
-            if near != _NO_CHILD:
-                stack.append((int(near), bound_sq, contrib))
-                record.stack_pushes += 1
-
-        entries = sorted(((-neg_sq, -neg_idx) for neg_sq, neg_idx in heap))
+        keep = _NearestK(min(k, self.n))
+        record = self._depth_first(query, keep, leaf_scan)
+        entries = sorted(((-neg_sq, -neg_idx) for neg_sq, neg_idx in keep.heap))
         indices = np.array([idx for _, idx in entries], dtype=np.int64)
         dists = np.sqrt(np.array([sq for sq, _ in entries]))
         record.results = len(indices)
@@ -736,63 +752,11 @@ class TwoStageKDTree:
     ) -> tuple[np.ndarray, np.ndarray]:
         """All neighbors within distance ``r``: (indices, distances)."""
         query = self._check_query(query, r)
-        leaf_scan = leaf_scan or self._exact_leaf_scan
-        record = QueryTrace()
-        r_sq = r * r
-        found_idx: list[np.ndarray] = []
-        found_sq: list[np.ndarray] = []
-
-        contrib = np.zeros(self.ndim)
-        stack: list[tuple[int, float, np.ndarray]] = []
-        if self._root_ref != _NO_CHILD:
-            stack.append((self._root_ref, 0.0, contrib))
-            record.stack_pushes += 1
-        while stack:
-            ref, bound_sq, contrib = stack.pop()
-            if ref <= _LEAF_BASE:
-                leaf_id = _decode_leaf(ref)
-                visit = LeafVisitRecord(leaf_id=leaf_id)
-                record.leaf_visits.append(visit)
-                if bound_sq > r_sq:
-                    visit.pruned = True
-                    continue
-                indices, sq = leaf_scan(leaf_id, query, visit)
-                mask = sq <= r_sq
-                if np.any(mask):
-                    found_idx.append(np.asarray(indices)[mask])
-                    found_sq.append(np.asarray(sq)[mask])
-                visit.result_size = int(np.count_nonzero(mask))
-                continue
-            if bound_sq > r_sq:
-                record.toptree_bypassed += 1
-                continue
-            record.toptree_visits += 1
-            pidx = int(self._node_point[ref])
-            d_sq = _point_sq_dist(query, self._points[pidx])
-            if d_sq <= r_sq:
-                found_idx.append(np.array([pidx], dtype=np.int64))
-                found_sq.append(np.array([d_sq]))
-            dim = self._node_dim[ref]
-            delta = query[dim] - self._node_value[ref]
-            left_child = self._node_left[ref]
-            right_child = self._node_right[ref]
-            if delta < 0:
-                near, far = left_child, right_child
-            else:
-                near, far = right_child, left_child
-            if far != _NO_CHILD:
-                far_bound = bound_sq - contrib[dim] + delta * delta
-                far_contrib = contrib.copy()
-                far_contrib[dim] = delta * delta
-                stack.append((int(far), far_bound, far_contrib))
-                record.stack_pushes += 1
-            if near != _NO_CHILD:
-                stack.append((int(near), bound_sq, contrib))
-                record.stack_pushes += 1
-
-        if found_idx:
-            indices = np.concatenate(found_idx).astype(np.int64)
-            sq_found = np.concatenate(found_sq)
+        keep = _InRadius(r * r)
+        record = self._depth_first(query, keep, leaf_scan)
+        if keep.idx:
+            indices = np.concatenate(keep.idx).astype(np.int64)
+            sq_found = np.concatenate(keep.sq)
             # Canonical ascending-index order, shared with the batch
             # path (which collects leaves in a different order).
             order = np.argsort(indices, kind="stable")

@@ -3,7 +3,6 @@
 from repro.dse.explorer import (
     ExplorationReport,
     FrameStateCache,
-    evaluate_config,
     explore,
 )
 from repro.dse.grid import (
@@ -24,7 +23,6 @@ __all__ = [
     "pareto_frontier",
     "is_dominated",
     "aggregate_across_scenes",
-    "evaluate_config",
     "explore",
     "ExplorationReport",
     "FrameStateCache",

@@ -18,10 +18,11 @@ each ``(fingerprint, scene, frame)`` exactly once into a keyed
 :class:`FrameStateCache`, and evaluates every configuration's pair
 chain through the streaming ``Pipeline.match`` path — so a grid of N
 configs costs ~(unique front-ends x frames) preprocesses instead of
-(N x pairs x 2).  Results are bit-identical to the sequential seed
-path (:func:`evaluate_config`): errors, transforms, and search/stage
-stats never change, only wall-clock does (enforced by
-``tests/dse/test_parity.py``).
+(N x pairs x 2).  Every configuration reports what a chain of
+``Pipeline.register`` calls over its pairs reports: errors, transforms,
+and search/stage stats are bit-identical, only wall-clock differs
+(``tests/dse/test_parity.py`` checks it against such a chain).
+To evaluate one configuration alone, pass ``{name: config}``.
 
 ``workers > 1`` shards ``(scene, fingerprint-group)`` tasks across a
 ``ProcessPoolExecutor`` — preprocess sharing stays within each group's
@@ -54,7 +55,6 @@ from repro.registration.pipeline import (
 from repro.telemetry import NULL_TRACER, Tracer
 
 __all__ = [
-    "evaluate_config",
     "explore",
     "ExplorationReport",
     "FrameStateCache",
@@ -199,58 +199,6 @@ class ExplorationReport:
         return "\n".join(lines)
 
 
-def evaluate_config(
-    name: str,
-    config: PipelineConfig,
-    sequence: SyntheticSequence,
-    max_pairs: int | None = None,
-    scene: str | None = None,
-) -> DesignPointResult:
-    """Run a configuration over consecutive pairs of a sequence.
-
-    This is the sequential seed path — each pair is registered through
-    the monolithic ``Pipeline.register``, re-preprocessing both frames
-    every time.  It is kept as the reference the shared-artifact path
-    in :func:`explore` must match bit-for-bit, and as the simplest way
-    to evaluate one configuration in isolation.
-
-    Time is the mean wall-clock registration time per pair; errors are
-    the KITTI sequence errors of the chained estimated trajectory
-    against ground truth.  Per-pair stage profiles are merged and
-    attached in ``detail`` for the Fig. 4 analyses, alongside the
-    per-pair transforms and search stats the parity suite pins.
-    """
-    pipeline = Pipeline(config)
-    pairs = _select_pairs(sequence, max_pairs)
-
-    merged_profiler = StageProfiler()
-    relative_estimates: list[np.ndarray] = []
-    times: list[float] = []
-    pair_stats: list[dict] = []
-    icp_iterations: list[int] = []
-
-    for source, target, _ in pairs:
-        profiler = StageProfiler()
-        result = pipeline.register(source, target, profiler=profiler)
-        relative_estimates.append(result.transformation)
-        times.append(profiler.total)
-        merged_profiler.merge(profiler)
-        pair_stats.append(result.stage_stats)
-        icp_iterations.append(result.icp.iterations)
-
-    return _design_point(
-        name,
-        sequence,
-        len(pairs),
-        times,
-        relative_estimates,
-        merged_profiler,
-        pair_stats,
-        icp_iterations,
-        scene,
-    )
-
-
 def _select_pairs(sequence: SyntheticSequence, max_pairs: int | None) -> list:
     pairs = list(sequence.pairs())
     if max_pairs is not None:
@@ -271,7 +219,14 @@ def _design_point(
     icp_iterations: list[int],
     scene: str | None,
 ) -> DesignPointResult:
-    """Score a chained pair run and package it for the Pareto analysis."""
+    """Score a chained pair run and package it for the Pareto analysis.
+
+    Time is the mean per-pair time; errors are the KITTI sequence
+    errors of the chained estimated trajectory against ground truth.
+    ``detail`` carries the merged stage profile for the Fig. 4
+    analyses, alongside the per-pair transforms, search stats and ICP
+    iteration counts the parity suite pins.
+    """
     estimated = metrics.trajectory_from_relative(relatives)
     ground_truth = sequence.poses[: n_pairs + 1]
     errors = metrics.kitti_sequence_errors(estimated, ground_truth)
@@ -308,7 +263,7 @@ def _evaluate_group(
     shared states.  Features are computed iff some member runs initial
     estimation; members that skip it ignore them (``match`` neither
     reads nor accounts feature stages then), keeping every result
-    bit-identical to its sequential seed evaluation.
+    bit-identical to a ``Pipeline.register`` chain over its pairs.
 
     A :class:`~repro.telemetry.Tracer` (optional) records the shared
     preprocesses and, per configuration, a ``config`` span wrapping its
@@ -392,7 +347,6 @@ def _scene_group_task(
     named_configs: dict[str, PipelineConfig],
     sequence: SyntheticSequence,
     max_pairs: int | None,
-    cached: bool,
     with_trace: bool = False,
 ) -> tuple[list[DesignPointResult], dict | None]:
     """One shard of work: a fingerprint group evaluated over one scene.
@@ -407,28 +361,15 @@ def _scene_group_task(
     """
     tracer = Tracer() if with_trace else None
     trace = NULL_TRACER if tracer is None else tracer
-    with trace.span(
-        "group",
-        scene=scene,
-        configs=list(named_configs),
-        cached=cached,
-    ):
-        if cached:
-            results = _evaluate_group(
-                named_configs,
-                sequence,
-                scene,
-                max_pairs,
-                FrameStateCache(),
-                tracer=tracer,
-            )
-        else:
-            results = [
-                evaluate_config(
-                    name, config, sequence, max_pairs=max_pairs, scene=scene
-                )
-                for name, config in named_configs.items()
-            ]
+    with trace.span("group", scene=scene, configs=list(named_configs)):
+        results = _evaluate_group(
+            named_configs,
+            sequence,
+            scene,
+            max_pairs,
+            FrameStateCache(),
+            tracer=tracer,
+        )
     payload = tracer.freeze() if tracer is not None else None
     return results, payload
 
@@ -450,7 +391,6 @@ def explore(
     scenes: SyntheticSequence | SceneSuite | dict[str, SyntheticSequence],
     max_pairs: int | None = None,
     workers: int = 1,
-    cached: bool = True,
     tracer=None,
 ) -> ExplorationReport:
     """Evaluate every configuration over every scene, extract frontiers.
@@ -462,11 +402,9 @@ def explore(
     holds cross-scene mean aggregates and per-scene points land in
     ``report.scene_results``.
 
-    ``cached=True`` (default) shares front-end preprocessing within
-    fingerprint groups; ``cached=False`` forces the sequential seed
-    path (the parity reference).  ``workers > 1`` distributes
-    ``(scene, fingerprint group)`` shards over a process pool; results
-    are identical for any worker count.
+    Front-end preprocessing is shared within fingerprint groups.
+    ``workers > 1`` distributes ``(scene, fingerprint group)`` shards
+    over a process pool; results are identical for any worker count.
 
     A :class:`~repro.telemetry.Tracer` (optional) records one
     ``explore`` span with every shard's ``group`` subtree underneath.
@@ -478,17 +416,11 @@ def explore(
     """
     trace = NULL_TRACER if tracer is None else tracer
     scene_map = _normalize_scenes(scenes)
-    if cached:
-        groups = fingerprint_groups(configs)
-    else:
-        groups = {
-            index: {name: config}
-            for index, (name, config) in enumerate(configs.items())
-        }
+    groups = fingerprint_groups(configs)
     single = len(scene_map) == 1
 
     tasks = [
-        (scene, named, sequence, max_pairs, cached, tracer is not None)
+        (scene, named, sequence, max_pairs, tracer is not None)
         for scene, sequence in scene_map.items()
         for named in groups.values()
     ]
@@ -499,7 +431,6 @@ def explore(
         n_groups=len(groups),
         n_scenes=len(scene_map),
         workers=workers,
-        cached=cached,
     ):
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:

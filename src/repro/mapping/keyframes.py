@@ -50,9 +50,8 @@ class Keyframe:
     node id); ``frame_index`` locates it in the ingested stream.
     ``odometry_pose`` is the *open-loop* chained pose at creation time
     and never changes afterwards — odometry edges are derived from it.
-    ``state`` is the front end's preprocessed ``FrameState``; the loop
-    closer may swap in a feature-extended copy (``ensure_features``
-    never mutates, so the original odometry artifacts stay intact).
+    ``state`` is the front end's preprocessed ``FrameState``, which
+    loop verification reuses as is.
     ``quarantined`` marks a keyframe whose pose rests on an unhealthy
     or motion-model-bridged registration: it still chains through the
     pose graph (the trajectory needs the node) but never anchors a

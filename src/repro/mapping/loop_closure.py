@@ -7,12 +7,9 @@ that is odometry, not a loop).  Each candidate is then verified by
 registering the two keyframes' cached
 :class:`~repro.registration.pipeline.FrameState` artifacts through the
 existing :meth:`~repro.registration.pipeline.Pipeline.match` path, so
-verification pays zero re-preprocessing.  By default the estimated
-relative pose (which candidate detection just proved is small) seeds
-ICP directly; setting ``seed_with_estimate=False`` runs the pipeline's
-initial-estimation phase instead — KPCE over keypoint descriptors,
-then rejection — the prior-free path for relocalization-style use,
-extending the cached states with features at most once per keyframe.
+verification pays zero re-preprocessing.  The estimated relative pose
+(which candidate detection just proved is small) seeds ICP directly,
+so verification never runs the initial-estimation phase.
 
 A verified closure yields the measured relative transform between two
 far-apart trajectory points; the pose graph turns that single
@@ -47,12 +44,10 @@ class LoopClosureConfig:
     meters / ``max_correction_rotation_deg`` degrees (drift is the
     signal, but a wild disagreement is a false positive).
 
-    ``seed_with_estimate=True`` (the default) seeds ICP with the
-    estimated relative pose — candidate detection already established
-    it is within the search radius, which is strictly more informative
-    than starting from identity; ``False`` runs the pipeline's
-    KPCE/descriptor initial-estimation phase instead (the prior-free
-    path).  ``icp_max_iterations``, when set, raises the fine-tuning
+    Verification seeds ICP with the estimated relative pose — candidate
+    detection already established it is within the search radius, which
+    is strictly more informative than starting from identity.
+    ``icp_max_iterations``, when set, raises the fine-tuning
     iteration cap for verification only: a loop pair starts a whole
     drift further from alignment than an odometry pair, so the
     pipeline's per-pair budget is often one convergence notch too low.
@@ -65,7 +60,6 @@ class LoopClosureConfig:
     max_rmse: float = 1.0
     max_correction_translation: float = 3.0
     max_correction_rotation_deg: float = 30.0
-    seed_with_estimate: bool = True
     icp_max_iterations: int | None = 50
 
 
@@ -90,7 +84,6 @@ class LoopCloser:
     def __init__(self, pipeline: Pipeline, config: LoopClosureConfig | None = None):
         self.pipeline = pipeline
         self.config = config or LoopClosureConfig()
-        self.n_feature_extensions = 0
         self._verification_pipeline: Pipeline | None = None
 
     def _matcher(self) -> Pipeline:
@@ -155,24 +148,14 @@ class LoopCloser:
     ) -> LoopClosure | None:
         """Register ``source`` (newer) against ``target`` (older).
 
-        Reuses both keyframes' cached ``FrameState``; when the feature
-        path is active, states are extended with keypoints/descriptors
-        at most once per keyframe (the extended state is cached back on
-        the ``Keyframe``).  Returns the verified closure or ``None``.
+        Reuses both keyframes' cached ``FrameState``, with ICP seeded by
+        ``estimated_relative``.  Returns the verified closure or ``None``.
         """
         config = self.config
-        seed = config.seed_with_estimate
-        if not seed:
-            for keyframe in (source, target):
-                if not keyframe.state.has_features:
-                    keyframe.state = self.pipeline.ensure_features(
-                        keyframe.state, profiler=profiler
-                    )
-                    self.n_feature_extensions += 1
         result = self._matcher().match(
             source.state,
             target.state,
-            initial=np.array(estimated_relative, dtype=np.float64) if seed else None,
+            initial=np.array(estimated_relative, dtype=np.float64),
             profiler=profiler,
         )
 

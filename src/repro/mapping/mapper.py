@@ -1,6 +1,6 @@
 """The streaming SLAM engine: odometry front end + graph back end + map.
 
-:class:`StreamingMapper` wraps the PR-2
+:class:`StreamingMapper` wraps the
 :class:`~repro.registration.odometry.StreamingOdometry` engine — every
 frame is still preprocessed exactly once, registered against its
 predecessor, and handed forward as the next pair's target — and layers
@@ -74,22 +74,17 @@ class MapperConfig:
 class MappingStats:
     """Work counters for one mapping run.
 
-    ``n_preprocess`` counts per-frame preprocessing passes through the
-    pipeline — by construction exactly one per ingested frame, loop
-    verification included (the acceptance invariant of the subsystem).
+    The map's own size lives on the map (``StreamingMapper.map.n_points``
+    and ``.n_voxels``), read when it is needed.
     """
 
     n_frames: int = 0
     n_keyframes: int = 0
-    n_preprocess: int = 0
-    n_feature_extensions: int = 0
     n_loop_candidates: int = 0
     n_loop_verifications: int = 0
     n_loop_closures: int = 0
     n_optimizations: int = 0
     optimization_iterations: int = 0
-    n_map_points: int = 0
-    n_map_voxels: int = 0
     n_reanchored: int = 0
     n_quarantined_keyframes: int = 0
     n_rejected_closures: int = 0
@@ -111,8 +106,7 @@ class MappingStats:
             f"{self.n_optimizations} optimization(s) "
             f"({self.optimization_iterations} GN iterations, "
             f"{self.optimize_seconds:.2f}s solve / "
-            f"{self.reanchor_seconds:.2f}s re-anchor), "
-            f"map {self.n_map_voxels} voxels / {self.n_map_points} points"
+            f"{self.reanchor_seconds:.2f}s re-anchor)"
         )
 
 
@@ -191,7 +185,6 @@ class StreamingMapper:
         with self.tracer.span("frame", index=self.n_frames):
             result = self.odometry.push(frame)
             self.stats.n_frames += 1
-            self.stats.n_preprocess += 1
 
             if result is None:
                 self._odom_poses.append(se3.identity())
@@ -266,7 +259,6 @@ class StreamingMapper:
         # the closing side (its own pose estimate is the suspect part).
         if self.config.enable_loop_closure and not keyframe.quarantined:
             self._close_loops(keyframe)
-        self._refresh_map_stats()
 
     def _close_loops(self, keyframe: Keyframe) -> None:
         tracer = self.tracer
@@ -321,7 +313,6 @@ class StreamingMapper:
                     kind="loop",
                 )
                 closed = True
-            self.stats.n_feature_extensions = self.closer.n_feature_extensions
         self.stats.loop_seconds += time.perf_counter() - start
         if closed:
             self._optimize()
@@ -365,10 +356,6 @@ class StreamingMapper:
         self.stats.reanchor_seconds += time.perf_counter() - start
         self._optimized = True
 
-    def _refresh_map_stats(self) -> None:
-        self.stats.n_map_points = self.map.n_points
-        self.stats.n_map_voxels = self.map.n_voxels
-
     # ------------------------------------------------------------------
     # Outputs.
     # ------------------------------------------------------------------
@@ -382,8 +369,8 @@ class StreamingMapper:
 
         Until a loop closure triggers optimization this is the chained
         open-loop odometry, bit-identical to
-        :func:`~repro.registration.odometry.run_streaming_odometry`'s
-        trajectory over the same frames.  Afterwards every frame rides
+        :func:`~repro.registration.odometry.run_odometry`'s trajectory
+        over the same frames.  Afterwards every frame rides
         its reference keyframe's optimized pose.
         """
         if not self._optimized:

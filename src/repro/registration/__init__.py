@@ -51,7 +51,6 @@ from repro.registration.odometry import (
     RecoveryConfig,
     StreamingOdometry,
     run_odometry,
-    run_streaming_odometry,
 )
 from repro.registration.pipeline import (
     STAGE_NAMES,
@@ -59,7 +58,6 @@ from repro.registration.pipeline import (
     Pipeline,
     PipelineConfig,
     RegistrationResult,
-    register_pair,
 )
 from repro.registration.rejection import (
     RejectionConfig,
@@ -73,7 +71,6 @@ __all__ = [
     "PipelineConfig",
     "RegistrationResult",
     "FrameState",
-    "register_pair",
     "STAGE_NAMES",
     "DESIGN_POINT_NAMES",
     "design_point",
@@ -115,5 +112,4 @@ __all__ = [
     "OdometryResult",
     "run_odometry",
     "StreamingOdometry",
-    "run_streaming_odometry",
 ]

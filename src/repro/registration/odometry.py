@@ -1,24 +1,22 @@
-"""Sequence odometry drivers (paper Sec. 2.2's motivating application).
+"""Sequence odometry (paper Sec. 2.2's motivating application).
 
 Registers consecutive frames of a sequence, chains the relative
 transforms into a trajectory, and scores it with the KITTI metrics —
-the accuracy methodology of the paper's evaluation (Sec. 6.1).  The
-drivers also implement the constant-velocity prior standard in LiDAR
+the accuracy methodology of the paper's evaluation (Sec. 6.1).  It
+also implements the constant-velocity prior standard in LiDAR
 odometry: each registration is seeded with the previous pair's motion,
 which keeps ICP inside its convergence basin between frames.
 
-Two drivers share that contract.  :func:`run_odometry` registers each
-consecutive pair independently through ``Pipeline.register`` — simple,
-but it preprocesses every interior frame twice (once as a pair's
-source, once as the next pair's target).  :class:`StreamingOdometry`
-feeds frames one at a time through the pipeline's per-frame/pairwise
-split: each frame is preprocessed exactly once into a
-:class:`~repro.registration.pipeline.FrameState`, used as pair ``k``'s
-source, then handed over as pair ``k + 1``'s target.  Steady-state
-per-pair cost drops to one preprocess plus one match — half the tree
-builds and single-frame stage invocations — while trajectories stay
-bit-identical to the pair-by-pair driver (the split only reorders
-computation; ``tests/registration/test_streaming.py`` enforces it).
+:class:`StreamingOdometry` feeds frames one at a time through the
+pipeline's per-frame/pairwise split: each frame is preprocessed exactly
+once into a :class:`~repro.registration.pipeline.FrameState`, used as
+pair ``k``'s source, then handed over as pair ``k + 1``'s target, so
+the steady-state per-pair cost is one preprocess plus one match.
+:func:`run_odometry` drives a whole sequence through it.  The split
+only reorders computation: every pair is bit-identical to a
+``Pipeline.register`` call on the raw frames with the same seed, which
+``tests/registration/test_streaming.py`` checks against a chain of
+such calls.
 """
 
 from __future__ import annotations
@@ -51,19 +49,18 @@ __all__ = [
     "RecoveryConfig",
     "run_odometry",
     "StreamingOdometry",
-    "run_streaming_odometry",
 ]
 
 
 @dataclass
 class OdometryStats:
-    """Per-run health/recovery bookkeeping for the sequence drivers.
+    """Per-run health/recovery bookkeeping for sequence odometry.
 
-    Both drivers count non-converged ICP pairs (previously consumed
-    silently); the streaming driver with a :class:`RecoveryConfig`
-    additionally records per-pair health verdicts and every recovery
-    rung it climbed.  ``pair_health``/``pair_actions`` are indexed by
-    pair; ``failure_counts`` tallies
+    Non-converged ICP pairs are always counted; with a
+    :class:`RecoveryConfig` the run also records per-pair health
+    verdicts and every recovery rung it climbed.
+    ``pair_health``/``pair_actions`` are indexed by pair;
+    ``failure_counts`` tallies
     :class:`~repro.registration.health.RegistrationHealth` reason codes
     across the run.
     """
@@ -189,85 +186,13 @@ class OdometryResult:
         return "\n".join(lines)
 
 
-def run_odometry(
-    frames: list[PointCloud] | SyntheticSequence,
-    pipeline: Pipeline,
-    ground_truth_poses: list[np.ndarray] | None = None,
-    seed_with_previous: bool = True,
-    max_pairs: int | None = None,
-    tracer=None,
-) -> OdometryResult:
-    """Register a frame sequence into a trajectory.
-
-    ``frames`` may be a plain list of clouds or a
-    :class:`~repro.io.dataset.SyntheticSequence` (whose ground-truth
-    poses are then used for scoring unless explicitly overridden).
-    Passing a :class:`~repro.telemetry.Tracer` records a per-pair span
-    tree (``pair -> preprocess/match -> stages``) for trace export.
-    """
-    frames, ground_truth_poses, n_pairs = _prepare_frames(
-        frames, ground_truth_poses, max_pairs
-    )
-
-    profiler = StageProfiler()
-    relatives: list[np.ndarray] = []
-    pair_results: list[RegistrationResult] = []
-    pair_seconds: list[float] = []
-    previous: np.ndarray | None = None
-    stats = OdometryStats()
-
-    for index in range(n_pairs):
-        source, target = frames[index + 1], frames[index]
-        pair_profiler = StageProfiler(tracer=tracer)
-        pair_tracer = tracer_of(pair_profiler)
-        initial = previous if (seed_with_previous and previous is not None) else None
-        start = time.perf_counter()
-        with pair_tracer.span(
-            "pair", index=index, seeded=initial is not None
-        ):
-            result = pipeline.register(source, target, initial=initial,
-                                       profiler=pair_profiler)
-            stats.n_pairs += 1
-            if not result.icp.converged:
-                stats.n_nonconverged += 1
-                pair_tracer.count("odometry.nonconverged")
-        pair_seconds.append(time.perf_counter() - start)
-        profiler.merge(pair_profiler)
-        relatives.append(result.transformation)
-        pair_results.append(result)
-        previous = result.transformation
-
-    return _score_run(
-        relatives, pair_results, pair_seconds, profiler, ground_truth_poses,
-        stats=stats,
-    )
-
-
-def _prepare_frames(
-    frames: list[PointCloud] | SyntheticSequence,
-    ground_truth_poses: list[np.ndarray] | None,
-    max_pairs: int | None,
-) -> tuple[list[PointCloud], list[np.ndarray] | None, int]:
-    """Normalize driver input: unwrap sequences, validate, clamp pairs."""
-    if isinstance(frames, SyntheticSequence):
-        if ground_truth_poses is None:
-            ground_truth_poses = frames.poses
-        frames = frames.frames
-    if len(frames) < 2:
-        raise ValueError("need at least two frames")
-    n_pairs = len(frames) - 1
-    if max_pairs is not None:
-        n_pairs = min(n_pairs, max_pairs)
-    return frames, ground_truth_poses, n_pairs
-
-
 def _score_run(
     relatives: list[np.ndarray],
     pair_results: list[RegistrationResult],
     pair_seconds: list[float],
     profiler: StageProfiler,
     ground_truth_poses: list[np.ndarray] | None,
-    stats: OdometryStats | None = None,
+    stats: OdometryStats,
 ) -> OdometryResult:
     """Chain relatives into a trajectory and score against ground truth."""
     n_pairs = len(relatives)
@@ -285,14 +210,6 @@ def _score_run(
             metrics.pair_errors(estimate, gt)
             for estimate, gt in zip(relatives, gt_relatives)
         ]
-
-    if stats is None:
-        stats = OdometryStats(
-            n_pairs=n_pairs,
-            n_nonconverged=sum(
-                1 for result in pair_results if not result.icp.converged
-            ),
-        )
     return OdometryResult(
         relatives=relatives,
         trajectory=trajectory,
@@ -314,9 +231,9 @@ class StreamingOdometry:
     that pair ``k``'s preprocessed *source* becomes pair ``k + 1``'s
     *target* without recomputation — the steady-state per-pair cost is
     one frame preprocess plus one pairwise match, versus two
-    preprocesses plus a match for the pair-by-pair driver.  Results are
-    bit-identical to :func:`run_odometry` with the same pipeline and
-    seeding mode: the per-frame/pairwise split reorders computation but
+    preprocesses plus a match for ``Pipeline.register``.  Every pair is
+    bit-identical to ``Pipeline.register`` on the raw frames with the
+    same seed: the per-frame/pairwise split reorders computation but
     never changes it.
 
     Usage::
@@ -355,7 +272,7 @@ class StreamingOdometry:
         self._n_frames = 0
         self._recovery_pipeline: Pipeline | None = None
         # Preprocessing time for the very first frame, folded into pair
-        # 0's seconds so timing accounts match the pair-by-pair driver.
+        # 0's seconds so pair 0 accounts for both of its frames.
         self._pending_seconds = 0.0
 
     @property
@@ -613,7 +530,7 @@ class StreamingOdometry:
         )
 
 
-def run_streaming_odometry(
+def run_odometry(
     frames: list[PointCloud] | SyntheticSequence,
     pipeline: Pipeline,
     ground_truth_poses: list[np.ndarray] | None = None,
@@ -622,16 +539,26 @@ def run_streaming_odometry(
     tracer=None,
     recovery: RecoveryConfig | None = None,
 ) -> OdometryResult:
-    """Drop-in streaming counterpart of :func:`run_odometry`.
+    """Register a frame sequence into a scored trajectory.
 
-    Same signature, same scoring, same (bit-identical) trajectory —
-    but frames flow through a :class:`StreamingOdometry` engine, so
-    each is preprocessed once instead of twice.  ``recovery`` enables
-    the failure-aware ladder (see :class:`RecoveryConfig`).
+    ``frames`` may be a plain list of clouds or a
+    :class:`~repro.io.dataset.SyntheticSequence` (whose ground-truth
+    poses are then used for scoring unless explicitly overridden).  The
+    frames flow through a :class:`StreamingOdometry` engine, so each is
+    preprocessed once.  ``recovery`` enables the failure-aware ladder
+    (see :class:`RecoveryConfig`).  Passing a
+    :class:`~repro.telemetry.Tracer` records a per-pair span tree
+    (``pair -> preprocess/match -> stages``) for trace export.
     """
-    frames, ground_truth_poses, n_pairs = _prepare_frames(
-        frames, ground_truth_poses, max_pairs
-    )
+    if isinstance(frames, SyntheticSequence):
+        if ground_truth_poses is None:
+            ground_truth_poses = frames.poses
+        frames = frames.frames
+    if len(frames) < 2:
+        raise ValueError("need at least two frames")
+    n_pairs = len(frames) - 1
+    if max_pairs is not None:
+        n_pairs = min(n_pairs, max_pairs)
 
     engine = StreamingOdometry(
         pipeline, seed_with_previous=seed_with_previous, tracer=tracer,

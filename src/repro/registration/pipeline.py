@@ -21,12 +21,14 @@ structure construction, normal estimation, key-point detection,
 descriptor calculation — and returns the artifacts as an immutable
 :class:`FrameState`.
 ``match`` consumes two ``FrameState`` objects and runs the *pairwise*
-stages: KPCE, correspondence rejection, and ICP fine-tuning.  Sequence
-drivers exploit the split: pair ``k``'s source frame is exactly pair
-``k + 1``'s target frame, so a streaming caller (see
-:class:`~repro.registration.odometry.StreamingOdometry`) preprocesses
-each frame once and halves the steady-state per-pair preprocessing
-cost, with bit-identical results.
+stages: KPCE, correspondence rejection, and ICP fine-tuning.  Every
+sequence runs on the split: pair ``k``'s source frame is exactly pair
+``k + 1``'s target frame, so streaming odometry
+(:class:`~repro.registration.odometry.StreamingOdometry`) and the
+design-space explorer preprocess each frame once and call ``match``
+once per pair.  ``register`` stays the one pairwise composition; the
+parity tests chain it pair by pair as the oracle both must equal bit
+for bit.
 """
 
 from __future__ import annotations
@@ -654,12 +656,3 @@ class Pipeline:
             source_state, target_state, initial=initial, profiler=profiler
         )
 
-
-def register_pair(
-    source: PointCloud,
-    target: PointCloud,
-    config: PipelineConfig | None = None,
-    initial: np.ndarray | None = None,
-) -> RegistrationResult:
-    """One-shot convenience: configure, run, return the result."""
-    return Pipeline(config).register(source, target, initial=initial)

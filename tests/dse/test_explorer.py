@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dse import DesignPointResult, ExplorationReport, evaluate_config, explore
+from repro.dse import DesignPointResult, ExplorationReport, explore
 from repro.io import SceneSuite, default_test_model
 from repro.registration import (
     ICPConfig,
@@ -26,11 +26,14 @@ def cheap_config(max_iterations: int) -> PipelineConfig:
     )
 
 
+def evaluate_one(name, config, sequence):
+    """One configuration's point, explored alone over one pair."""
+    return explore({name: config}, sequence, max_pairs=1).results[0]
+
+
 class TestEvaluateConfig:
     def test_result_fields(self, lidar_sequence):
-        result = evaluate_config(
-            "quick", cheap_config(5), lidar_sequence, max_pairs=1
-        )
+        result = evaluate_one("quick", cheap_config(5), lidar_sequence)
         assert result.name == "quick"
         assert result.time > 0
         assert result.translational_error >= 0
@@ -39,15 +42,13 @@ class TestEvaluateConfig:
         assert "kdtree_fractions" in result.detail
 
     def test_stage_fractions_sum_to_one(self, lidar_sequence):
-        result = evaluate_config(
-            "quick", cheap_config(3), lidar_sequence, max_pairs=1
-        )
+        result = evaluate_one("quick", cheap_config(3), lidar_sequence)
         total = sum(result.detail["stage_fractions"].values())
         assert total == pytest.approx(1.0)
 
     def test_more_iterations_cost_more_time(self, lidar_sequence):
-        fast = evaluate_config("fast", cheap_config(2), lidar_sequence, max_pairs=1)
-        slow = evaluate_config("slow", cheap_config(20), lidar_sequence, max_pairs=1)
+        fast = evaluate_one("fast", cheap_config(2), lidar_sequence)
+        slow = evaluate_one("slow", cheap_config(20), lidar_sequence)
         assert slow.time > fast.time
 
 
@@ -81,14 +82,24 @@ class TestExplore:
         assert len(detail["pair_stats"]) == 1
         assert detail["icp_iterations"][0] >= 1
 
-    def test_uncached_matches_default(self, lidar_sequence):
+    def test_shared_front_end_matches_each_config_alone(self, lidar_sequence):
+        """Configs that differ only in a pairwise knob share one
+        fingerprint group and its preprocessed frames; sharing must not
+        change what either reports."""
         configs = {"fast": cheap_config(2), "slow": cheap_config(10)}
-        cached = explore(configs, lidar_sequence, max_pairs=1)
-        uncached = explore(configs, lidar_sequence, max_pairs=1, cached=False)
-        for a, b in zip(cached.results, uncached.results):
-            assert a.name == b.name
-            assert a.translational_error == b.translational_error
-            assert a.rotational_error == b.rotational_error
+        assert (
+            configs["fast"].frontend_fingerprint()
+            == configs["slow"].frontend_fingerprint()
+        )
+        shared = explore(configs, lidar_sequence, max_pairs=1)
+        for point in shared.results:
+            alone = evaluate_one(point.name, configs[point.name], lidar_sequence)
+            assert point.translational_error == alone.translational_error
+            assert point.rotational_error == alone.rotational_error
+            for a, b in zip(point.detail["relatives"], alone.detail["relatives"]):
+                assert np.array_equal(a, b)
+            assert point.detail["pair_stats"] == alone.detail["pair_stats"]
+            assert point.detail["icp_iterations"] == alone.detail["icp_iterations"]
 
 
 class TestMultiScene:

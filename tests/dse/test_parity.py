@@ -1,23 +1,29 @@
-"""Cached/parallel exploration must be bit-identical to the seed path.
+"""Shared-artifact exploration must be bit-identical to ``Pipeline.register``.
 
-The shared-artifact explorer reorders *when* preprocessing happens
-(once per (fingerprint, scene, frame) instead of twice per pair per
-config) and, with ``workers > 1``, *where* (across processes).  Neither
-may change what a configuration reports: errors, per-pair transforms,
-ICP iteration counts, and per-pair search/stage stats are pinned
-bitwise against the sequential seed path over two scenes and two
-search backends — the ISSUE 3 acceptance gate.
+The explorer preprocesses each frame once per (fingerprint, scene)
+instead of twice per pair per config, and with ``workers > 1`` it
+evaluates fingerprint groups in other processes.  Neither may change
+what a configuration reports: errors, per-pair transforms, ICP
+iteration counts, per-pair search/stage stats and profiler stage call
+counts are pinned bitwise against the oracle, :func:`register_chain`,
+which registers every raw pair with ``Pipeline.register``.  Two scenes
+and two search backends, for 1, 2 and 4 workers.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.dse import FrameStateCache, explore
 from repro.dse.explorer import _evaluate_group
+from repro.geometry import metrics
 from repro.io import SceneSuite, default_test_model
+from repro.profiling import StageProfiler
 from repro.registration import (
     ICPConfig,
     KeypointConfig,
+    Pipeline,
     PipelineConfig,
     RPCEConfig,
     SearchConfig,
@@ -56,11 +62,11 @@ def suite() -> SceneSuite:
 def configs() -> dict[str, PipelineConfig]:
     """Two backends x (two shared-front-end configs + one skip-initial).
 
-    Per backend the three configs share one fingerprint (pairwise knobs
-    and ``skip_initial_estimation`` are not front-end), so the cached
-    path reuses each frame's artifacts across all three — including the
-    mixed case of a feature-carrying state consumed by a config that
-    never reads features.
+    Per backend the short and long configs differ only in a pairwise
+    knob, so they share one fingerprint and the explorer reuses each
+    frame's artifacts across both.  The skip config plans no nested
+    radius reuse, so its fingerprint differs and it is a group of its
+    own.
     """
     named = {}
     for backend in BACKENDS:
@@ -70,19 +76,60 @@ def configs() -> dict[str, PipelineConfig]:
     return named
 
 
-@pytest.fixture(scope="module")
-def seed_report(configs, suite):
-    return explore(configs, suite, cached=False)
+def register_chain(name, config, sequence, scene):
+    """The oracle: ``Pipeline.register`` on every raw pair, chained.
+
+    Pairs are unseeded, as the explorer runs them; one profiler
+    accumulates every register call, so each interior frame's
+    preprocess is charged to both pairs that use it.
+    """
+    pipeline = Pipeline(config)
+    profiler = StageProfiler()
+    relatives, pair_stats, icp_iterations = [], [], []
+    for source, target, _ in sequence.pairs():
+        result = pipeline.register(source, target, profiler=profiler)
+        relatives.append(result.transformation)
+        pair_stats.append(result.stage_stats)
+        icp_iterations.append(result.icp.iterations)
+    errors = metrics.kitti_sequence_errors(
+        metrics.trajectory_from_relative(relatives),
+        sequence.poses[: len(relatives) + 1],
+    )
+    return SimpleNamespace(
+        name=name,
+        scene=scene,
+        translational_error=errors.translational,
+        rotational_error=errors.rotational,
+        detail={
+            "errors": errors,
+            "relatives": relatives,
+            "pair_stats": pair_stats,
+            "icp_iterations": icp_iterations,
+            "profiler": profiler,
+        },
+    )
 
 
 @pytest.fixture(scope="module")
-def cached_report(configs, suite):
-    return explore(configs, suite, cached=True)
+def oracle(configs, suite):
+    """scene -> the oracle's points, in configuration order."""
+    return {
+        scene: [
+            register_chain(name, config, sequence, scene)
+            for name, config in configs.items()
+        ]
+        for scene, sequence in suite.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def report(configs, suite):
+    return explore(configs, suite)
 
 
 @pytest.fixture(scope="module")
 def parallel_report(configs, suite):
-    return explore(configs, suite, cached=True, workers=2)
+    return explore(configs, suite, workers=2)
 
 
 def assert_results_identical(reference, candidate):
@@ -97,56 +144,51 @@ def assert_results_identical(reference, candidate):
         assert np.array_equal(a, b)
     assert reference.detail["pair_stats"] == candidate.detail["pair_stats"]
     assert reference.detail["icp_iterations"] == candidate.detail["icp_iterations"]
+    # Shared preprocessing is attributed per config exactly as the
+    # register chain spends it: same stage set, same call counts
+    # (interior frames charged to both consuming pairs).
+    reference_stages = reference.detail["profiler"].stages
+    candidate_stages = candidate.detail["profiler"].stages
+    assert set(reference_stages) == set(candidate_stages)
+    for stage, timing in reference_stages.items():
+        assert timing.calls == candidate_stages[stage].calls, (
+            reference.name,
+            stage,
+        )
 
 
-def assert_reports_identical(reference, candidate):
-    assert reference.scenes == candidate.scenes
-    for scene in reference.scenes:
-        ref_points = reference.scene_results[scene]
-        cand_points = candidate.scene_results[scene]
-        assert [r.name for r in ref_points] == [r.name for r in cand_points]
-        for a, b in zip(ref_points, cand_points):
+def assert_matches_oracle(oracle, report):
+    assert report.scenes == tuple(oracle)
+    for scene, expected in oracle.items():
+        points = report.scene_results[scene]
+        assert [r.name for r in points] == [r.name for r in expected]
+        for a, b in zip(expected, points):
             assert_results_identical(a, b)
 
 
 class TestCachedParity:
-    def test_bit_identical_to_seed(self, seed_report, cached_report):
-        assert_reports_identical(seed_report, cached_report)
+    def test_bit_identical_to_register_chain(self, oracle, report):
+        assert_matches_oracle(oracle, report)
 
-    def test_aggregate_errors_match(self, seed_report, cached_report):
-        for a, b in zip(seed_report.results, cached_report.results):
-            assert a.name == b.name
-            assert a.translational_error == b.translational_error
-            assert a.rotational_error == b.rotational_error
-
-    def test_profiler_accounting_matches_seed(self, seed_report, cached_report):
-        """Shared preprocessing must be *attributed* per config exactly
-        as the seed path spends it: same stage set, same call counts
-        (interior frames charged to both consuming pairs)."""
-        for scene in seed_report.scenes:
-            for a, b in zip(
-                seed_report.scene_results[scene],
-                cached_report.scene_results[scene],
-            ):
-                seed_stages = a.detail["profiler"].stages
-                cached_stages = b.detail["profiler"].stages
-                assert set(seed_stages) == set(cached_stages)
-                for stage, timing in seed_stages.items():
-                    assert timing.calls == cached_stages[stage].calls, (
-                        a.name,
-                        stage,
-                    )
+    def test_aggregate_errors_match(self, oracle, report):
+        """Cross-scene aggregates are the mean of the oracle's errors."""
+        for index, aggregate in enumerate(report.results):
+            members = [points[index] for points in oracle.values()]
+            assert aggregate.name == members[0].name
+            assert aggregate.translational_error == float(
+                np.mean([m.translational_error for m in members])
+            )
+            assert aggregate.rotational_error == float(
+                np.mean([m.rotational_error for m in members])
+            )
 
 
 class TestParallelParity:
-    def test_bit_identical_to_seed(self, seed_report, parallel_report):
-        assert_reports_identical(seed_report, parallel_report)
+    def test_bit_identical_to_register_chain(self, oracle, parallel_report):
+        assert_matches_oracle(oracle, parallel_report)
 
-    def test_worker_count_does_not_change_results(
-        self, configs, suite, parallel_report
-    ):
-        four = explore(configs, suite, cached=True, workers=4)
-        assert_reports_identical(parallel_report, four)
+    def test_worker_count_does_not_change_results(self, oracle, configs, suite):
+        assert_matches_oracle(oracle, explore(configs, suite, workers=4))
 
 
 class TestFrameStateCache:

@@ -5,6 +5,7 @@ with its smallest work setting.  These are the slowest tests in the
 suite (seconds each) but guard the repository's front door.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,9 @@ import sys
 import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
+CHECK_TRACE = os.path.join(
+    os.path.dirname(__file__), "..", "..", "tools", "check_trace.py"
+)
 
 
 def run_example(name: str, *args: str) -> str:
@@ -35,6 +39,20 @@ class TestExamples:
         output = run_example("odometry.py", "--frames", "3")
         assert "KITTI-style sequence errors" in output
         assert "translational:" in output
+
+    def test_odometry_trace_validates(self, tmp_path):
+        """The exported trace passes ``tools/check_trace.py``, including
+        its stage totals against the profiler's."""
+        trace = tmp_path / "odometry_trace.json"
+        run_example("odometry.py", "--frames", "3", "--trace", str(trace))
+        assert json.loads(trace.read_text())["profilerTotals"]
+        check = subprocess.run(
+            [sys.executable, CHECK_TRACE, str(trace)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert check.returncode == 0, check.stdout + check.stderr
 
     def test_accelerator_sim(self):
         output = run_example("accelerator_sim.py")

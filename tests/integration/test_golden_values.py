@@ -164,9 +164,10 @@ def mapping_scenario() -> dict:
     and example, pinning the subsystem end to end: the keyframe
     schedule, the loop-closure edges, the back end's solver iterations
     and re-anchored keyframes, the optimized trajectory, and the drift
-    reduction itself.  The open-loop ATE comes from the mapper's
-    own odometry chain (bit-identical to ``run_streaming_odometry`` —
-    asserted in ``tests/mapping/``), so the sequence is registered once.
+    reduction itself.  The map sizes are read from the mapper's voxel
+    map.  The open-loop ATE comes from the mapper's own odometry chain
+    (bit-identical to ``run_odometry`` — asserted in
+    ``tests/mapping/``), so the sequence is registered once.
     """
     from repro.geometry import metrics
     from repro.io import SceneSuite, default_test_model
@@ -196,8 +197,8 @@ def mapping_scenario() -> dict:
         # and keyframes re-binned into the map after them.
         "optimization_iterations": stats.optimization_iterations,
         "n_reanchored": stats.n_reanchored,
-        "n_map_voxels": stats.n_map_voxels,
-        "n_map_points": stats.n_map_points,
+        "n_map_voxels": mapper.map.n_voxels,
+        "n_map_points": mapper.map.n_points,
         "trajectory": [pose.tolist() for pose in mapper.trajectory()],
         "ate_open_loop_m": metrics.absolute_trajectory_error(
             open_loop, sequence.poses

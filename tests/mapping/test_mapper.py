@@ -18,12 +18,14 @@ import pytest
 from repro.geometry import metrics, se3
 from repro.io import SceneSuite, default_test_model
 from repro.mapping import (
+    Keyframe,
+    LoopCloser,
     StreamingMapper,
     voxel_map,
     urban_loop_mapper_config,
     urban_loop_pipeline,
 )
-from repro.registration import Pipeline, run_streaming_odometry
+from repro.registration import Pipeline, run_odometry
 
 N_FRAMES = 48
 
@@ -41,27 +43,36 @@ def urban_loop():
 
 @pytest.fixture(scope="module")
 def open_loop(urban_loop):
-    return run_streaming_odometry(urban_loop, make_pipeline())
+    return run_odometry(urban_loop, make_pipeline())
 
 
 @pytest.fixture(scope="module")
 def mapped(urban_loop):
-    """One full mapping run, with pipeline preprocess calls counted."""
-    calls = {"preprocess": 0}
-    original = Pipeline.preprocess
+    """One full mapping run, with pipeline preprocess calls and fused
+    map views counted while it runs."""
+    calls = {"preprocess": 0, "fused_view": 0}
+    counted = {
+        "preprocess": (Pipeline, Pipeline.preprocess),
+        "fused_view": (voxel_map.VoxelMap, voxel_map.VoxelMap._fused_view),
+    }
 
-    def counting(self, *args, **kwargs):
-        calls["preprocess"] += 1
-        return original(self, *args, **kwargs)
+    def counting(name, original):
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
 
-    Pipeline.preprocess = counting
+        return wrapper
+
+    for name, (owner, original) in counted.items():
+        setattr(owner, original.__name__, counting(name, original))
     try:
         mapper = StreamingMapper(make_pipeline(), mapper_config())
         for frame in urban_loop.frames:
             mapper.push(frame)
     finally:
-        Pipeline.preprocess = original
-    return mapper, calls["preprocess"]
+        for owner, original in counted.values():
+            setattr(owner, original.__name__, original)
+    return mapper, calls
 
 
 class TestLoopClosureAcceptance:
@@ -82,9 +93,14 @@ class TestLoopClosureAcceptance:
         assert ate_mapped <= 0.5 * ate_open
 
     def test_each_frame_preprocessed_exactly_once(self, mapped):
-        mapper, n_preprocess = mapped
-        assert n_preprocess == N_FRAMES
-        assert mapper.stats.n_preprocess == N_FRAMES
+        _, calls = mapped
+        assert calls["preprocess"] == N_FRAMES
+
+    def test_map_fused_only_when_read(self, mapped):
+        """Pushing frames never builds the fused map view: keyframes are
+        inserted as tables, and the view is fused when the map is read."""
+        _, calls = mapped
+        assert calls["fused_view"] == 0
 
     def test_loop_measurements_beat_drift(self, mapped, urban_loop):
         """Verified closures are more accurate than the drift they fix."""
@@ -166,9 +182,9 @@ class TestMapperMechanics:
     def test_global_map_accounts_every_keyframe_point(self, mapped):
         mapper, _ = mapped
         expected = sum(len(k.state.cloud) for k in mapper.keyframes)
-        assert mapper.stats.n_map_points == expected
+        assert mapper.map.n_points == expected
         cloud = mapper.global_map()
-        assert len(cloud) == mapper.stats.n_map_voxels
+        assert len(cloud) == mapper.map.n_voxels
         assert int(cloud.get_attribute("count").sum()) == expected
 
     def test_map_is_reanchored_after_optimization(self, mapped):
@@ -201,6 +217,40 @@ class TestMapperMechanics:
         text = mapper.stats.summary()
         assert "keyframes" in text
         assert "loop closure" in text
+
+
+class TestLoopVerification:
+    def test_icp_seeded_with_the_estimate(self, lidar_sequence, monkeypatch):
+        """Verification matches the keyframes' cached states, seeded with
+        the estimated relative pose, and leaves both states as cached."""
+        pipeline = make_pipeline()
+        source, target = (
+            Keyframe(
+                index=index,
+                frame_index=index,
+                odometry_pose=lidar_sequence.poses[index],
+                state=pipeline.preprocess(lidar_sequence.frames[index]),
+            )
+            for index in (1, 0)
+        )
+        states = (source.state, target.state)
+        _, _, estimate = lidar_sequence.pair(0)
+        matches = []
+        original = Pipeline.match
+
+        def recording(self, *args, **kwargs):
+            matches.append((args, kwargs))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Pipeline, "match", recording)
+        LoopCloser(pipeline).verify(source, target, estimate)
+        assert len(matches) == 1
+        (source_state, target_state), kwargs = matches[0]
+        assert source_state is states[0]
+        assert target_state is states[1]
+        assert np.array_equal(kwargs["initial"], estimate)
+        assert source.state is states[0]
+        assert target.state is states[1]
 
 
 class TestTelemetry:

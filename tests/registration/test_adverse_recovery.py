@@ -42,7 +42,7 @@ from repro.registration import (
     RecoveryConfig,
     RejectionConfig,
     RPCEConfig,
-    run_streaming_odometry,
+    run_odometry,
 )
 
 pytestmark = pytest.mark.slow
@@ -112,7 +112,7 @@ def adverse():
     for name in suite.names:
         spec = suite.specs[name]
         sequence = suite.sequence(name)
-        ladder = run_streaming_odometry(
+        ladder = run_odometry(
             sequence, frontend_pipeline(), recovery=recovery_config()
         )
         row = {"ladder": ate(ladder, sequence), "stats": ladder.stats}
@@ -120,9 +120,9 @@ def adverse():
             clean = dataclasses.replace(spec, degradation=None).build(
                 suite.n_frames, suite.model
             )
-            row["clean"] = ate(run_streaming_odometry(clean, frontend_pipeline()), clean)
+            row["clean"] = ate(run_odometry(clean, frontend_pipeline()), clean)
             row["baseline"] = ate(
-                run_streaming_odometry(sequence, frontend_pipeline()), sequence
+                run_odometry(sequence, frontend_pipeline()), sequence
             )
         rows[name] = row
     return rows

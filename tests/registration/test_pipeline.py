@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.geometry import metrics
-from repro.kdtree import SearchStats
 from repro.profiling import StageProfiler
 from repro.registration import (
     STAGE_NAMES,
@@ -16,7 +15,6 @@ from repro.registration import (
     RPCEConfig,
     SearchConfig,
     ShellRadiusInjector,
-    register_pair,
 )
 
 
@@ -75,11 +73,6 @@ class TestRegister:
         empty = repro.io.PointCloud(np.empty((0, 3)))
         with pytest.raises(ValueError):
             Pipeline(quick_config()).register(empty, target)
-
-    def test_register_pair_convenience(self, lidar_pair):
-        source, target, _ = lidar_pair
-        result = register_pair(source, target, quick_config())
-        assert result.success
 
 
 class TestInstrumentation:

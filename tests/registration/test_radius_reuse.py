@@ -167,10 +167,10 @@ class TestAccounting:
         """Streaming odometry with reuse active: per-pair counters stay
         internally consistent, and reuse actually engages."""
         from repro.io import make_sequence
-        from repro.registration import run_streaming_odometry
+        from repro.registration import run_odometry
 
         sequence = make_sequence(n_frames=3, seed=11, step=1.0)
-        result = run_streaming_odometry(
+        result = run_odometry(
             sequence, reuse_pipeline(), seed_with_previous=False
         )
         engaged = 0

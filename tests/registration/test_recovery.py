@@ -24,8 +24,9 @@ from repro.registration import (
     RecoveryConfig,
     StreamingOdometry,
     run_odometry,
-    run_streaming_odometry,
 )
+from repro.telemetry import Tracer
+from tests.registration.test_streaming import register_chain
 
 
 def quick_pipeline(**icp_overrides) -> Pipeline:
@@ -52,8 +53,8 @@ def sequence():
 
 class TestCleanSequenceTransparency:
     def test_bit_identical_with_recovery_enabled(self, sequence):
-        plain = run_streaming_odometry(sequence, quick_pipeline())
-        gated = run_streaming_odometry(
+        plain = run_odometry(sequence, quick_pipeline())
+        gated = run_odometry(
             sequence, quick_pipeline(), recovery=RecoveryConfig()
         )
         assert all(
@@ -67,7 +68,7 @@ class TestCleanSequenceTransparency:
         assert gated.stats.degraded_pairs == []
 
     def test_health_recorded_per_pair(self, sequence):
-        gated = run_streaming_odometry(
+        gated = run_odometry(
             sequence, quick_pipeline(), recovery=RecoveryConfig()
         )
         assert len(gated.stats.pair_health) == gated.n_pairs
@@ -78,7 +79,7 @@ class TestCleanSequenceTransparency:
         assert all(actions == () for actions in gated.stats.pair_actions)
 
     def test_no_recovery_means_no_assessment(self, sequence):
-        plain = run_streaming_odometry(sequence, quick_pipeline())
+        plain = run_odometry(sequence, quick_pipeline())
         assert all(health is None for health in plain.stats.pair_health)
 
 
@@ -88,7 +89,7 @@ class TestLadder:
         recovery = RecoveryConfig(
             health=HealthConfig(max_median_residual=1e-12)
         )
-        result = run_streaming_odometry(
+        result = run_odometry(
             sequence, quick_pipeline(), recovery=recovery
         )
         stats = result.stats
@@ -109,7 +110,7 @@ class TestLadder:
         recovery = RecoveryConfig(
             health=HealthConfig(max_median_residual=1e-12)
         )
-        result = run_streaming_odometry(
+        result = run_odometry(
             sequence, quick_pipeline(), recovery=recovery
         )
         assert result.stats.n_widened == result.n_pairs
@@ -122,7 +123,7 @@ class TestLadder:
             reseed_from_prior=False,
             widened_retry=False,
         )
-        result = run_streaming_odometry(
+        result = run_odometry(
             sequence, quick_pipeline(), recovery=recovery
         )
         assert result.stats.n_widened == 0
@@ -133,7 +134,7 @@ class TestLadder:
         recovery = RecoveryConfig(
             health=HealthConfig(max_median_residual=1e-12)
         )
-        result = run_streaming_odometry(
+        result = run_odometry(
             sequence, quick_pipeline(), recovery=recovery
         )
         assert result.stats.failure_counts.get("median_residual", 0) > 0
@@ -147,8 +148,8 @@ class TestLadder:
         recovery = RecoveryConfig(
             health=HealthConfig(prior_translation_tolerance=1e-12)
         )
-        plain = run_streaming_odometry(sequence, quick_pipeline())
-        gated = run_streaming_odometry(
+        plain = run_odometry(sequence, quick_pipeline())
+        gated = run_odometry(
             sequence, quick_pipeline(), recovery=recovery
         )
         stats = gated.stats
@@ -185,7 +186,7 @@ class TestLadder:
 
 
 class TestNonConvergedCounting:
-    def test_both_drivers_count(self, sequence):
+    def test_nonconverged_pairs_match_register_chain(self, sequence):
         # One iteration with epsilon criteria it cannot meet: every
         # pair stops on the budget.
         pipeline = quick_pipeline(
@@ -193,16 +194,18 @@ class TestNonConvergedCounting:
             transformation_epsilon=1e-15,
             fitness_epsilon=1e-15,
         )
-        pairwise = run_odometry(sequence, pipeline)
-        streaming = run_streaming_odometry(sequence, pipeline)
-        assert pairwise.stats.n_nonconverged == pairwise.n_pairs
+        oracle = register_chain(sequence, pipeline)
+        converged = [r.icp.converged for r in oracle.pair_results]
+        assert not any(converged)
+        streaming = run_odometry(sequence, pipeline)
         assert streaming.stats.n_nonconverged == streaming.n_pairs
+        assert [r.icp.converged for r in streaming.pair_results] == converged
 
     def test_summary_and_extended_report(self, sequence):
         recovery = RecoveryConfig(
             health=HealthConfig(max_median_residual=1e-12)
         )
-        result = run_streaming_odometry(
+        result = run_odometry(
             sequence, quick_pipeline(), recovery=recovery
         )
         summary = result.stats.summary()
@@ -215,3 +218,41 @@ class TestNonConvergedCounting:
         assert "non-converged" in report
         # The plain report stays free of health lines.
         assert "health:" not in result.profiler.report()
+
+
+class TestTracedLadder:
+    def test_tracer_does_not_change_the_ladder(self, sequence):
+        """Every pair unhealthy, so reseed, widen and bridge all run,
+        and the traced run must decide and compute exactly what the
+        untraced one does.  Pairs are unseeded: a pair seeded with the
+        prior skips the reseed rung."""
+        recovery = RecoveryConfig(
+            health=HealthConfig(max_median_residual=1e-12)
+        )
+
+        def run(tracer):
+            return run_odometry(
+                sequence, quick_pipeline(), seed_with_previous=False,
+                tracer=tracer, recovery=recovery,
+            )
+
+        tracer = Tracer()
+        traced, plain = run(tracer), run(None)
+        actions = {a for pair in plain.stats.pair_actions for a in pair}
+        assert {"reseed", "widen", "bridge"} <= actions
+        assert traced.n_pairs == plain.n_pairs
+        for ours, reference in zip(traced.relatives, plain.relatives):
+            assert np.array_equal(ours, reference)
+        assert traced.stats.pair_actions == plain.stats.pair_actions
+        assert traced.stats.failure_counts == plain.stats.failure_counts
+        for ours, reference in zip(traced.pair_results, plain.pair_results):
+            assert ours.stage_stats == reference.stage_stats
+        # The tracer saw the ladder it did not perturb.
+        rungs = [
+            span.args["rung"]
+            for root in tracer.roots
+            for span in root.walk()
+            if span.name == "recovery"
+        ]
+        assert rungs.count("widen") == plain.stats.n_widened
+        assert rungs.count("reseed") == plain.stats.n_reseeded

@@ -1,18 +1,22 @@
-"""Streaming odometry must be bit-identical to the pair-by-pair driver.
+"""Streaming odometry must be bit-identical to chained ``Pipeline.register``.
 
 The per-frame/pairwise split behind :class:`StreamingOdometry` is a
 pure refactor of computation *order*: preprocessing a frame once and
 reusing its artifacts across two pairs must produce exactly the same
 relatives, trajectory, and per-pair search-work counters as preprocessing
-it twice.  These tests enforce that property across the four synthetic
-scenes and multiple search backends; the multi-scene sweep carries the
-``slow`` marker (run with the full CI job, deselect with ``-m "not
-slow"``).
+it twice.  The oracle, :func:`register_chain`, registers every raw pair
+with ``Pipeline.register``, seeded like ``run_odometry``.  These tests
+enforce that property across the four synthetic scenes and multiple
+search backends; the multi-scene sweep carries the ``slow`` marker (run
+with the full CI job, deselect with ``-m "not slow"``).
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.geometry import metrics
 from repro.io import (
     highway_scene,
     intersection_scene,
@@ -29,8 +33,9 @@ from repro.registration import (
     SearchConfig,
     StreamingOdometry,
     run_odometry,
-    run_streaming_odometry,
 )
+from repro.profiling import StageProfiler
+from repro.telemetry import Tracer
 
 SCENES = ("urban", "highway", "intersection", "room")
 BACKENDS = ("twostage", "bruteforce")
@@ -70,15 +75,50 @@ def quick_pipeline(backend: str = "twostage", **overrides) -> Pipeline:
     return Pipeline(config)
 
 
-def assert_runs_identical(uncached, streaming):
-    """Bitwise equality of everything the ISSUE pins: relatives,
-    trajectory, and per-pair stage stats."""
-    assert uncached.n_pairs == streaming.n_pairs
-    for a, b in zip(uncached.relatives, streaming.relatives):
+def register_chain(sequence, pipeline, seed_with_previous=True):
+    """The oracle: ``Pipeline.register`` on every raw pair, chained.
+
+    Pair ``k`` registers frame ``k + 1`` onto frame ``k``, seeded with
+    pair ``k - 1``'s transform when ``seed_with_previous`` (the
+    constant-velocity prior of ``run_odometry``), so every frame but
+    the ends is preprocessed twice.
+    """
+    profiler = StageProfiler()
+    relatives, pair_results = [], []
+    for index in range(len(sequence.frames) - 1):
+        initial = relatives[-1] if seed_with_previous and relatives else None
+        pair_profiler = StageProfiler()
+        result = pipeline.register(
+            sequence.frames[index + 1],
+            sequence.frames[index],
+            initial=initial,
+            profiler=pair_profiler,
+        )
+        profiler.merge(pair_profiler)
+        relatives.append(result.transformation)
+        pair_results.append(result)
+    trajectory = metrics.trajectory_from_relative(relatives)
+    return SimpleNamespace(
+        n_pairs=len(relatives),
+        relatives=relatives,
+        trajectory=trajectory,
+        pair_results=pair_results,
+        profiler=profiler,
+        errors=metrics.kitti_sequence_errors(
+            trajectory, sequence.poses[: len(relatives) + 1]
+        ),
+    )
+
+
+def assert_runs_identical(oracle, streaming):
+    """Bitwise equality of relatives, trajectory, per-pair stage stats,
+    the ICP and initial-estimation fields, and the KITTI errors."""
+    assert oracle.n_pairs == streaming.n_pairs
+    for a, b in zip(oracle.relatives, streaming.relatives):
         assert np.array_equal(a, b)
-    for a, b in zip(uncached.trajectory, streaming.trajectory):
+    for a, b in zip(oracle.trajectory, streaming.trajectory):
         assert np.array_equal(a, b)
-    for ra, rb in zip(uncached.pair_results, streaming.pair_results):
+    for ra, rb in zip(oracle.pair_results, streaming.pair_results):
         assert ra.stage_stats == rb.stage_stats
         assert np.array_equal(ra.initial_transformation, rb.initial_transformation)
         assert ra.icp.iterations == rb.icp.iterations
@@ -86,30 +126,29 @@ def assert_runs_identical(uncached, streaming):
         assert ra.n_source_keypoints == rb.n_source_keypoints
         assert ra.n_feature_correspondences == rb.n_feature_correspondences
         assert ra.n_inlier_correspondences == rb.n_inlier_correspondences
-    if uncached.errors is not None:
-        assert uncached.errors.translational == streaming.errors.translational
-        assert uncached.errors.rotational == streaming.errors.rotational
+    assert oracle.errors.translational == streaming.errors.translational
+    assert oracle.errors.rotational == streaming.errors.rotational
 
 
 class TestStreamingBitIdentity:
     def test_matches_pairwise_fast(self, lidar_sequence):
         """The always-on guard: one scene, default backend, seeded."""
         pipeline = quick_pipeline()
-        uncached = run_odometry(lidar_sequence, pipeline)
-        streaming = run_streaming_odometry(lidar_sequence, pipeline)
-        assert_runs_identical(uncached, streaming)
+        oracle = register_chain(lidar_sequence, pipeline)
+        streaming = run_odometry(lidar_sequence, pipeline)
+        assert_runs_identical(oracle, streaming)
 
     def test_matches_pairwise_unseeded(self, lidar_sequence):
         """Without the constant-velocity prior every pair runs the full
         front end — the heaviest reuse path (features hand over too)."""
         pipeline = quick_pipeline()
-        uncached = run_odometry(
+        oracle = register_chain(
             lidar_sequence, pipeline, seed_with_previous=False
         )
-        streaming = run_streaming_odometry(
+        streaming = run_odometry(
             lidar_sequence, pipeline, seed_with_previous=False
         )
-        assert_runs_identical(uncached, streaming)
+        assert_runs_identical(oracle, streaming)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("scene", SCENES)
@@ -117,9 +156,9 @@ class TestStreamingBitIdentity:
     def test_matches_pairwise_all_scenes(self, scene, backend):
         sequence = scene_sequence(scene)
         pipeline = quick_pipeline(backend=backend)
-        uncached = run_odometry(sequence, pipeline)
-        streaming = run_streaming_odometry(sequence, pipeline)
-        assert_runs_identical(uncached, streaming)
+        oracle = register_chain(sequence, pipeline)
+        streaming = run_odometry(sequence, pipeline)
+        assert_runs_identical(oracle, streaming)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("scene", ("urban", "room"))
@@ -128,17 +167,26 @@ class TestStreamingBitIdentity:
         descriptor handoff between consecutive pairs."""
         sequence = scene_sequence(scene)
         pipeline = quick_pipeline()
-        uncached = run_odometry(sequence, pipeline, seed_with_previous=False)
-        streaming = run_streaming_odometry(
-            sequence, pipeline, seed_with_previous=False
-        )
-        assert_runs_identical(uncached, streaming)
+        oracle = register_chain(sequence, pipeline, seed_with_previous=False)
+        streaming = run_odometry(sequence, pipeline, seed_with_previous=False)
+        assert_runs_identical(oracle, streaming)
 
     def test_skip_initial_estimation_mode(self, lidar_sequence):
         pipeline = quick_pipeline(skip_initial_estimation=True)
-        uncached = run_odometry(lidar_sequence, pipeline)
-        streaming = run_streaming_odometry(lidar_sequence, pipeline)
-        assert_runs_identical(uncached, streaming)
+        oracle = register_chain(lidar_sequence, pipeline)
+        streaming = run_odometry(lidar_sequence, pipeline)
+        assert_runs_identical(oracle, streaming)
+
+    def test_max_pairs_is_a_prefix_of_the_chain(self, lidar_sequence):
+        """Stopping early registers the same leading pairs and scores
+        them against the matching prefix of the ground truth."""
+        pipeline = quick_pipeline()
+        prefix = SimpleNamespace(
+            frames=lidar_sequence.frames[:3], poses=lidar_sequence.poses[:3]
+        )
+        oracle = register_chain(prefix, pipeline)
+        streaming = run_odometry(lidar_sequence, pipeline, max_pairs=2)
+        assert_runs_identical(oracle, streaming)
 
 
 class TestStreamingEngine:
@@ -183,12 +231,12 @@ class TestStreamingEngine:
         rebuilds RPCE itself performs, absent in this config)."""
         pipeline = quick_pipeline(skip_initial_estimation=True)
         n = len(lidar_sequence.frames)
-        uncached = run_odometry(lidar_sequence, pipeline)
-        streaming = run_streaming_odometry(lidar_sequence, pipeline)
+        oracle = register_chain(lidar_sequence, pipeline)
+        streaming = run_odometry(lidar_sequence, pipeline)
         # Normal Estimation stage entries: one per preprocess.
-        uncached_calls = uncached.profiler.stages["Normal Estimation"].calls
+        oracle_calls = oracle.profiler.stages["Normal Estimation"].calls
         streaming_calls = streaming.profiler.stages["Normal Estimation"].calls
-        assert uncached_calls == 2 * (n - 1)
+        assert oracle_calls == 2 * (n - 1)
         assert streaming_calls == n
 
     def test_result_is_snapshot(self, lidar_sequence):
@@ -203,20 +251,19 @@ class TestStreamingEngine:
         assert len(early.pair_seconds) == 1
         assert early.profiler.total == early_total
 
-    def test_run_streaming_odometry_max_pairs(self, lidar_sequence):
-        result = run_streaming_odometry(
-            lidar_sequence, quick_pipeline(), max_pairs=1
+    def test_tracer_does_not_change_the_run(self, lidar_sequence):
+        """A traced run computes exactly what an untraced one does, and
+        records one root span per pushed frame."""
+        pipeline = quick_pipeline()
+        tracer = Tracer()
+        traced = run_odometry(lidar_sequence, pipeline, tracer=tracer)
+        plain = run_odometry(lidar_sequence, pipeline)
+        assert traced.n_pairs == plain.n_pairs
+        for a, b in zip(traced.relatives, plain.relatives):
+            assert np.array_equal(a, b)
+        for a, b in zip(traced.pair_results, plain.pair_results):
+            assert a.stage_stats == b.stage_stats
+            assert a.icp.iterations == b.icp.iterations
+        assert [root.name for root in tracer.roots] == (
+            ["bootstrap"] + ["pair"] * plain.n_pairs
         )
-        assert result.n_pairs == 1
-        assert np.array_equal(result.trajectory[0], np.eye(4))
-
-    def test_plain_frame_list_without_ground_truth(self, lidar_sequence):
-        result = run_streaming_odometry(
-            list(lidar_sequence.frames[:2]), quick_pipeline()
-        )
-        assert result.errors is None
-        assert result.n_pairs == 1
-
-    def test_single_frame_rejected(self, lidar_sequence):
-        with pytest.raises(ValueError):
-            run_streaming_odometry([lidar_sequence.frames[0]], quick_pipeline())
