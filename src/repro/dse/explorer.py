@@ -260,20 +260,23 @@ def _evaluate_group(
 
     Preprocessing reads only front-end knobs, identical across the
     group by construction, so any member configuration can build the
-    shared states.  Features are computed iff some member runs initial
-    estimation; members that skip it ignore them (``match`` neither
-    reads nor accounts feature stages then), keeping every result
-    bit-identical to a ``Pipeline.register`` chain over its pairs.
+    shared states.  The fingerprint also fixes whether the members run
+    initial estimation (its planned reuse radius is ``None`` exactly
+    under ``skip_initial_estimation``), so the representative decides
+    whether features are built and which preprocess stages every pair
+    consumes, keeping every result bit-identical to a
+    ``Pipeline.register`` chain over its pairs.
 
     A :class:`~repro.telemetry.Tracer` (optional) records the shared
     preprocesses and, per configuration, a ``config`` span wrapping its
     pair chain — with every pipeline stage span nested inside.
     """
     trace = NULL_TRACER if tracer is None else tracer
-    configs = list(named_configs.values())
-    representative = Pipeline(configs[0])
-    fingerprint = configs[0].frontend_fingerprint()
-    with_features = any(not c.skip_initial_estimation for c in configs)
+    first = next(iter(named_configs.values()))
+    representative = Pipeline(first)
+    fingerprint = first.frontend_fingerprint()
+    with_features = representative.runs_initial()
+    consumed = _FRAME_STAGES + (_FEATURE_STAGES if with_features else ())
     pairs = _select_pairs(sequence, max_pairs)
     n_frames = len(pairs) + 1
 
@@ -294,9 +297,6 @@ def _evaluate_group(
     results = []
     for name, config in named_configs.items():
         pipeline = Pipeline(config)
-        consumed = _FRAME_STAGES + (
-            _FEATURE_STAGES if pipeline.runs_initial() else ()
-        )
         merged_profiler = StageProfiler()
         relatives: list[np.ndarray] = []
         times: list[float] = []

@@ -27,6 +27,12 @@ __all__ = [
     "RansacResult",
 ]
 
+# Sample rows closer to collinear than this (|v1 x v2|) fit no model.
+_COLLINEAR_TOL = 1e-6
+# Element budget of one (hypotheses, pairs, 3) scoring temporary;
+# hypotheses are scored in chunks that stay under it.
+_RANSAC_CHUNK_ELEMENTS = 1 << 17
+
 
 @dataclass(frozen=True)
 class RejectionConfig:
@@ -116,33 +122,44 @@ def reject_ransac(
     """Classic RANSAC over correspondences [19].
 
     Repeatedly samples 3 pairs, fits a rigid transform (Kabsch), and
-    counts inliers within ``threshold``; the best model is refit on its
-    full inlier set.  ``source_points`` / ``target_points`` are the 3D
-    positions the correspondence indices refer to.
+    counts inliers within ``threshold``; the best model (the first of
+    equal counts) is refit on its full inlier set.  ``source_points`` /
+    ``target_points`` are the 3D positions the correspondence indices
+    refer to.  Fewer than 3 pairs admit no model: the result keeps none.
+
+    The samples are drawn up front in hypothesis order (scoring draws
+    no randomness), then fit and scored in stacked chunks by
+    :func:`_score_hypotheses`, bit-identical to one scalar
+    :func:`kabsch` fit and residual pass per hypothesis.
     """
     n = len(correspondences)
     if n < 3:
-        return RansacResult(correspondences, np.eye(4), 0.0)
+        return _no_model(correspondences)
     rng = np.random.default_rng(seed)
     src = np.asarray(source_points, dtype=np.float64)[correspondences.source_indices]
     tgt = np.asarray(target_points, dtype=np.float64)[correspondences.target_indices]
+    samples = np.array(
+        [rng.choice(n, size=3, replace=False) for _ in range(iterations)],
+        dtype=np.int64,
+    ).reshape(-1, 3)
 
     best_inliers: np.ndarray | None = None
     best_count = -1
-    for _ in range(iterations):
-        sample = rng.choice(n, size=3, replace=False)
-        if _degenerate(src[sample]):
+    chunk = max(1, _RANSAC_CHUNK_ELEMENTS // (3 * n))
+    for start in range(0, len(samples), chunk):
+        _, _, inliers = _score_hypotheses(
+            src, tgt, samples[start : start + chunk], threshold
+        )
+        if not len(inliers):
             continue
-        model = kabsch(src[sample], tgt[sample])
-        residuals = np.linalg.norm(se3.apply_transform(model, src) - tgt, axis=1)
-        inliers = residuals < threshold
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
+        counts = inliers.sum(axis=1)
+        top = int(np.argmax(counts))
+        if counts[top] > best_count:
+            best_count = int(counts[top])
+            best_inliers = inliers[top].copy()
 
     if best_inliers is None or best_count < 3:
-        return RansacResult(correspondences.select(np.zeros(n, dtype=bool)), np.eye(4), 0.0)
+        return _no_model(correspondences)
     transformation = kabsch(src[best_inliers], tgt[best_inliers])
     # One re-scoring pass with the refit model tightens the inlier set.
     residuals = np.linalg.norm(se3.apply_transform(transformation, src) - tgt, axis=1)
@@ -156,6 +173,58 @@ def reject_ransac(
         transformation,
         float(final_inliers.sum()) / n,
     )
+
+
+def _no_model(correspondences: Correspondences) -> RansacResult:
+    """The RANSAC result that keeps no pair: identity, ratio 0."""
+    keep = np.zeros(len(correspondences), dtype=bool)
+    return RansacResult(correspondences.select(keep), np.eye(4), 0.0)
+
+
+def _score_hypotheses(
+    src: np.ndarray, tgt: np.ndarray, samples: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit and score a stack of 3-pair RANSAC hypotheses.
+
+    Returns the non-degenerate flag per sample row, then the 4x4 models
+    and ``(h, n)`` inlier masks of the non-degenerate rows, in order.
+    Every step is the stacked form of the scalar one, operation for
+    operation: the collinearity norm is ``sqrt`` of a ``(1, 3) @ (3, 1)``
+    matmul, which calls the same BLAS dot as ``np.linalg.norm`` of a 1-D
+    vector (``einsum`` and ``add.reduce`` sum in other orders and flip
+    rows near the tolerance); the fit follows :func:`kabsch` with unit
+    weights, and each stacked matmul, ``svd`` and ``det`` makes the
+    per-matrix BLAS/LAPACK call the scalar form makes.  A NaN norm
+    counts as non-degenerate, so ``svd`` raises on it as the scalar fit
+    does.
+    """
+    s = src[samples]
+    t = tgt[samples]
+    cross = np.cross(s[:, 1] - s[:, 0], s[:, 2] - s[:, 0])
+    norms = np.sqrt(cross[:, None, :] @ cross[:, :, None])[:, 0, 0]
+    valid = ~(norms < _COLLINEAR_TOL)
+    s, t = s[valid], t[valid]
+
+    s_centroid = s.sum(axis=1) / 3.0
+    t_centroid = t.sum(axis=1) / 3.0
+    cross_cov = np.swapaxes(s - s_centroid[:, None], 1, 2) @ (t - t_centroid[:, None])
+    u, _, vt = np.linalg.svd(cross_cov)
+    v = np.swapaxes(vt, 1, 2)
+    ut = np.swapaxes(u, 1, 2)
+    sign = np.sign(np.linalg.det(v @ ut))
+    correction = np.zeros_like(cross_cov)
+    correction[:, 0, 0] = correction[:, 1, 1] = 1.0
+    correction[:, 2, 2] = np.where(sign != 0, sign, 1.0)
+    rotation = v @ correction @ ut
+    models = np.zeros((len(rotation), 4, 4))
+    models[:, :3, :3] = rotation
+    models[:, :3, 3] = t_centroid - (rotation @ s_centroid[:, :, None])[:, :, 0]
+    models[:, 3, 3] = 1.0
+
+    moved = src @ np.swapaxes(models[:, :3, :3], 1, 2)
+    moved += models[:, None, :3, 3]
+    moved -= tgt
+    return valid, models, np.linalg.norm(moved, axis=-1) < threshold
 
 
 def reject_correspondences(
@@ -199,9 +268,3 @@ def reject_correspondences(
         inlier_ratio = 0.0
     return RansacResult(current, transformation, inlier_ratio)
 
-
-def _degenerate(points: np.ndarray, tol: float = 1e-6) -> bool:
-    """Whether 3 sample points are (nearly) collinear."""
-    v1 = points[1] - points[0]
-    v2 = points[2] - points[0]
-    return float(np.linalg.norm(np.cross(v1, v2))) < tol

@@ -8,7 +8,6 @@ constants drifts them, this file fails before the figure claims in
 ``tests/paper`` do.
 """
 
-import numpy as np
 import pytest
 
 from repro.accel import (

@@ -1,10 +1,17 @@
 """Unit tests for the parametric sweep grid."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.dse import SweepSpec, default_sweep, fingerprint_groups, parameter_grid
-from repro.registration import PipelineConfig
+from repro.registration import (
+    DESIGN_POINT_NAMES,
+    Pipeline,
+    PipelineConfig,
+    design_point,
+)
 
 
 class TestSweepSpec:
@@ -126,6 +133,27 @@ class TestFingerprintGroups:
         a = PipelineConfig(injectors={"RPCE": FakeInjector()})
         b = PipelineConfig(injectors={"RPCE": FakeInjector()})
         assert a.frontend_fingerprint() == b.frontend_fingerprint()
+
+    def test_groups_uniform_in_initial_estimation(self):
+        """The explorer decides features and consumed stages once per
+        group, from its first member, so no group may mix configs that
+        run initial estimation with configs that skip it."""
+        configs = {}
+        for name, config in parameter_grid(default_sweep()):
+            configs[name] = config
+            configs[f"{name}/skip"] = dataclasses.replace(
+                config, skip_initial_estimation=True
+            )
+        for name in DESIGN_POINT_NAMES:
+            configs[name] = design_point(name)
+            configs[f"{name}/skip"] = dataclasses.replace(
+                design_point(name), skip_initial_estimation=True
+            )
+        groups = fingerprint_groups(configs)
+        assert len(groups) > 1
+        for group in groups.values():
+            runs = {Pipeline(config).runs_initial() for config in group.values()}
+            assert len(runs) == 1
 
 
 class TestGridHashKnobs:

@@ -1,7 +1,6 @@
 """End-to-end integration: registration quality, odometry, and the full
 algorithm -> workload -> accelerator chain."""
 
-import numpy as np
 import pytest
 
 from repro.accel import (

@@ -10,8 +10,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 CHECK_TRACE = os.path.join(
     os.path.dirname(__file__), "..", "..", "tools", "check_trace.py"

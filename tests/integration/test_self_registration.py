@@ -7,7 +7,6 @@ any residual error is the pipeline's own.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.geometry import se3
-from repro.io import PointCloud
 from repro.registration import (
     Correspondences,
     KPCEConfig,

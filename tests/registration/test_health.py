@@ -1,11 +1,8 @@
 """Registration health: gates, observability analysis, degeneracy flags."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.geometry import se3
 from repro.io import SceneSuite, make_sequence
 from repro.registration import (
     HealthConfig,
@@ -18,6 +15,7 @@ from repro.registration import (
     assess_registration,
     translation_observability,
 )
+from repro.registration import pipeline as pipeline_module
 
 BACKENDS = ("canonical", "twostage", "approximate", "bruteforce", "gridhash")
 
@@ -125,6 +123,26 @@ class TestVerdict:
             min_eigenvalue_ratio=None,
         )
         assert assess_registration(good_result, config).healthy
+
+    def test_inlier_ratio_gate_without_ransac_model(self, monkeypatch):
+        """A pair left with fewer than 3 matches has no RANSAC model, so
+        it keeps no inliers and the inlier-ratio gate fires (it would
+        see a ratio of 1.0 if rejection passed the matches through)."""
+        estimate = pipeline_module.estimate_feature_correspondences
+
+        def two_matches(*args, **kwargs):
+            return estimate(*args, **kwargs).select(np.arange(2))
+
+        monkeypatch.setattr(
+            pipeline_module, "estimate_feature_correspondences", two_matches
+        )
+        source, target, _ = make_sequence(n_frames=2, seed=7).pair(0)
+        result = health_pipeline().register(source, target)
+        assert result.n_feature_correspondences == 2
+        assert result.n_inlier_correspondences == 0
+        health = assess_registration(result)
+        assert health.inlier_ratio == 0.0
+        assert "inlier_ratio" in health.reasons
 
 
 class TestTranslationObservability:

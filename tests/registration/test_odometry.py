@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.io import PointCloud
 from repro.registration import (
     ICPConfig,
     KeypointConfig,

@@ -100,9 +100,15 @@ class TestRansac:
         assert result.inlier_ratio == pytest.approx(0.75, abs=0.05)
 
     def test_too_few_pairs_returns_identity(self, rng):
-        corr = Correspondences(np.arange(2), np.arange(2), np.zeros(2))
-        result = reject_ransac(corr, rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
-        assert np.array_equal(result.transformation, np.eye(4))
+        """Fewer than 3 pairs admit no model, so none is an inlier."""
+        for n in (0, 1, 2):
+            corr = Correspondences(np.arange(n), np.arange(n), np.zeros(n))
+            result = reject_ransac(
+                corr, rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+            )
+            assert np.array_equal(result.transformation, np.eye(4))
+            assert len(result.correspondences) == 0
+            assert result.inlier_ratio == 0.0
 
     def test_deterministic_for_seed(self, rng):
         source, target, corr, _, _ = make_matched_scene(rng)
