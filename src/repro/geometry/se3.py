@@ -17,7 +17,15 @@ for interpolating or averaging rigid transforms.  Both maps switch to
 Taylor expansions near the identity so tiny updates round-trip stably.
 
 All functions accept and return ``numpy`` arrays with ``float64`` dtype and
-never mutate their inputs.
+never mutate their inputs.  :func:`invert`, :func:`orthonormalize_rotation`,
+:func:`skew`, :func:`exp`, :func:`log`, :func:`adjoint`,
+:func:`left_jacobian` and :func:`left_jacobian_inv` (and :func:`compose`,
+through ``@``) also take a leading stack axis — ``(N, 4, 4)`` transforms,
+``(N, 6)`` twists — and a single item is computed as a stack of one.  Each
+stacked result equals the lone item's bit for bit: per item they make the
+same BLAS/LAPACK calls on the same memory layouts, a norm is ``sqrt`` of one
+``ddot``, and powers go through C ``pow`` (:func:`numpy.float_power`, which
+Python's float ``**`` also calls; numpy's own ``**`` differs in last bits).
 """
 
 from __future__ import annotations
@@ -118,11 +126,44 @@ def compose(*transforms: np.ndarray) -> np.ndarray:
     return result
 
 
+def _stack_of(array: np.ndarray, item_ndim: int) -> tuple[np.ndarray, bool]:
+    """``array`` as a float64 stack of ``item_ndim``-dimensional items, and
+    whether it was one item (then a stack of one)."""
+    array = np.asarray(array, dtype=np.float64)
+    if array.ndim == item_ndim:
+        return array[None], True
+    return array, False
+
+
+def _transforms(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """Stack of 4x4 transforms from ``(N, 3, 3)`` and ``(N, 3)`` parts."""
+    result = np.zeros((len(rotation), 4, 4), dtype=np.float64)
+    result[:, :3, :3] = rotation
+    result[:, :3, 3] = translation
+    result[:, 3, 3] = 1.0
+    return result
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Row norms of an ``(N, k)`` stack: ``sqrt`` of one BLAS ``ddot`` per
+    row, the call a 1-D :func:`numpy.linalg.norm` makes."""
+    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
+
+
 def invert(transform: np.ndarray) -> np.ndarray:
-    """Invert a rigid transform analytically: ``inv = [R.T, -R.T t]``."""
-    rotation = rotation_part(transform)
-    translation = translation_part(transform)
-    return make_transform(rotation.T, -rotation.T @ translation)
+    """Invert rigid transforms analytically: ``inv = [R.T, -R.T t]``.
+
+    Takes one 4x4 transform or an ``(N, 4, 4)`` stack.
+    """
+    transforms, single = _stack_of(transform, 2)
+    # Contiguous copies of both parts, so that each product is the gemv a
+    # lone transform's copied parts make.
+    rotation_t = transforms[:, :3, :3].copy().transpose(0, 2, 1)
+    translation = transforms[:, :3, 3].copy()
+    result = _transforms(
+        rotation_t, (-rotation_t @ translation[:, :, None])[:, :, 0]
+    )
+    return result[0] if single else result
 
 
 def is_valid_rotation(rotation: np.ndarray, atol: float = 1e-6) -> bool:
@@ -146,17 +187,20 @@ def is_valid_transform(transform: np.ndarray, atol: float = 1e-6) -> bool:
 
 
 def orthonormalize_rotation(rotation: np.ndarray) -> np.ndarray:
-    """Project a near-rotation matrix onto SO(3) via SVD.
+    """Project near-rotation matrices onto SO(3) via SVD.
 
     Used to clean up accumulated floating-point drift when chaining many
-    incremental ICP updates.
+    incremental ICP updates.  Takes one 3x3 matrix or an ``(N, 3, 3)``
+    stack.
     """
-    u, _, vt = np.linalg.svd(np.asarray(rotation, dtype=np.float64))
-    rotation_clean = u @ vt
-    if np.linalg.det(rotation_clean) < 0:
-        u[:, -1] = -u[:, -1]
-        rotation_clean = u @ vt
-    return rotation_clean
+    rotations, single = _stack_of(rotation, 2)
+    u, _, vt = np.linalg.svd(rotations)
+    clean = u @ vt
+    reflected = np.linalg.det(clean) < 0
+    if reflected.any():
+        u[reflected, :, -1] = -u[reflected, :, -1]
+        clean[reflected] = u[reflected] @ vt[reflected]
+    return clean[0] if single else clean
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -257,17 +301,18 @@ def skew(vector: np.ndarray) -> np.ndarray:
     """The 3x3 skew-symmetric (cross-product) matrix of a 3-vector.
 
     ``skew(a) @ b == np.cross(a, b)``; the Lie-algebra generator matrix
-    underlying both :func:`exp` and :func:`axis_angle_to_rotation`.
+    underlying both :func:`exp` and :func:`axis_angle_to_rotation`.  An
+    ``(..., 3)`` stack gives an ``(..., 3, 3)`` stack.
     """
-    v = np.asarray(vector, dtype=np.float64).reshape(3)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ],
-        dtype=np.float64,
-    )
+    v = np.asarray(vector, dtype=np.float64)
+    result = np.zeros(v.shape[:-1] + (3, 3), dtype=np.float64)
+    result[..., 0, 1] = -v[..., 2]
+    result[..., 0, 2] = v[..., 1]
+    result[..., 1, 0] = v[..., 2]
+    result[..., 1, 2] = -v[..., 0]
+    result[..., 2, 0] = -v[..., 1]
+    result[..., 2, 1] = v[..., 0]
+    return result
 
 
 # Below this rotation angle the closed-form exp/log coefficients lose
@@ -275,28 +320,48 @@ def skew(vector: np.ndarray) -> np.ndarray:
 _SMALL_ANGLE = 1e-6
 
 
-def _so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
-    """The SO(3) left Jacobian V(phi): translation coupling of exp."""
-    theta = float(np.linalg.norm(phi))
-    k = skew(phi)
-    if theta < _SMALL_ANGLE:
-        # V = I + K/2 + K^2/6 - ... truncated; exact to O(theta^3).
-        return np.eye(3) + 0.5 * k + (k @ k) / 6.0
-    a = (1.0 - np.cos(theta)) / theta**2
-    b = (theta - np.sin(theta)) / theta**3
-    return np.eye(3) + a * k + b * (k @ k)
+def _so3_left_jacobian(
+    theta: np.ndarray, k: np.ndarray, kk: np.ndarray
+) -> np.ndarray:
+    """The SO(3) left Jacobians V(phi): translation coupling of exp.
+
+    ``theta``, ``k`` and ``kk`` are the stacked ``|phi|``, ``skew(phi)``
+    and ``skew(phi) @ skew(phi)``.
+    """
+    result = np.empty_like(k)
+    small = theta < _SMALL_ANGLE
+    # V = I + K/2 + K^2/6 - ... truncated; exact to O(theta^3).
+    result[small] = np.eye(3) + 0.5 * k[small] + kk[small] / 6.0
+    t = theta[~small]
+    a = (1.0 - np.cos(t)) / np.float_power(t, 2)
+    b = (t - np.sin(t)) / np.float_power(t, 3)
+    result[~small] = (
+        np.eye(3) + a[:, None, None] * k[~small] + b[:, None, None] * kk[~small]
+    )
+    return result
 
 
-def _so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    """Inverse left Jacobian V^-1(phi), used by :func:`log`."""
-    theta = float(np.linalg.norm(phi))
-    k = skew(phi)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) - 0.5 * k + (k @ k) / 12.0
+def _so3_left_jacobian_inv(
+    theta: np.ndarray, k: np.ndarray, kk: np.ndarray
+) -> np.ndarray:
+    """Inverse left Jacobians V^-1(phi), used by :func:`log`."""
+    result = np.empty_like(k)
+    small = theta < _SMALL_ANGLE
+    result[small] = np.eye(3) - 0.5 * k[small] + kk[small] / 12.0
+    t = theta[~small]
     # The (theta/2) cot(theta/2) form stays finite all the way to pi
     # (where sin(theta) alone would vanish).
-    coefficient = (1.0 - 0.5 * theta / np.tan(0.5 * theta)) / theta**2
-    return np.eye(3) - 0.5 * k + coefficient * (k @ k)
+    coefficient = (1.0 - 0.5 * t / np.tan(0.5 * t)) / np.float_power(t, 2)
+    result[~small] = (
+        np.eye(3) - 0.5 * k[~small] + coefficient[:, None, None] * kk[~small]
+    )
+    return result
+
+
+def _rotation_terms(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(|phi|, skew(phi), skew(phi) @ skew(phi))`` of an ``(N, 3)`` stack."""
+    k = skew(phi)
+    return _norms(phi), k, k @ k
 
 
 def exp(twist: np.ndarray) -> np.ndarray:
@@ -306,21 +371,26 @@ def exp(twist: np.ndarray) -> np.ndarray:
     block is ``exp(skew(phi))`` via Rodrigues and the translation is
     ``V(phi) @ rho`` with the SO(3) left Jacobian ``V``.  Inverse of
     :func:`log` for rotation angles below pi; stable down to zero
-    rotation (series coefficients, no axis normalization).
+    rotation (series coefficients, no axis normalization).  Takes one
+    6-vector or an ``(N, 6)`` stack.
     """
-    twist = np.asarray(twist, dtype=np.float64).reshape(6)
-    rho, phi = twist[:3], twist[3:]
-    theta = float(np.linalg.norm(phi))
-    k = skew(phi)
-    if theta < _SMALL_ANGLE:
-        # sin(t)/t and (1-cos(t))/t^2 as truncated series.
-        a = 1.0 - theta**2 / 6.0
-        b = 0.5 - theta**2 / 24.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta**2
-    rotation = np.eye(3) + a * k + b * (k @ k)
-    return make_transform(rotation, _so3_left_jacobian(phi) @ rho)
+    twists, single = _stack_of(twist, 1)
+    rho, phi = twists[:, :3], twists[:, 3:]
+    theta, k, kk = _rotation_terms(phi)
+    a = np.empty_like(theta)
+    b = np.empty_like(theta)
+    small = theta < _SMALL_ANGLE
+    # sin(t)/t and (1-cos(t))/t^2 as truncated series.
+    t = theta[small]
+    a[small] = 1.0 - np.float_power(t, 2) / 6.0
+    b[small] = 0.5 - np.float_power(t, 2) / 24.0
+    t = theta[~small]
+    a[~small] = np.sin(t) / t
+    b[~small] = (1.0 - np.cos(t)) / np.float_power(t, 2)
+    rotation = np.eye(3) + a[:, None, None] * k + b[:, None, None] * kk
+    translation = _so3_left_jacobian(theta, k, kk) @ rho[:, :, None]
+    result = _transforms(rotation, translation[:, :, 0])
+    return result[0] if single else result
 
 
 def log(transform: np.ndarray) -> np.ndarray:
@@ -333,36 +403,44 @@ def log(transform: np.ndarray) -> np.ndarray:
     The angle comes from ``atan2`` of the skew-symmetric part — stable
     where the trace-based arccos collapses (tiny rotations) — with the
     axis-angle decomposition taking over near pi where the
-    skew-symmetric part vanishes instead.
+    skew-symmetric part vanishes instead.  Takes one 4x4 transform or
+    an ``(N, 4, 4)`` stack.
     """
-    transform = np.asarray(transform, dtype=np.float64)
-    rotation = transform[:3, :3]
+    transforms, single = _stack_of(transform, 2)
+    rotation = transforms[:, :3, :3]
     # vee((R - R^T) / 2) == sin(angle) * axis.
-    sin_axis = 0.5 * np.array(
+    sin_axis = 0.5 * np.stack(
         [
-            rotation[2, 1] - rotation[1, 2],
-            rotation[0, 2] - rotation[2, 0],
-            rotation[1, 0] - rotation[0, 1],
-        ]
+            rotation[:, 2, 1] - rotation[:, 1, 2],
+            rotation[:, 0, 2] - rotation[:, 2, 0],
+            rotation[:, 1, 0] - rotation[:, 0, 1],
+        ],
+        axis=1,
     )
-    sine = float(np.linalg.norm(sin_axis))
-    cosine = float(np.clip((np.trace(rotation) - 1.0) / 2.0, -1.0, 1.0))
-    theta = float(np.arctan2(sine, cosine))
-    if theta < _SMALL_ANGLE:
-        # theta/sin(theta) -> 1 + theta^2/6; sin_axis is already ~phi.
-        phi = sin_axis * (1.0 + theta**2 / 6.0)
-    elif sine > 1e-8:
-        # Exact rescaling sin(t)*axis -> t*axis; the relative error of
-        # sin_axis stays ~eps/sine, fine until within ~1e-8 of pi.
-        phi = sin_axis * (theta / sine)
-    else:
-        # Within ~1e-8 of pi the skew-symmetric part has vanished; the
-        # diagonal-dominant extraction's O(sine) axis error is now
-        # below floating-point significance.
-        axis, angle = rotation_to_axis_angle(rotation)
-        phi = axis * angle
-    rho = _so3_left_jacobian_inv(phi) @ transform[:3, 3]
-    return np.concatenate([rho, phi])
+    sine = _norms(sin_axis)
+    # The trace summed left to right, as np.trace sums one matrix.
+    trace = (rotation[:, 0, 0] + rotation[:, 1, 1]) + rotation[:, 2, 2]
+    cosine = np.clip((trace - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arctan2(sine, cosine)
+    phi = np.empty_like(sin_axis)
+    small = theta < _SMALL_ANGLE
+    # theta/sin(theta) -> 1 + theta^2/6; sin_axis is already ~phi.
+    phi[small] = sin_axis[small] * (
+        1.0 + np.float_power(theta[small], 2) / 6.0
+    )[:, None]
+    # Exact rescaling sin(t)*axis -> t*axis; the relative error of
+    # sin_axis stays ~eps/sine, fine until within ~1e-8 of pi.
+    regular = ~small & (sine > 1e-8)
+    phi[regular] = sin_axis[regular] * (theta[regular] / sine[regular])[:, None]
+    # Within ~1e-8 of pi the skew-symmetric part has vanished; the
+    # diagonal-dominant extraction's O(sine) axis error is now below
+    # floating-point significance.
+    for index in np.flatnonzero(~small & ~regular):
+        axis, angle = rotation_to_axis_angle(rotation[index])
+        phi[index] = axis * angle
+    rho = _so3_left_jacobian_inv(*_rotation_terms(phi)) @ transforms[:, :3, 3:]
+    result = np.concatenate([rho[:, :, 0], phi], axis=1)
+    return result[0] if single else result
 
 
 def adjoint(transform: np.ndarray) -> np.ndarray:
@@ -372,39 +450,46 @@ def adjoint(transform: np.ndarray) -> np.ndarray:
     ``T exp(xi) T^-1 == exp(Ad(T) xi)`` exactly.  With the translation
     part first it is the block matrix ``[[R, skew(t) R], [0, R]]``.
     The pose-graph linearization uses it to refer a perturbation of one
-    edge endpoint to the other endpoint's frame.
+    edge endpoint to the other endpoint's frame.  Takes one 4x4
+    transform or an ``(N, 4, 4)`` stack.
     """
-    transform = np.asarray(transform, dtype=np.float64)
-    rotation = transform[:3, :3]
-    result = np.zeros((6, 6), dtype=np.float64)
-    result[:3, :3] = rotation
-    result[3:, 3:] = rotation
-    result[:3, 3:] = skew(transform[:3, 3]) @ rotation
-    return result
+    transforms, single = _stack_of(transform, 2)
+    rotation = transforms[:, :3, :3]
+    result = np.zeros((len(transforms), 6, 6), dtype=np.float64)
+    result[:, :3, :3] = rotation
+    result[:, 3:, 3:] = rotation
+    result[:, :3, 3:] = skew(transforms[:, :3, 3]) @ rotation
+    return result[0] if single else result
 
 
-def _se3_q_matrix(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _se3_q_matrix(rho: np.ndarray, theta: np.ndarray, px: np.ndarray) -> np.ndarray:
     """Barfoot's Q(rho, phi): the translation-rotation coupling block of
     the SE(3) left Jacobian (State Estimation for Robotics, eq. 7.86).
 
+    ``theta`` and ``px`` are the stacked ``|phi|`` and ``skew(phi)``.
     Exact closed form for all rotation angles below 2*pi; the
     coefficients switch to truncated series near zero where their
     closed forms lose precision to cancellation.
     """
+    c1 = np.empty_like(theta)
+    c2 = np.empty_like(theta)
+    c3 = np.empty_like(theta)
+    small = theta < _SMALL_ANGLE
+    t = theta[small]
+    c1[small] = 1.0 / 6.0 - np.float_power(t, 2) / 120.0
+    c2[small] = 1.0 / 24.0 - np.float_power(t, 2) / 720.0
+    # (theta - sin - theta^3/6)/theta^5 -> -1/120 as theta -> 0.
+    c3[small] = -0.5 * (1.0 / 24.0 + 3.0 / 120.0)
+    t = theta[~small]
+    large_c2 = (1.0 - np.float_power(t, 2) / 2.0 - np.cos(t)) / np.float_power(t, 4)
+    c1[~small] = (t - np.sin(t)) / np.float_power(t, 3)
+    c2[~small] = large_c2
+    c3[~small] = -0.5 * (
+        large_c2
+        - 3.0 * (t - np.sin(t) - np.float_power(t, 3) / 6.0) / np.float_power(t, 5)
+    )
+    c1, c2, c3 = c1[:, None, None], c2[:, None, None], c3[:, None, None]
     rx = skew(rho)
-    px = skew(phi)
-    theta = float(np.linalg.norm(phi))
-    if theta < _SMALL_ANGLE:
-        c1 = 1.0 / 6.0 - theta**2 / 120.0
-        c2 = 1.0 / 24.0 - theta**2 / 720.0
-        # (theta - sin - theta^3/6)/theta^5 -> -1/120 as theta -> 0.
-        c3 = -0.5 * (1.0 / 24.0 + 3.0 / 120.0)
-    else:
-        c1 = (theta - np.sin(theta)) / theta**3
-        c2 = (1.0 - theta**2 / 2.0 - np.cos(theta)) / theta**4
-        c3 = -0.5 * (
-            c2 - 3.0 * (theta - np.sin(theta) - theta**3 / 6.0) / theta**5
-        )
     px_rx = px @ rx
     rx_px = rx @ px
     px_rx_px = px_rx @ px
@@ -422,16 +507,18 @@ def left_jacobian(twist: np.ndarray) -> np.ndarray:
     Defining property (to first order in ``delta``):
     ``exp(twist + delta) == exp(J_l(twist) @ delta) @ exp(twist)``.
     Block upper-triangular: SO(3) left Jacobians on the diagonal and
-    Barfoot's Q matrix coupling translation to rotation.
+    Barfoot's Q matrix coupling translation to rotation.  Takes one
+    6-vector or an ``(N, 6)`` stack.
     """
-    twist = np.asarray(twist, dtype=np.float64).reshape(6)
-    rho, phi = twist[:3], twist[3:]
-    j = _so3_left_jacobian(phi)
-    result = np.zeros((6, 6), dtype=np.float64)
-    result[:3, :3] = j
-    result[3:, 3:] = j
-    result[:3, 3:] = _se3_q_matrix(rho, phi)
-    return result
+    twists, single = _stack_of(twist, 1)
+    rho, phi = twists[:, :3], twists[:, 3:]
+    theta, k, kk = _rotation_terms(phi)
+    j = _so3_left_jacobian(theta, k, kk)
+    result = np.zeros((len(twists), 6, 6), dtype=np.float64)
+    result[:, :3, :3] = j
+    result[:, 3:, 3:] = j
+    result[:, :3, 3:] = _se3_q_matrix(rho, theta, k)
+    return result[0] if single else result
 
 
 def left_jacobian_inv(twist: np.ndarray) -> np.ndarray:
@@ -443,16 +530,18 @@ def left_jacobian_inv(twist: np.ndarray) -> np.ndarray:
     variants follow from ``J_r(xi) == J_l(-xi)``.  Computed in closed
     block form (not by inverting :func:`left_jacobian`): the inverse of
     an upper block-triangular matrix with equal diagonal blocks is
-    ``[[J^-1, -J^-1 Q J^-1], [0, J^-1]]``.
+    ``[[J^-1, -J^-1 Q J^-1], [0, J^-1]]``.  Takes one 6-vector or an
+    ``(N, 6)`` stack.
     """
-    twist = np.asarray(twist, dtype=np.float64).reshape(6)
-    rho, phi = twist[:3], twist[3:]
-    j_inv = _so3_left_jacobian_inv(phi)
-    result = np.zeros((6, 6), dtype=np.float64)
-    result[:3, :3] = j_inv
-    result[3:, 3:] = j_inv
-    result[:3, 3:] = -j_inv @ _se3_q_matrix(rho, phi) @ j_inv
-    return result
+    twists, single = _stack_of(twist, 1)
+    rho, phi = twists[:, :3], twists[:, 3:]
+    theta, k, kk = _rotation_terms(phi)
+    j_inv = _so3_left_jacobian_inv(theta, k, kk)
+    result = np.zeros((len(twists), 6, 6), dtype=np.float64)
+    result[:, :3, :3] = j_inv
+    result[:, 3:, 3:] = j_inv
+    result[:, :3, 3:] = -j_inv @ _se3_q_matrix(rho, theta, k) @ j_inv
+    return result[0] if single else result
 
 
 def quaternion_to_rotation(quaternion: np.ndarray) -> np.ndarray:

@@ -12,13 +12,25 @@ with damped Gauss-Newton over right-multiplicative se(3) perturbations
 
 Three things distinguish this back end from a textbook dense solver:
 
-**Analytic Jacobians.**  The residual's derivatives with respect to
-right perturbations of either endpoint are closed-form (adjoint /
-inverse-left-Jacobian products, :func:`linearize_edge`), replacing the
-seed implementation's central differences — 24 se(3) exp/log round
-trips per edge per iteration collapse to one ``log`` and a couple of
-6x6 products.  Parity with the numeric Jacobians is pinned to 1e-6 by
-``tests/mapping/test_pose_graph.py``.
+**Analytic Jacobians, stacked.**  The residual's derivatives with
+respect to right perturbations of either endpoint are closed-form
+(adjoint / inverse-left-Jacobian products, :func:`linearize_edges`),
+replacing the seed implementation's central differences — 24 se(3)
+exp/log round trips per edge per iteration collapse to one ``log`` and
+a couple of 6x6 products.  Parity with the numeric Jacobians is pinned
+to 1e-6 by ``tests/mapping/test_pose_graph.py``.  Each Gauss-Newton
+iteration makes three stacked passes instead of one Python call per
+edge or node: every live edge is linearized at once on ``(E, 4, 4)``
+measurement and endpoint stacks (residuals ``(E, 6)``, Jacobians
+``(E, 6, 6)``); every edge's error is scored from one stacked residual
+pass; and every free node's non-zero step is applied with one stacked
+``exp``, compose and re-orthonormalization.  The stacked
+:mod:`repro.geometry.se3` maps reproduce the per-edge results bit for
+bit, and so do the COO triplets and gradient terms, which come out in
+the per-edge loop's order (scipy sums duplicate triplets in triplet
+order; each node's gradient is summed in edge order);
+``tests/mapping/test_pose_graph_stacked.py`` keeps that loop as its
+oracle.
 
 **Sparse normal equations.**  Per-edge 6x6 blocks are assembled as
 COO triplets and factored with :mod:`scipy.sparse` (``splu``) instead
@@ -60,7 +72,7 @@ __all__ = [
     "PoseGraphEdge",
     "PoseGraphResult",
     "PoseGraph",
-    "linearize_edge",
+    "linearize_edges",
 ]
 
 
@@ -168,11 +180,21 @@ class PoseGraphResult:
     n_downweighted_loops: int = 0
 
 
-def linearize_edge(
-    measurement: np.ndarray, pose_i: np.ndarray, pose_j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual and analytic Jacobians of one relative-pose constraint.
+def _residuals(
+    measurements: np.ndarray, poses_i: np.ndarray, poses_j: np.ndarray
+) -> np.ndarray:
+    """``log(Z^-1 T_i^-1 T_j)`` of every edge, as an ``(E, 6)`` stack."""
+    return se3.log(
+        se3.compose(se3.invert(measurements), se3.invert(poses_i), poses_j)
+    )
 
+
+def linearize_edges(
+    measurements: np.ndarray, poses_i: np.ndarray, poses_j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals and analytic Jacobians of stacked relative-pose constraints.
+
+    Takes ``(E, 4, 4)`` stacks of measurements ``Z`` and endpoint poses.
     For ``r = log(Z^-1 T_i^-1 T_j)`` and right perturbations
     ``T <- T exp(delta)`` of either endpoint:
 
@@ -183,16 +205,25 @@ def linearize_edge(
       ``T_i^-1 T_j``; conjugating it to the right end of the product
       gives ``J_i = -J_r^-1(r) @ Ad(T_j^-1 T_i)``.
 
-    Returns ``(residual, J_i, J_j)``; each Jacobian is 6x6.  Exact to
-    first order for any residual with rotation angle below pi —
-    central-difference parity is pinned to 1e-6 by the test suite.
+    Returns ``(residuals, J_i, J_j)`` of shapes ``(E, 6)``,
+    ``(E, 6, 6)`` and ``(E, 6, 6)``.  Exact to first order for any
+    residual with rotation angle below pi — central-difference parity
+    is pinned to 1e-6 by the test suite.
     """
-    residual = se3.log(
-        se3.compose(se3.invert(measurement), se3.invert(pose_i), pose_j)
-    )
-    jac_j = se3.left_jacobian_inv(-residual)
-    jac_i = -jac_j @ se3.adjoint(se3.compose(se3.invert(pose_j), pose_i))
-    return residual, jac_i, jac_j
+    residuals = _residuals(measurements, poses_i, poses_j)
+    jac_j = se3.left_jacobian_inv(-residuals)
+    jac_i = -jac_j @ se3.adjoint(se3.compose(se3.invert(poses_j), poses_i))
+    return residuals, jac_i, jac_j
+
+
+def _weighted_squares(
+    edges: Sequence[PoseGraphEdge], residuals: np.ndarray
+) -> list[float]:
+    """Each edge's quadratic cost ``weight * (r @ r)``; ``r @ r`` is one
+    BLAS ``ddot`` per row, as for a lone residual."""
+    weights = np.array([edge.weight for edge in edges])
+    squares = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
+    return (weights * squares).tolist()
 
 
 # Flattened intra-block offsets of one 6x6 block in triplet form.
@@ -273,14 +304,34 @@ class PoseGraph:
     # Error bookkeeping.
     # ------------------------------------------------------------------
 
-    def _residual(self, edge: PoseGraphEdge, poses: list[np.ndarray]) -> np.ndarray:
-        return se3.log(
-            se3.compose(
-                se3.invert(edge.measurement),
-                se3.invert(poses[edge.i]),
-                poses[edge.j],
-            )
+    def _stacks(
+        self, edges: Sequence[PoseGraphEdge], poses: list[np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(measurements, poses_i, poses_j)`` of ``edges`` as ``(E, 4, 4)``
+        stacks, at ``poses`` (default: the graph's)."""
+        nodes = np.stack(self.nodes if poses is None else poses)
+        return (
+            np.stack([edge.measurement for edge in edges]),
+            nodes[[edge.i for edge in edges]],
+            nodes[[edge.j for edge in edges]],
         )
+
+    def _chi2(
+        self, edges: Sequence[PoseGraphEdge], poses: list[np.ndarray] | None = None
+    ) -> list[float]:
+        """Each edge's quadratic cost at ``poses``, one stacked residual pass."""
+        if not edges:
+            return []
+        return _weighted_squares(edges, _residuals(*self._stacks(edges, poses)))
+
+    def _costs(
+        self, edges: Sequence[PoseGraphEdge], poses: list[np.ndarray] | None = None
+    ) -> list[float]:
+        """Each edge's robust cost at ``poses`` (default: the graph's)."""
+        return [
+            self._robust_terms(edge, chi2)[1]
+            for edge, chi2 in zip(edges, self._chi2(edges, poses))
+        ]
 
     def _robust_terms(
         self, edge: PoseGraphEdge, chi2: float
@@ -313,11 +364,6 @@ class PoseGraph:
             return 1.0 / (1.0 + scaled), delta * delta * float(np.log1p(scaled))
         return 1.0, chi2
 
-    def _edge_error(self, edge: PoseGraphEdge) -> float:
-        residual = self._residual(edge, self.nodes)
-        chi2 = edge.weight * float(residual @ residual)
-        return self._robust_terms(edge, chi2)[1]
-
     def error(self, poses: list[np.ndarray] | None = None) -> float:
         """Total (robustified) weighted squared residual over all edges.
 
@@ -326,19 +372,19 @@ class PoseGraph:
         — the quantity the solver's monotonicity guarantee is stated
         over.
         """
-        poses = self.nodes if poses is None else poses
         total = 0.0
-        for edge in self.edges:
-            residual = self._residual(edge, poses)
-            chi2 = edge.weight * float(residual @ residual)
-            total += self._robust_terms(edge, chi2)[1]
+        for cost in self._costs(self.edges, poses):
+            total += cost
         return total
 
     def _cached_total(self) -> float:
         """Total error, recomputing only edges whose endpoints moved."""
-        for index, edge in enumerate(self.edges):
-            if index not in self._error_cache:
-                self._error_cache[index] = self._edge_error(edge)
+        missing = [
+            index for index in range(len(self.edges))
+            if index not in self._error_cache
+        ]
+        costs = self._costs([self.edges[index] for index in missing])
+        self._error_cache.update(zip(missing, costs))
         return sum(self._error_cache.values())
 
     def _invalidate(self, edge_indices: Iterable[int]) -> None:
@@ -389,43 +435,90 @@ class PoseGraph:
         column: dict[int, int],
         size: int,
     ) -> tuple[sparse.csc_matrix, np.ndarray]:
-        """Normal equations over the free columns as block triplets."""
-        gradient = np.zeros(size)
-        row_bases: list[int] = []
-        col_bases: list[int] = []
-        blocks: list[np.ndarray] = []
-        for _, edge in edges:
-            col_i = column.get(edge.i)
-            col_j = column.get(edge.j)
-            if col_i is None and col_j is None:
-                continue
-            residual, jac_i, jac_j = linearize_edge(
-                edge.measurement, self.nodes[edge.i], self.nodes[edge.j]
-            )
-            # IRLS: the robust kernel enters the normal equations as a
-            # per-edge weight multiplier evaluated at the current
-            # linearization point (1.0 everywhere when robustness is
-            # off, or inside Huber/DCS quadratic regions).
-            chi2 = edge.weight * float(residual @ residual)
-            scale = edge.weight * self._robust_terms(edge, chi2)[0]
-            jacobians = []
-            if col_i is not None:
-                jacobians.append((col_i, jac_i))
-            if col_j is not None:
-                jacobians.append((col_j, jac_j))
-            for col_a, jac_a in jacobians:
-                gradient[col_a : col_a + 6] += scale * (jac_a.T @ residual)
-                for col_b, jac_b in jacobians:
-                    row_bases.append(col_a)
-                    col_bases.append(col_b)
-                    blocks.append(scale * (jac_a.T @ jac_b))
-        rows = (np.asarray(row_bases)[:, None] + _BLOCK_ROWS[None, :]).ravel()
-        cols = (np.asarray(col_bases)[:, None] + _BLOCK_COLS[None, :]).ravel()
-        data = np.asarray(blocks).reshape(-1)
+        """Normal equations over the free columns as block triplets.
+
+        Every edge with a free endpoint is linearized in one stacked
+        pass.  The triplets come out edge by edge, as blocks ``(i, i)``,
+        ``(i, j)``, ``(j, i)``, ``(j, j)`` minus those of a fixed
+        endpoint, and each node's gradient is summed in edge order: scipy
+        sums duplicate triplets in triplet order, so any other order
+        moves last bits of the Hessian.
+        """
+        live = [
+            edge for _, edge in edges if edge.i in column or edge.j in column
+        ]
+        if not live:
+            return sparse.csc_matrix((size, size)), np.zeros(size)
+        residual, jac_i, jac_j = linearize_edges(*self._stacks(live))
+        # IRLS: the robust kernel enters the normal equations as a
+        # per-edge weight multiplier evaluated at the current
+        # linearization point (1.0 everywhere when robustness is off,
+        # or inside Huber/DCS quadratic regions).
+        scale = np.array(
+            [
+                edge.weight * self._robust_terms(edge, chi2)[0]
+                for edge, chi2 in zip(live, _weighted_squares(live, residual))
+            ]
+        )
+        free_i = np.array([edge.i in column for edge in live])
+        free_j = np.array([edge.j in column for edge in live])
+        col_i = np.array([column.get(edge.i, 0) for edge in live])
+        col_j = np.array([column.get(edge.j, 0) for edge in live])
+        jac_i_t = jac_i.transpose(0, 2, 1)
+        jac_j_t = jac_j.transpose(0, 2, 1)
+        scale_blocks = scale[:, None, None]
+        blocks = np.stack(
+            [
+                scale_blocks * (jac_i_t @ jac_i),
+                scale_blocks * (jac_i_t @ jac_j),
+                scale_blocks * (jac_j_t @ jac_i),
+                scale_blocks * (jac_j_t @ jac_j),
+            ],
+            axis=1,
+        )
+        both = free_i & free_j
+        present = np.stack([free_i, both, both, free_j], axis=1)
+        row_bases = np.stack([col_i, col_i, col_j, col_j], axis=1)[present]
+        col_bases = np.stack([col_i, col_j, col_i, col_j], axis=1)[present]
+        rows = (row_bases[:, None] + _BLOCK_ROWS[None, :]).ravel()
+        cols = (col_bases[:, None] + _BLOCK_COLS[None, :]).ravel()
         hessian = sparse.coo_matrix(
-            (data, (rows, cols)), shape=(size, size)
+            (blocks[present].reshape(-1), (rows, cols)), shape=(size, size)
         ).tocsc()
-        return hessian, gradient
+        residual_columns = residual[:, :, None]
+        terms = np.stack(
+            [
+                scale[:, None] * (jac_i_t @ residual_columns)[:, :, 0],
+                scale[:, None] * (jac_j_t @ residual_columns)[:, :, 0],
+            ],
+            axis=1,
+        )
+        ends = np.stack([free_i, free_j], axis=1)
+        gradient = np.zeros((size // 6, 6))
+        # Unbuffered: a node's terms are added one by one, in edge order.
+        np.add.at(
+            gradient, np.stack([col_i, col_j], axis=1)[ends] // 6, terms[ends]
+        )
+        return hessian, gradient.reshape(-1)
+
+    def _step(self, free: list[int], delta: np.ndarray) -> None:
+        """``T <- T exp(step)`` for every free node with a non-zero step:
+        one stacked exp, compose and re-orthonormalization.  A node whose
+        step is all zero keeps its pose bits."""
+        steps = delta.reshape(-1, 6)
+        moving = np.flatnonzero(steps.any(axis=1))
+        if not len(moving):
+            return
+        nodes = [free[slot] for slot in moving]
+        moved = se3.compose(
+            np.stack([self.nodes[node] for node in nodes]),
+            se3.exp(steps[moving]),
+        )
+        # Re-orthonormalize occasionally-accumulating drift so long
+        # optimizations keep returning valid rigid poses.
+        moved[:, :3, :3] = se3.orthonormalize_rotation(moved[:, :3, :3])
+        for node, pose in zip(nodes, moved):
+            self.nodes[node] = pose
 
     def _gauss_newton(
         self,
@@ -445,8 +538,10 @@ class PoseGraph:
         size = 6 * len(free)
         identity = sparse.identity(size, format="csc")
 
+        edge_list = [edge for _, edge in edges]
+
         def local_error() -> float:
-            return sum(self._edge_error(edge) for _, edge in edges)
+            return sum(self._costs(edge_list))
 
         initial_local = local_error()
         previous_error = initial_local
@@ -463,18 +558,7 @@ class PoseGraph:
                     delta = None
                 if delta is not None and bool(np.all(np.isfinite(delta))):
                     saved = {node: self.nodes[node] for node in free}
-                    for node, col in column.items():
-                        step = delta[col : col + 6]
-                        if not step.any():
-                            continue
-                        moved = se3.compose(self.nodes[node], se3.exp(step))
-                        # Re-orthonormalize occasionally-accumulating
-                        # drift so long optimizations keep returning
-                        # valid rigid poses.
-                        moved[:3, :3] = se3.orthonormalize_rotation(
-                            moved[:3, :3]
-                        )
-                        self.nodes[node] = moved
+                    self._step(free, delta)
                     trial_error = local_error()
                     if trial_error <= previous_error:
                         accepted = True
@@ -616,9 +700,7 @@ class PoseGraph:
             # One O(E) diagnostic pass at the final poses: which edges
             # did the robustification actually bend?  Skipped entirely
             # on quadratic solves so the incremental path stays cheap.
-            for edge in self.edges:
-                residual = self._residual(edge, self.nodes)
-                chi2 = edge.weight * float(residual @ residual)
+            for edge, chi2 in zip(self.edges, self._chi2(self.edges)):
                 multiplier = self._robust_terms(edge, chi2)[0]
                 edge_chi2.append(chi2)
                 edge_robust_weights.append(multiplier)

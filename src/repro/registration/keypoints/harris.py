@@ -101,18 +101,24 @@ def _non_max_suppress(
     candidates: np.ndarray,
     radius: float,
 ) -> np.ndarray:
-    """Greedy spatial NMS: keep strongest, drop neighbors within radius."""
+    """Greedy spatial NMS: keep strongest, drop neighbors within radius.
+
+    The kept points fill a preallocated buffer, so a candidate is tested
+    against a slice of it instead of a fresh copy of every point kept so
+    far.
+    """
     order = candidates[np.argsort(-response[candidates], kind="stable")]
-    kept: list[int] = []
-    kept_points: list[np.ndarray] = []
+    kept = np.empty(len(order), dtype=np.int64)
+    kept_points = np.empty((len(order),) + points.shape[1:], dtype=points.dtype)
+    n_kept = 0
     r_sq = radius * radius
     for idx in order:
         p = points[idx]
-        if kept_points:
-            existing = np.asarray(kept_points)
-            diff = existing - p
+        if n_kept:
+            diff = kept_points[:n_kept] - p
             if np.any(np.einsum("ij,ij->i", diff, diff) < r_sq):
                 continue
-        kept.append(int(idx))
-        kept_points.append(p)
-    return np.array(sorted(kept), dtype=np.int64)
+        kept[n_kept] = idx
+        kept_points[n_kept] = p
+        n_kept += 1
+    return np.sort(kept[:n_kept])

@@ -5,7 +5,15 @@ import pytest
 
 from repro.geometry import se3
 from repro.mapping import PoseGraph, PoseGraphConfig
-from repro.mapping.pose_graph import linearize_edge
+from repro.mapping.pose_graph import linearize_edges
+
+
+def linearize_edge(measurement, pose_i, pose_j):
+    """One edge through :func:`linearize_edges`, as a stack of one."""
+    residual, jac_i, jac_j = linearize_edges(
+        measurement[None], pose_i[None], pose_j[None]
+    )
+    return residual[0], jac_i[0], jac_j[0]
 
 
 def circle_truth(n: int, radius: float = 5.0) -> list[np.ndarray]:
@@ -65,10 +73,11 @@ def random_transform(
     )
 
 
-def ill_conditioned_graph(seed: int) -> PoseGraph:
+def ill_conditioned_graph(seed: int, closure_kind: str = "odometry") -> PoseGraph:
     """A small random graph with large rotations and wildly disparate
     edge weights — the regime where undamped Gauss-Newton steps
-    overshoot and must be rejected."""
+    overshoot and must be rejected.  The extra (non-chain) edges are of
+    ``closure_kind``."""
     rng = np.random.default_rng(seed)
     graph = PoseGraph()
     n = int(rng.integers(3, 7))
@@ -81,7 +90,11 @@ def ill_conditioned_graph(seed: int) -> PoseGraph:
     for _ in range(int(rng.integers(1, 4))):
         i, j = rng.choice(n, 2, replace=False)
         graph.add_edge(
-            int(i), int(j), random_transform(rng), weight=10.0 ** rng.uniform(0, 8)
+            int(i),
+            int(j),
+            random_transform(rng),
+            weight=10.0 ** rng.uniform(0, 8),
+            kind=closure_kind,
         )
     return graph
 

@@ -19,6 +19,7 @@ from repro.registration.keypoints import (
     sift_keypoints,
     uniform_keypoints,
 )
+from repro.registration.keypoints import harris as harris_module
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,83 @@ class TestHarris:
         cloud, searcher = corner_cloud
         with pytest.raises(ValueError):
             harris_keypoints(cloud, searcher, response="bogus")
+
+
+def list_non_max_suppress(points, response, candidates, radius):
+    """The list loop the buffered NMS replaced: each candidate is tested
+    against a fresh array of every point kept so far."""
+    order = candidates[np.argsort(-response[candidates], kind="stable")]
+    kept = []
+    kept_points = []
+    r_sq = radius * radius
+    for idx in order:
+        p = points[idx]
+        if kept_points:
+            diff = np.asarray(kept_points) - p
+            if np.any(np.einsum("ij,ij->i", diff, diff) < r_sq):
+                continue
+        kept.append(int(idx))
+        kept_points.append(p)
+    return np.array(sorted(kept), dtype=np.int64)
+
+
+class TestNonMaxSuppress:
+    """Harris's greedy NMS against the list loop it replaced."""
+
+    def assert_matches_loop(self, points, response, candidates, radius):
+        got = harris_module._non_max_suppress(points, response, candidates, radius)
+        want = list_non_max_suppress(points, response, candidates, radius)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    def test_random_clouds_with_tied_responses(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(1, 300))
+            points = rng.uniform(0, 8, size=(n, 3))
+            # Quantized responses: many exact ties, which the stable
+            # order breaks by candidate position.
+            response = rng.integers(0, 5, n).astype(np.float64)
+            candidates = np.flatnonzero(rng.random(n) < 0.7)
+            if len(candidates):
+                self.assert_matches_loop(
+                    points, response, candidates, float(rng.uniform(0.3, 2.0))
+                )
+
+    def test_duplicate_points_keep_the_first_strongest(self):
+        points = np.array([[1.0, 2.0, 3.0]] * 3 + [[5.0, 5.0, 5.0]])
+        response = np.array([0.5, 0.9, 0.9, 0.1])
+        kept = self.assert_matches_loop(points, response, np.arange(4), 1.0)
+        np.testing.assert_array_equal(kept, [1, 3])
+
+    def test_neighbour_at_exactly_the_radius_survives(self):
+        """Suppression is strict: dyadic coordinates put points 1 and 3
+        at squared distance exactly ``radius**2`` from point 0."""
+        points = np.array(
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, -1.0]]
+        )
+        response = np.array([4.0, 3.0, 2.0, 1.0])
+        kept = self.assert_matches_loop(points, response, np.arange(4), 1.0)
+        np.testing.assert_array_equal(kept, [0, 1, 3])
+
+    def test_harris_candidates_match_loop(self, corner_cloud, monkeypatch):
+        calls = []
+        buffered = harris_module._non_max_suppress
+
+        def recording(*args):
+            calls.append(args)
+            return buffered(*args)
+
+        monkeypatch.setattr(harris_module, "_non_max_suppress", recording)
+        cloud, searcher = corner_cloud
+        harris_keypoints(
+            cloud, searcher, radius=0.8, threshold=1e-5, non_max_radius=1.0
+        )
+        monkeypatch.undo()
+        assert calls and len(calls[0][2]) > 10
+        for args in calls:
+            self.assert_matches_loop(*args)
 
 
 class TestSift:
