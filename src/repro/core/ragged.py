@@ -29,6 +29,17 @@ Determinism notes
   element at a time in flat order, replaying ``acc += x`` exactly.
 * Empty segments reduce to the identity (0 for sums, the fill value
   for min/max) instead of ``reduceat``'s repeated-index misbehaviour.
+* The gathering kernels (``gathered_moment_covariances`` here, FPFH's
+  pair sweep, Harris's NMS) hold coordinates coordinate-major: a
+  ``(D, m)`` buffer filled by one 1-D ``take`` per coordinate from a
+  transposed copy, read back as contiguous rows, never ``(m, D)`` rows
+  read through strided columns or ``axis=1`` reductions.  They keep
+  numpy's row-major summation orders, so results are bit-identical:
+  ``reduceat`` over a contiguous row equals it over the strided column,
+  a norm sums ``(x² + y²) + z²`` as ``np.linalg.norm(x, axis=1)`` does,
+  and a dot product sums ``(a₀b₀ + a₂b₂) + a₁b₁``, the lane order of
+  ``np.einsum("ij,ij->i")``.  ``tests/core/test_twostage.py``
+  (``TestNumpyOrderRules``) pins the three rules on the installed numpy.
 * ``np.linalg.eigh`` over a stacked ``(Q, 3, 3)`` input applies the
   same LAPACK routine per matrix as a scalar call, so batching itself
   introduces no divergence.
@@ -320,7 +331,9 @@ class RadiusHits:
             )
         rows = np.concatenate(self._rows).astype(np.int64, copy=False)
         indices = np.concatenate(self._indices).astype(np.int64, copy=False)
-        order = np.argsort(rows * self.n_points + indices)
+        # Backends add hits leaf by leaf, so the keys arrive as ascending
+        # runs, which the stable sort (timsort/radix) merges fastest.
+        order = np.argsort(rows * self.n_points + indices, kind="stable")
         sq = np.concatenate(self._sq)[order]
         np.cumsum(np.bincount(rows, minlength=self.n_queries), out=offsets[1:])
         return RaggedNeighborhoods(indices[order], offsets, np.sqrt(sq), sq)
@@ -351,31 +364,30 @@ def csr_radius_select_csr(
     CSR result natively — no list materialization anywhere.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) == 0:
-        return RaggedNeighborhoods(
-            np.empty(0, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
+    n_segments = len(offsets) - 1
+    if len(rows) == n_segments and np.array_equal(rows, np.arange(n_segments)):
+        # Every row in order (NE's and Harris's self-queries): one mask
+        # over the flat arrays, new offsets from its running count.
+        keep = sq_dists <= r * r
+        running = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=running[1:])
+        result = RaggedNeighborhoods(indices[keep], running[offsets], dists[keep])
+    else:
+        counts = np.diff(offsets)[rows]
+        sel_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=sel_offsets[1:])
+        ids = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+        source = offsets[:-1][rows][ids] + (
+            np.arange(sel_offsets[-1], dtype=np.int64) - sel_offsets[:-1][ids]
         )
-    counts = np.diff(offsets)[rows]
-    sel_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=sel_offsets[1:])
-    ids = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-    source = offsets[:-1][rows][ids] + (
-        np.arange(sel_offsets[-1], dtype=np.int64) - sel_offsets[:-1][ids]
-    )
-    keep = sq_dists[source] <= r * r
-    kept_source = source[keep]
-    kept_ids = ids[keep]
-    kept_idx = indices[kept_source]
-    kept_dist = dists[kept_source]
-    if sort and len(kept_ids):
-        order = segment_sort_order(kept_dist, kept_ids)
-        kept_idx = kept_idx[order]
-        kept_dist = kept_dist[order]
-    out_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(kept_ids, minlength=len(rows)), out=out_offsets[1:])
-    return RaggedNeighborhoods(kept_idx, out_offsets, kept_dist)
+        keep = sq_dists[source] <= r * r
+        kept_source = source[keep]
+        out_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids[keep], minlength=len(rows)), out=out_offsets[1:])
+        result = RaggedNeighborhoods(
+            indices[kept_source], out_offsets, dists[kept_source]
+        )
+    return result.sorted_by_distance() if sort else result
 
 
 def lexsort_voxel_groups(
@@ -587,20 +599,29 @@ def gathered_moment_covariances(
     """Per-segment covariance + mean of ``source[indices]``, fused.
 
     The kernel behind normal estimation and the Harris structure
-    tensor: gathers each chunk of flat entries into reused buffers,
-    optionally re-expresses them in query-local coordinates
+    tensor: gathers each chunk of flat entries into reused
+    coordinate-major ``(D, m)`` buffers (one 1-D ``take`` per
+    coordinate from a transposed copy of ``source``), optionally
+    re-expresses them in query-local coordinates
     (``- center_source[center_ids]``, recommended for positions so the
     raw moments stay well-conditioned at neighborhood scale; the
     covariance itself is translation-invariant), and assembles
     ``cov = M2 / n - mean mean^T`` one symmetric component at a time.
+    Each ``reduceat`` runs over a contiguous row and sums exactly as it
+    would over a row-major gather's strided column.
     Chunking at segment boundaries keeps peak extra memory at
     ``O(block_pairs)`` regardless of total neighborhood mass — large
     fresh allocations would otherwise pay a page-fault tax comparable
     to the arithmetic itself.  Returns ``((Q, D, D), (Q, D))``; empty
     segments yield zeros.
     """
-    source = np.asarray(source, dtype=np.float64)
-    dims = source.shape[1]
+    source_t = np.ascontiguousarray(np.asarray(source, dtype=np.float64).T)
+    center_t = (
+        None
+        if center_source is None
+        else np.ascontiguousarray(np.asarray(center_source, dtype=np.float64).T)
+    )
+    dims = source_t.shape[0]
     n_segments = len(offsets) - 1
     counts = np.diff(offsets)
     denominators = np.maximum(counts, 1).astype(np.float64)
@@ -609,28 +630,26 @@ def gathered_moment_covariances(
     if n_segments == 0:
         return covariances, means
 
-    capacity = int(min(offsets[-1], max(block_pairs, counts.max(initial=0))))
-    gathered = np.empty((max(capacity, 1), dims))
-    centers = np.empty_like(gathered) if center_source is not None else None
-    products = np.empty(max(capacity, 1))
+    capacity = max(int(min(offsets[-1], max(block_pairs, counts.max(initial=0)))), 1)
+    gathered = np.empty((dims, capacity))
+    products = np.empty(capacity)
 
     for seg_lo, seg_hi, lo, hi in segment_blocks(offsets, block_pairs):
         m = hi - lo
         block_offsets = offsets[seg_lo : seg_hi + 1] - lo
         block_denoms = denominators[seg_lo:seg_hi]
-        block = gathered[:m]
-        np.take(source, indices[lo:hi], axis=0, out=block)
-        if center_source is not None:
-            np.take(center_source, center_ids[lo:hi], axis=0, out=centers[:m])
-            np.subtract(block, centers[:m], out=block)
+        block = gathered[:, :m]
+        for a in range(dims):
+            np.take(source_t[a], indices[lo:hi], out=block[a])
+            if center_t is not None:
+                np.take(center_t[a], center_ids[lo:hi], out=products[:m])
+                np.subtract(block[a], products[:m], out=block[a])
         block_means = means[seg_lo:seg_hi]
         for a in range(dims):
-            block_means[:, a] = (
-                segment_sum(block[:, a], block_offsets) / block_denoms
-            )
+            block_means[:, a] = segment_sum(block[a], block_offsets) / block_denoms
         for a in range(dims):
             for b in range(a, dims):
-                np.multiply(block[:, a], block[:, b], out=products[:m])
+                np.multiply(block[a], block[b], out=products[:m])
                 second = segment_sum(products[:m], block_offsets) / block_denoms
                 component = second - block_means[:, a] * block_means[:, b]
                 covariances[seg_lo:seg_hi, a, b] = component

@@ -33,7 +33,7 @@ FPFH_BINS = 11
 FPFH_DIMS = 3 * FPFH_BINS  # 33
 
 # Flat (center, neighbor) pairs per SPFH sweep chunk: small enough that
-# the ~15 reused per-pair buffers stay allocation-free, large enough to
+# the 20 reused per-pair rows stay allocation-free, large enough to
 # amortize the per-chunk Python overhead.
 _SPFH_BLOCK_PAIRS = 1 << 19
 
@@ -146,18 +146,81 @@ def _spfh_batch(
 
 
 def _cross(a, b, out, t1, t2):
-    """Row-wise cross product into ``out`` using scratch buffers.
+    """Cross product of coordinate-major ``(3, m)`` rows into ``out``.
 
     Component-wise ``a1*b2 - a2*b1`` etc. — the same multiplies and
     subtract as ``np.cross``, without its temporaries.
     """
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        np.multiply(a[:, i], b[:, j], out=t1)
-        np.multiply(a[:, j], b[:, i], out=t2)
-        np.subtract(t1, t2, out=out[:, k])
+        np.multiply(a[i], b[j], out=t1)
+        np.multiply(a[j], b[i], out=t2)
+        np.subtract(t1, t2, out=out[k])
 
 
+def _norm(a, out, t):
+    """Row norms ``sqrt((a0² + a1²) + a2²)`` of ``(3, m)`` rows, the
+    summation order of ``np.linalg.norm(x, axis=1)`` on ``(m, 3)``."""
+    np.multiply(a[0], a[0], out=out)
+    np.multiply(a[1], a[1], out=t)
+    np.add(out, t, out=out)
+    np.multiply(a[2], a[2], out=t)
+    np.add(out, t, out=out)
+    np.sqrt(out, out=out)
+
+
+def _dot(a, b, out, t):
+    """Dot products ``(a0b0 + a2b2) + a1b1`` of ``(3, m)`` rows, the
+    lane order of ``np.einsum("ij,ij->i")`` on ``(m, 3)``."""
+    np.multiply(a[0], b[0], out=out)
+    np.multiply(a[2], b[2], out=t)
+    np.add(out, t, out=out)
+    np.multiply(a[1], b[1], out=t)
+    np.add(out, t, out=out)
+
+
+def _darboux_angles(points_t, normals_t, centers, neighbors, work):
+    """The (alpha, phi, theta) angles of one block of (center, neighbor)
+    pairs and the mask of pairs that define them.
+
+    ``points_t``/``normals_t`` are ``(3, n)`` transposed copies and
+    ``work`` a reused ``(20, capacity)`` buffer; the returned ``(3, m)``
+    angle rows are a view into it.  A pair is good when its points are
+    more than 1e-9 apart and ``d`` is not parallel to ``n_p``; the other
+    pairs' angles are computed but never read.
+    """
+    m = len(neighbors)
+    d, u, v, w, n_q, angles = (work[3 * k : 3 * k + 3, :m] for k in range(6))
+    scratch, scratch2 = work[18, :m], work[19, :m]
+    for k in range(3):
+        np.take(points_t[k], neighbors, out=d[k])
+        np.take(points_t[k], centers, out=scratch)
+        np.subtract(d[k], scratch, out=d[k])  # d = q - p
+        np.take(normals_t[k], centers, out=u[k])  # u = n_p
+        np.take(normals_t[k], neighbors, out=n_q[k])
+
+    norm = angles[0]  # scratch until alpha is written
+    _norm(d, norm, scratch)
+    ok = norm > 1e-9
+    np.maximum(norm, 1e-300, out=scratch)  # exact for every ok row
+    np.divide(d, scratch, out=d)
+    np.copyto(d, 0.0, where=~ok)
+
+    _cross(d, u, v, scratch, scratch2)  # v = d x u
+    _norm(v, norm, scratch)
+    good = ok & (norm > 1e-9)
+    np.maximum(norm, 1e-300, out=scratch)
+    np.divide(v, scratch, out=v)
+    np.copyto(v, 0.0, where=~good)
+    _cross(u, v, w, scratch, scratch2)  # w = u x v
+
+    # alpha = v . n_q, phi = u . d, theta = atan2(w . n_q, u . n_q)
+    _dot(v, n_q, angles[0], scratch)
+    _dot(u, d, angles[1], scratch)
+    _dot(w, n_q, angles[2], scratch)
+    _dot(u, n_q, scratch2, scratch)
+    np.arctan2(angles[2], scratch2, out=angles[2])
+    return angles, good
 
 
 def _spfh_pair_sweep(
@@ -170,12 +233,13 @@ def _spfh_pair_sweep(
     """Accumulate all SPFH pair features into ``histograms``, chunked.
 
     Processes the flat (center, neighbor) pairs in segment-aligned
-    blocks through reused buffers: two gathers, the Darboux frame
-    (u = n_p, v = d x u, w = u x v) via in-place cross products, the
-    three angles, then one ``bincount`` per angle into the 3 x 11-bin
-    histograms.  Per-pair arithmetic replays the per-point formulation
-    operation for operation (``np.linalg.norm`` magnitudes, ``einsum``
-    dots), so results are bit-identical; only allocation churn is
+    blocks through reused coordinate-major buffers: the Darboux frame
+    (u = n_p, v = d x u, w = u x v) and the three angles
+    (:func:`_darboux_angles`), then one ``bincount`` per angle into the
+    3 x 11-bin histograms.  Per-pair arithmetic replays the per-point
+    formulation operation for operation (``np.linalg.norm``
+    magnitudes, ``einsum`` dots, in their summation orders), so results
+    are bit-identical; only allocation churn and strided access are
     removed.
     """
     segment_ids = support.segment_ids
@@ -183,8 +247,9 @@ def _spfh_pair_sweep(
     capacity = int(
         min(support.n_entries, max(_SPFH_BLOCK_PAIRS, counts.max(initial=0)))
     )
-    vec = np.empty((5, capacity, 3))  # d, u (=n_p), v, w, n_q
-    col = np.empty((3, capacity))
+    points_t = np.ascontiguousarray(points.T)
+    normals_t = np.ascontiguousarray(normals.T)
+    work = np.empty((20, capacity))
     flat_keys = np.empty(capacity, dtype=np.int64)
     bins = np.empty(capacity, dtype=np.int64)
 
@@ -194,42 +259,21 @@ def _spfh_pair_sweep(
         m = hi - lo
         if m == 0:
             continue
-        d, u, v, w, n_q = (vec[k, :m] for k in range(5))
-        scratch, scratch2, feature = (col[k, :m] for k in range(3))
-        center = needed[segment_ids[lo:hi]]
-        np.take(points, support.indices[lo:hi], axis=0, out=d)
-        np.take(points, center, axis=0, out=u)  # scratch: p
-        np.subtract(d, u, out=d)  # d = q - p
-        np.take(normals, center, axis=0, out=u)  # u = n_p
-        np.take(normals, support.indices[lo:hi], axis=0, out=n_q)
-
-        dist = np.linalg.norm(d, axis=1)
-        ok = dist > 1e-9
-        np.maximum(dist, 1e-300, out=scratch)  # exact for every ok row
-        np.divide(d, scratch[:, None], out=d)
-        d[~ok] = 0.0
-
-        _cross(d, u, v, scratch, scratch2)  # v = d x u
-        v_norm = np.linalg.norm(v, axis=1)
-        good = ok & (v_norm > 1e-9)
-        np.maximum(v_norm, 1e-300, out=scratch)
-        np.divide(v, scratch[:, None], out=v)
-        v[~good] = 0.0
-        _cross(u, v, w, scratch, scratch2)  # w = u x v
-
+        angles, good = _darboux_angles(
+            points_t,
+            normals_t,
+            needed[segment_ids[lo:hi]],
+            support.indices[lo:hi],
+            work,
+        )
         local_ids = segment_ids[lo:hi] - seg_lo
         block_rows = slice(seg_lo, seg_hi)
         n_rows = seg_hi - seg_lo
-        # alpha = v . n_q, phi = u . d, theta = atan2(w . n_q, u . n_q)
-        for pass_no, (left, right, offset, low, span) in enumerate((
-            (v, n_q, 0, -1.0, 2.0),
-            (u, d, FPFH_BINS, -1.0, 2.0),
-            (w, n_q, 2 * FPFH_BINS, -np.pi, 2.0 * np.pi),
-        )):
-            np.einsum("ij,ij->i", left, right, out=feature)
-            if pass_no == 2:
-                np.einsum("ij,ij->i", u, n_q, out=scratch)
-                np.arctan2(feature, scratch, out=feature)
+        for offset, feature, low, span in (
+            (0, angles[0], -1.0, 2.0),
+            (FPFH_BINS, angles[1], -1.0, 2.0),
+            (2 * FPFH_BINS, angles[2], -np.pi, 2.0 * np.pi),
+        ):
             # Replicates ``(feature - low) / span * FPFH_BINS`` exactly.
             np.subtract(feature, low, out=feature)
             np.divide(feature, span, out=feature)
@@ -244,5 +288,3 @@ def _spfh_pair_sweep(
             histograms[block_rows, offset : offset + FPFH_BINS] += np.bincount(
                 keys[good], minlength=n_rows * FPFH_BINS
             ).reshape(n_rows, FPFH_BINS)
-
-

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ragged import batched_eigh, gathered_moment_covariances
+from repro.core.ragged import gathered_moment_covariances
 from repro.io.pointcloud import PointCloud
 from repro.registration.search import NeighborSearcher
 
 __all__ = ["harris_keypoints"]
+
+# Rounding allowance of the eigen-product skip test, relative to F²:
+# the bound and eigh's eigenvalues are each accurate to a few ulps of F.
+_BOUND_MARGIN = 2.0**-40
 
 
 def harris_keypoints(
@@ -32,7 +36,7 @@ def harris_keypoints(
     Parameters mirror PCL's ``HarrisKeypoint3D``: ``radius`` is the
     support for the normal-covariance structure tensor, ``k`` is the
     Harris trace weight, ``threshold`` drops weak responses, and
-    ``non_max_radius`` (defaults to ``radius``) enforces spatial
+    ``non_max_radius`` (``None``: ``radius``) enforces spatial
     non-maximum suppression so keypoints spread over the frame.
 
     ``response`` selects the corner measure over the structure tensor's
@@ -55,6 +59,10 @@ def harris_keypoints(
         raise ValueError("Harris 3D requires normals; run estimate_normals first")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if non_max_radius is None:
+        non_max_radius = radius
+    elif non_max_radius <= 0:
+        raise ValueError("non_max_radius must be positive")
     points = cloud.points
     normals = cloud.normals
 
@@ -81,18 +89,54 @@ def harris_keypoints(
     if response == "harris":
         det = np.linalg.det(tensors)
         trace = np.trace(tensors, axis1=1, axis2=2)
-        scores = det - k * trace * trace
+        scores = np.where(valid, det - k * trace * trace, -np.inf)
     else:
-        eigenvalues, _ = batched_eigh(tensors, valid)
-        scores = eigenvalues[:, 0] * eigenvalues[:, 1]
-    scores = np.where(valid, scores, -np.inf)
+        scores = _eigen_product_scores(tensors, valid, threshold)
 
     candidates = np.nonzero(scores > threshold)[0]
     if len(candidates) == 0:
         return candidates.astype(np.int64)
-    return _non_max_suppress(
-        points, scores, candidates, non_max_radius or radius
-    )
+    return _non_max_suppress(points, scores, candidates, non_max_radius)
+
+
+def _eigen_product_scores(
+    tensors: np.ndarray, valid: np.ndarray, threshold: float
+) -> np.ndarray:
+    """``l1 * l2`` of each valid tensor that can pass ``threshold``.
+
+    With ``tr`` the trace, ``F`` the Frobenius norm and ``rho`` the
+    Rayleigh quotient of the tensor's largest column, ``rho <= l3 <= F``,
+    so ``l1 + l2 = tr - l3`` lies in ``[tr - F, tr - rho]`` and
+    ``l1 * l2 <= ((l1 + l2) / 2)² <= max((tr - F)², (tr - rho)²) / 4``.
+    A row whose bound plus a rounding margin stays below
+    ``threshold / 2`` cannot pass and skips ``eigh``; every other valid
+    row is scored by the same per-matrix LAPACK call as a full stacked
+    ``eigh``.  Skipped and invalid rows score ``-inf``.  A threshold
+    ``<= 0`` or NaN skips nothing (the bound is never negative), nor does
+    a tensor whose bound overflows or is NaN.
+    """
+    n = len(tensors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = tensors[:, 0, 0] + tensors[:, 1, 1] + tensors[:, 2, 2]
+        column_sq = np.einsum("ijk,ijk->ik", tensors, tensors)
+        frobenius_sq = column_sq.sum(axis=1)
+        largest = np.argmax(column_sq, axis=1)
+        column = tensors[np.arange(n), :, largest]
+        rho = np.divide(
+            np.einsum("ij,ij->i", column, np.einsum("ijk,ik->ij", tensors, column)),
+            column_sq[np.arange(n), largest],
+            out=np.zeros(n),
+            where=frobenius_sq > 0,
+        )
+        frobenius = np.sqrt(frobenius_sq)
+        bound = np.maximum((trace - frobenius) ** 2, (trace - rho) ** 2) / 4
+        hopeless = bound + _BOUND_MARGIN * frobenius_sq < threshold / 2
+    rows = np.flatnonzero(valid & ~hopeless)
+    scores = np.full(n, -np.inf)
+    if len(rows):
+        eigenvalues = np.linalg.eigh(tensors[rows])[0]
+        scores[rows] = eigenvalues[:, 0] * eigenvalues[:, 1]
+    return scores
 
 
 def _non_max_suppress(
@@ -103,22 +147,21 @@ def _non_max_suppress(
 ) -> np.ndarray:
     """Greedy spatial NMS: keep strongest, drop neighbors within radius.
 
-    The kept points fill a preallocated buffer, so a candidate is tested
-    against a slice of it instead of a fresh copy of every point kept so
-    far.
+    Candidates are visited strongest first (ties by position).  Each
+    one kept marks every later candidate within the radius: one
+    coordinate-major row of squared distances, summed
+    ``(dx² + dz²) + dy²`` (the ``einsum`` lane order) and compared
+    strictly.
     """
     order = candidates[np.argsort(-response[candidates], kind="stable")]
-    kept = np.empty(len(order), dtype=np.int64)
-    kept_points = np.empty((len(order),) + points.shape[1:], dtype=points.dtype)
-    n_kept = 0
+    x, y, z = np.ascontiguousarray(points[order].T)
     r_sq = radius * radius
-    for idx in order:
-        p = points[idx]
-        if n_kept:
-            diff = kept_points[:n_kept] - p
-            if np.any(np.einsum("ij,ij->i", diff, diff) < r_sq):
-                continue
-        kept[n_kept] = idx
-        kept_points[n_kept] = p
-        n_kept += 1
-    return np.sort(kept[:n_kept])
+    suppressed = np.zeros(len(order), dtype=bool)
+    for i in range(len(order)):
+        if suppressed[i]:
+            continue
+        dx = x[i + 1 :] - x[i]
+        dy = y[i + 1 :] - y[i]
+        dz = z[i + 1 :] - z[i]
+        suppressed[i + 1 :] |= (dx * dx + dz * dz) + dy * dy < r_sq
+    return np.sort(order[~suppressed])

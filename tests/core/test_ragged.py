@@ -145,6 +145,30 @@ class TestRadiusHits:
         assert np.array_equal(result.distances, np.sqrt(sq[order]))
         assert np.array_equal(result.counts, np.bincount(rows, minlength=40))
 
+    def test_leaf_runs_match_two_key_lexsort(self, rng):
+        """Hits as the tree backends add them: leaf by leaf, each leaf's
+        points ascending and its query rows ascending, so the keys arrive
+        as interleaved ascending runs (the stable sort's best case)."""
+        n_queries, n_points = 60, 500
+        leaves = np.array_split(rng.permutation(n_points), 25)
+        hits = RadiusHits(n_queries, n_points, 1.0)
+        all_rows, all_indices, all_sq = [], [], []
+        for leaf in leaves:
+            members = np.sort(leaf)
+            rows = np.sort(rng.choice(n_queries, size=int(rng.integers(1, 20)), replace=False))
+            sq = rng.uniform(0, 2, size=(len(rows), len(members)))
+            hits.add_block(rows, members, sq)
+            keep = sq <= 1.0
+            all_rows.append(np.repeat(rows, len(members))[keep.ravel()])
+            all_indices.append(np.tile(members, len(rows))[keep.ravel()])
+            all_sq.append(sq[keep])
+        rows, indices, sq = map(np.concatenate, (all_rows, all_indices, all_sq))
+        result = hits.to_csr()
+        order = np.lexsort((indices, rows))
+        assert np.array_equal(result.indices, indices[order])
+        assert np.array_equal(result.sq_distances, sq[order])
+        assert np.array_equal(result.counts, np.bincount(rows, minlength=n_queries))
+
     def test_radius_filter_is_inclusive(self):
         hits = RadiusHits(2, 5, 0.5)
         hits.add(np.array([0, 0, 1]), np.array([3, 1, 4]), np.array([0.25, 0.3, 0.0]))

@@ -197,6 +197,68 @@ def assert_backends_agree(points, queries, radii, heights=(0, 1, 2, 3, 5)):
                 assert np.array_equal(scalar_dist, lists[1][row]), (height, r, row)
 
 
+class TestNumpyOrderRules:
+    """The summation orders of the installed numpy that the
+    coordinate-major feature kernels copy (``core/ragged.py``,
+    ``descriptors/fpfh.py``, ``keypoints/harris.py``).
+
+    Each kernel sums contiguous coordinate rows in the order numpy's
+    row-major call used, so its results stay bit-identical.  If a numpy
+    release changes one of these rules, the test names the rule instead
+    of the change showing up as a moved digest.
+    """
+
+    SIZES = [1, 2, 7, 8, 9, 4096, 36_000]
+
+    @staticmethod
+    def mixed(rng, m):
+        # Coordinates of mixed magnitude make other orders disagree.
+        return rng.normal(size=(m, 3)) * 10 ** rng.uniform(-3, 3, (m, 3))
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_norm_sums_left_to_right(self, rng, m):
+        x = self.mixed(rng, m)
+        rows = (x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]) + x[:, 2] * x[:, 2]
+        assert np.array_equal(np.linalg.norm(x, axis=1), np.sqrt(rows)), (
+            "np.linalg.norm(x, axis=1) no longer sums (x0² + x1²) + x2²; "
+            "FPFH's _norm copies that order"
+        )
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_einsum_dot_lane_order(self, rng, m):
+        a, b = self.mixed(rng, m), self.mixed(rng, m)
+        lanes = (a[:, 0] * b[:, 0] + a[:, 2] * b[:, 2]) + a[:, 1] * b[:, 1]
+        assert np.array_equal(np.einsum("ij,ij->i", a, b), lanes), (
+            "np.einsum('ij,ij->i') no longer sums (a0b0 + a2b2) + a1b1; "
+            "FPFH's _dot and Harris's NMS copy that order"
+        )
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_reduceat_of_strided_column_equals_contiguous(self, rng, m):
+        x = self.mixed(rng, m)
+        starts = np.unique(np.concatenate([[0], rng.integers(0, m, size=m // 7)]))
+        for column in range(3):
+            strided = x[:, column]
+            for bounds in (starts, [0]):
+                assert np.array_equal(
+                    np.add.reduceat(strided, bounds),
+                    np.add.reduceat(np.ascontiguousarray(strided), bounds),
+                ), (
+                    "np.add.reduceat over a strided column no longer equals it "
+                    "over a contiguous copy; gathered_moment_covariances relies "
+                    "on it"
+                )
+
+    def test_the_rules_are_not_trivial(self, rng):
+        """At 36k mixed-magnitude rows the other orders differ somewhere,
+        so the rules above pin a choice."""
+        a, b = self.mixed(rng, 36_000), self.mixed(rng, 36_000)
+        other_norm = a[:, 0] * a[:, 0] + (a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
+        assert not np.array_equal(np.linalg.norm(a, axis=1), np.sqrt(other_norm))
+        other_dot = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+        assert not np.array_equal(np.einsum("ij,ij->i", a, b), other_dot)
+
+
 class TestTiesAndDegenerateInputs:
     """Exact ties resolve identically on every path.
 

@@ -14,7 +14,7 @@ and the injector / reuse-cache CSR hooks.
 import numpy as np
 import pytest
 
-from repro.core.ragged import RaggedNeighborhoods
+from repro.core.ragged import RaggedNeighborhoods, csr_radius_select_csr
 from repro.kdtree import SearchStats, bruteforce
 from repro.registration import SearchConfig, build_searcher
 from repro.registration.error_injection import ShellRadiusInjector
@@ -214,3 +214,45 @@ class TestReuseCacheCSR:
         assert np.array_equal(csr.indices, direct.indices)
         assert np.array_equal(csr.offsets, direct.offsets)
         assert np.array_equal(csr.distances, direct.distances)
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_all_rows_equal_row_by_row_selection(self, sort):
+        """Serving every row in order (NE's and Harris's self-queries)
+        filters the flat arrays in one pass; it must equal the row-by-row
+        gather: empty segments, a hit at exactly ``r`` (dyadic squared
+        distances, so ``sq == r * r`` is exact) and tied distances."""
+        lists = [[4, 7, 9], [], [0, 2, 3, 5], [], [], [1], [6, 8]]
+        sq_lists = [[0.25, 0.0, 1.0], [], [1.0, 0.25, 2.0, 0.25], [], [], [4.0], [0.5, 0.0]]
+        cached = RaggedNeighborhoods.from_lists(lists, sq_lists)
+        sq = cached.distances
+        for r in (0.5, 1.0, 1.5, 2.5):
+            args = (cached.indices, cached.offsets, sq, np.sqrt(sq))
+            got = csr_radius_select_csr(*args, np.arange(len(lists)), r, sort=sort)
+            rows = [
+                csr_radius_select_csr(*args, np.array([row, row]), r, sort=sort)
+                for row in range(len(lists))
+            ]
+            assert_well_formed(got)
+            assert_csr_matches_lists(
+                got,
+                [one.to_lists()[0] for one in rows],
+                [one.to_list_pair()[1][0] for one in rows],
+            )
+        got = csr_radius_select_csr(*args, np.arange(len(lists)), 1.0)
+        assert got.to_lists()[2].tolist() == [0, 2, 5]
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_serve_all_rows_matches_fresh_search(self, sort):
+        """A dyadic grid: many neighbors sit at exactly the served radius."""
+        grid = np.stack(
+            np.meshgrid(*[np.arange(6) * 0.5] * 3, indexing="ij"), axis=-1
+        ).reshape(-1, 3)
+        index, _ = build_index(grid, SearchConfig(backend="twostage"))
+        cache = RadiusReuseCache(index, max_radius=1.5)
+        cache.fill(SearchStats())
+        for r in (0.5, 1.0):
+            csr = cache.serve_csr(np.arange(len(grid)), r, sort=sort)
+            direct = index.radius_batch_csr(grid, r, sort=sort)
+            assert np.array_equal(csr.indices, direct.indices)
+            assert np.array_equal(csr.offsets, direct.offsets)
+            assert np.array_equal(csr.distances, direct.distances)

@@ -96,6 +96,22 @@ class TestHarris:
         )
         assert isinstance(keypoints, np.ndarray)
 
+    @pytest.mark.parametrize("non_max_radius", [0.0, -1.0, -0.8])
+    def test_rejects_non_positive_non_max_radius(self, corner_cloud, non_max_radius):
+        cloud, searcher = corner_cloud
+        with pytest.raises(ValueError, match="non_max_radius"):
+            harris_keypoints(
+                cloud, searcher, radius=0.8, non_max_radius=non_max_radius
+            )
+
+    def test_non_max_radius_defaults_to_radius(self, corner_cloud):
+        cloud, searcher = corner_cloud
+        default = harris_keypoints(cloud, searcher, radius=0.8, threshold=1e-5)
+        explicit = harris_keypoints(
+            cloud, searcher, radius=0.8, threshold=1e-5, non_max_radius=0.8
+        )
+        np.testing.assert_array_equal(default, explicit)
+
     def test_rejects_bad_response(self, corner_cloud):
         cloud, searcher = corner_cloud
         with pytest.raises(ValueError):
@@ -159,6 +175,54 @@ class TestNonMaxSuppress:
         response = np.array([4.0, 3.0, 2.0, 1.0])
         kept = self.assert_matches_loop(points, response, np.arange(4), 1.0)
         np.testing.assert_array_equal(kept, [0, 1, 3])
+
+    def test_distance_in_einsum_lane_order(self):
+        """A neighbour whose squared distance is below ``radius**2`` in
+        the order ``(dx² + dz²) + dy²`` but not in ``(dx² + dy²) + dz²``
+        (or the other way round) is decided by the lane order."""
+        rng = np.random.default_rng(11)
+        found = 0
+        while found < 20:
+            d = rng.normal(size=3) * 10 ** rng.uniform(-1, 1, 3)
+            lanes = (d[0] * d[0] + d[2] * d[2]) + d[1] * d[1]
+            left = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
+            radius = np.sqrt(max(lanes, left))
+            if lanes == left or not min(lanes, left) < radius * radius <= max(lanes, left):
+                continue
+            found += 1
+            points = np.array([[0.5, -1.0, 2.0], [0.5, -1.0, 2.0] + d])
+            # Coordinates are not dyadic, so recompute d as the kernel sees it.
+            d = points[1] - points[0]
+            lanes = (d[0] * d[0] + d[2] * d[2]) + d[1] * d[1]
+            kept = self.assert_matches_loop(
+                points, np.array([2.0, 1.0]), np.arange(2), radius
+            )
+            assert len(kept) == (1 if lanes < radius * radius else 2)
+
+    def test_urban_frame_candidates(self):
+        """Candidates and scores of a real LiDAR frame, with the
+        responses quantized so that many tie."""
+        from repro.io import SceneSuite
+
+        frame = SceneSuite.default(n_frames=2, scenes=("urban",)).sequence("urban").frames[0]
+        searcher = build_searcher(frame.points, SearchConfig())
+        cloud = estimate_normals(frame, searcher, NormalEstimationConfig(radius=0.75))
+        calls = []
+        original = harris_module._non_max_suppress
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harris_module, "_non_max_suppress", recording)
+            harris_keypoints(cloud, searcher, radius=1.0)
+        (points, response, candidates, radius), = calls
+        assert len(candidates) > 50
+        self.assert_matches_loop(points, response, candidates, radius)
+        tied = np.round(response * 1e3) / 1e3
+        self.assert_matches_loop(points, tied, candidates, radius)
+        self.assert_matches_loop(points, tied, candidates, 2.5 * radius)
 
     def test_harris_candidates_match_loop(self, corner_cloud, monkeypatch):
         calls = []
