@@ -15,19 +15,29 @@ Per-batch cycles = pipeline fill + the longest node stream in the
 batch, plus the leader-check computations of the approximate search
 (executed on the same PEs, Sec. 5.3).  A per-SU LRU node cache serves
 repeat leaf-set fetches, cutting Points Buffer traffic (Fig. 13).
+
+The model runs on the columns of the workload's
+:class:`~repro.core.trace.TraceTable`.  Visits are routed to SUs by a
+stable sort on ``leaf_id % n_sus``, so each SU sees its visits in trace
+order; :func:`take_batch` forms every batch on integer keys; the
+per-batch maxima and sums are ``reduceat`` calls over the visits in
+batch order; and the node cache is walked once per MQSN batch or once
+per precise MQMN visit.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.accel.config import AcceleratorConfig
 from repro.accel.memory import TrafficCounters
 from repro.accel.workload import SearchWorkload
-from repro.core.trace import LeafVisitRecord
+from repro.core.trace import TraceTable
 
-__all__ = ["BackEndReport", "simulate_backend"]
+__all__ = ["BackEndReport", "simulate_backend", "take_batch"]
 
 
 @dataclass
@@ -44,165 +54,173 @@ class BackEndReport:
     node_cache_misses: int
 
 
-class _LeafLRUCache:
-    """LRU cache of leaf-set node streams, keyed by leaf id."""
+def batch_keys(
+    trace: TraceTable, visits: np.ndarray, config: AcceleratorConfig
+) -> tuple[list[int], int]:
+    """The batch former's keys for ``visits`` and its window.
 
-    def __init__(self, entries: int):
-        self._capacity = entries
-        self._entries: OrderedDict[int, None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+    A systolic MQSN batch streams exactly one node source — the Input
+    Point Buffer for precise visits, the Result Buffer for followers —
+    so its key is the pair (leaf id, precise/approximate), packed as
+    ``leaf_id * 2 + approximate``, and the issue logic examines
+    ``issue_window`` entries (Sec. 5.3 searches in groups of 32).  MQMN
+    batches are first-come-first-served regardless of leaf: one key
+    for every visit and a window the batch always fills.
+    """
+    if config.backend.scheduling == "mqsn":
+        keys = trace.leaf_id[visits] * 2 + trace.approximate[visits]
+        return keys.tolist(), config.backend.issue_window
+    return [0] * len(visits), config.pes_per_su
 
-    def access(self, leaf_id: int) -> bool:
-        """Record an access; returns True on hit."""
-        if self._capacity == 0:
-            self.misses += 1
-            return False
-        if leaf_id in self._entries:
-            self._entries.move_to_end(leaf_id)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._entries[leaf_id] = None
-        if len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-        return False
+
+def take_batch(
+    keys: list[int], items: list[int], head: int, end: int, n_pes: int, window: int
+) -> int:
+    """Move the next PE batch of the queue ``items[head:end]`` to its head.
+
+    Mirrors the paper's issue logic: the head entry is the search key,
+    and the entries among the next ``window`` with the same key join it,
+    in queue order, until the batch holds ``n_pes``.  The batch becomes
+    ``items[head:head + size]``; the entries examined but not taken
+    follow it in their order, so the queue resumes at ``head + size``.
+    ``keys`` holds the entries' keys and is reordered alongside.
+    Returns ``size``.  Because the window is bounded, a leaf's visits
+    recur across separated batches — exactly the reuse the node cache
+    exists to capture.
+    """
+    key = keys[head]
+    limit = head + 1 + max(0, min(window, end - head - 1))
+    run = min(limit - head - 1, n_pes - 1)
+    if keys[head + 1 : head + 1 + run].count(key) == run:
+        return run + 1  # every examined entry joins the batch
+    taken_keys, taken_items = [key], [items[head]]
+    passed_keys, passed_items = [], []
+    stop = head + 1
+    while stop < limit and len(taken_keys) < n_pes:
+        if keys[stop] == key:
+            taken_keys.append(key)
+            taken_items.append(items[stop])
+        else:
+            passed_keys.append(keys[stop])
+            passed_items.append(items[stop])
+        stop += 1
+    keys[head:stop] = taken_keys + passed_keys
+    items[head:stop] = taken_items + passed_items
+    return len(taken_keys)
+
+
+def route(trace: TraceTable, visits: np.ndarray, n_sus: int):
+    """``visits`` grouped by Search Unit (``leaf_id % n_sus``), each
+    SU's in their given order, and the end of each SU's group."""
+    su = trace.leaf_id[visits] % n_sus
+    grouped = visits[np.argsort(su, kind="stable")]
+    return grouped, np.cumsum(np.bincount(su, minlength=n_sus)).tolist()
+
+
+def _lru_hits(leaf_ids: list[int], units: list[int], capacity: int) -> np.ndarray:
+    """Hit flags of an LRU node cache of ``capacity`` leaf sets over the
+    accesses ``leaf_ids``; each unit of ``units`` has its own cache."""
+    hits = []
+    cache: OrderedDict[int, None] = OrderedDict()
+    unit = None
+    for leaf_id, su in zip(leaf_ids, units):
+        if su != unit:
+            cache.clear()
+            unit = su
+        if leaf_id in cache:
+            cache.move_to_end(leaf_id)
+            hits.append(True)
+            continue
+        hits.append(False)
+        cache[leaf_id] = None
+        if len(cache) > capacity:
+            cache.popitem(last=False)
+    return np.array(hits, dtype=bool)
 
 
 def simulate_backend(
     workload: SearchWorkload, config: AcceleratorConfig
 ) -> BackEndReport:
     """Replay all leaf visits on the SU/PE arrays."""
+    trace = workload.trace
     n_sus = config.n_search_units
     n_pes = config.pes_per_su
     backend = config.backend
 
-    # Route active (non-pruned) leaf visits to SUs by leaf-id low bits.
-    per_su: list[list[LeafVisitRecord]] = [[] for _ in range(n_sus)]
-    for trace in workload.traces:
-        for visit in trace.leaf_visits:
-            if visit.pruned:
-                continue
-            per_su[visit.leaf_id % n_sus].append(visit)
+    # Route active (non-pruned) leaf visits to SUs by leaf-id low bits,
+    # then drain each SU's queue into batches.
+    visits, su_ends = route(trace, np.flatnonzero(~trace.pruned), n_sus)
+    keys, window = batch_keys(trace, visits, config)
+    items = visits.tolist()
+    sizes = []
+    start = 0
+    for end in su_ends:
+        head = start
+        while head < end:
+            size = take_batch(keys, items, head, end, n_pes, window)
+            sizes.append(size)
+            head += size
+        start = end
+
+    # The visits in batch order, batch by batch, SU by SU.
+    order = np.array(items, dtype=np.int64)
+    sizes = np.array(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    leaf_ids = trace.leaf_id[order]
+    units = leaf_ids % n_sus
+    scanned = trace.scanned[order]
+    checks = trace.leader_checks[order]
+    approximate = trace.approximate[order]
+    longest_stream = np.maximum.reduceat(scanned, starts)
+    longest_checks = np.maximum.reduceat(checks, starts)
+    # Leader checks reuse the PE array in parallel (Sec. 5.3: "We reuse
+    # the PEs in the SU for these computations"), so a buffer of L
+    # leaders costs ceil(L / PEs) cycles, not L.
+    batch_cycles = (
+        1  # issue (associative search, amortized)
+        + backend.pipeline_fill_cycles
+        + -(-longest_checks // n_pes)
+        + longest_stream
+    )
+    su_first = np.flatnonzero(np.diff(units[starts], prepend=-1))
+    total_cycles = int(np.add.reduceat(batch_cycles, su_first).max(initial=0))
+    total_compute = int(scanned.sum() + checks.sum())
+
+    # Node cache: MQSN fetches one shared node stream per precise batch
+    # (all one leaf), MQMN one stream per precise visit.
+    if backend.scheduling == "mqsn":
+        precise = ~approximate[starts]
+        fetch = starts[precise]
+        streams = longest_stream[precise]
+    else:
+        fetch = np.flatnonzero(~approximate)
+        streams = scanned[fetch]
+    hit = _lru_hits(
+        leaf_ids[fetch].tolist(), units[fetch].tolist(), backend.node_cache_entries
+    )
 
     traffic = TrafficCounters()
-    total_cycles = 0
-    total_busy = 0
-    total_batches = 0
-    total_compute = 0
-    cache_hits = 0
-    cache_misses = 0
-
-    for su_visits in per_su:
-        if not su_visits:
-            continue
-        cache = _LeafLRUCache(backend.node_cache_entries)
-        batches = _form_batches(
-            su_visits, n_pes, backend.scheduling, backend.issue_window
-        )
-        su_cycles = 0
-        for batch in batches:
-            longest_stream = max(v.scanned for v in batch)
-            longest_checks = max(v.leader_checks for v in batch)
-            # Leader checks reuse the PE array in parallel (Sec. 5.3:
-            # "We reuse the PEs in the SU for these computations"), so a
-            # buffer of L leaders costs ceil(L / PEs) cycles, not L.
-            check_cycles = -(-longest_checks // n_pes) if longest_checks else 0
-            su_cycles += (
-                1  # issue (associative search, amortized)
-                + backend.pipeline_fill_cycles
-                + check_cycles
-                + longest_stream
-            )
-            total_busy += sum(v.scanned + v.leader_checks for v in batch)
-            total_compute += sum(v.scanned + v.leader_checks for v in batch)
-
-            # Memory traffic.
-            traffic.be_query_buffer += len(batch)  # BQB pops
-            traffic.query_buffer += len(batch)  # query point fetches
-            precise = [v for v in batch if not v.approximate]
-            followers = [v for v in batch if v.approximate]
-            if backend.scheduling == "mqsn":
-                # One shared node stream per batch (all same leaf).
-                if precise:
-                    stream = max(v.scanned for v in precise)
-                    if cache.access(batch[0].leaf_id):
-                        traffic.node_cache += stream
-                    else:
-                        traffic.points_buffer += stream
-            else:
-                # Every precise visit streams its own node set.
-                for visit in precise:
-                    if cache.access(visit.leaf_id):
-                        traffic.node_cache += visit.scanned
-                    else:
-                        traffic.points_buffer += visit.scanned
-            for visit in followers:
-                traffic.result_buffer += visit.scanned  # leader-result reads
-            for visit in batch:
-                traffic.leader_buffer += visit.leader_checks
-                traffic.result_buffer += max(visit.result_size, 1)  # writes
-        total_cycles = max(total_cycles, su_cycles)
-        total_batches += len(batches)
-        cache_hits += cache.hits
-        cache_misses += cache.misses
-
+    traffic.be_query_buffer += len(order)  # BQB pops
+    traffic.query_buffer += len(order)  # query point fetches
+    traffic.node_cache += int(streams[hit].sum())
+    traffic.points_buffer += int(streams[~hit].sum())
+    traffic.result_buffer += int(scanned[approximate].sum())  # leader-result reads
+    traffic.leader_buffer += int(checks.sum())
+    traffic.result_buffer += int(np.maximum(trace.result_size[order], 1).sum())
     # Result spills: the double-buffered Result Buffer writes final
     # results out to DRAM once per query result.
     traffic.dram += workload.total_results
 
     capacity = total_cycles * n_sus * n_pes
-    utilization = total_busy / capacity if capacity else 0.0
+    utilization = total_compute / capacity if capacity else 0.0
+    n_hits = int(np.count_nonzero(hit))
     return BackEndReport(
         cycles=total_cycles,
-        busy_cycles=total_busy,
+        busy_cycles=total_compute,
         utilization=utilization,
         traffic=traffic,
         distance_computations=total_compute,
-        n_batches=total_batches,
-        node_cache_hits=cache_hits,
-        node_cache_misses=cache_misses,
+        n_batches=len(sizes),
+        node_cache_hits=n_hits,
+        node_cache_misses=len(hit) - n_hits,
     )
-
-
-def _form_batches(
-    visits: list[LeafVisitRecord], n_pes: int, scheduling: str, window: int
-) -> list[list[LeafVisitRecord]]:
-    """Group visits into PE batches.
-
-    MQSN mirrors the paper's issue logic: take the first query in the
-    BE Query Buffer as the search key and associatively gather matching
-    queries from the next ``window`` entries (Sec. 5.3 searches in
-    groups of 32).  The key is (leaf id, precise/approximate): a
-    systolic batch streams exactly one node source — the Input Point
-    Buffer for precise visits, the Result Buffer for followers — so the
-    two modes cannot share a pass.  Because the scheduling window is
-    bounded, a leaf's visits recur across separated batches — which is
-    exactly the reuse the node cache exists to capture.  MQMN batches
-    are first-come-first-served regardless of leaf.
-    """
-    batches: list[list[LeafVisitRecord]] = []
-    if scheduling == "mqsn":
-        queue = deque(visits)
-        while queue:
-            key = queue.popleft()
-            batch = [key]
-            scanned: deque[LeafVisitRecord] = deque()
-            examined = 0
-            while queue and len(batch) < n_pes and examined < window:
-                candidate = queue.popleft()
-                examined += 1
-                if (
-                    candidate.leaf_id == key.leaf_id
-                    and candidate.approximate == key.approximate
-                ):
-                    batch.append(candidate)
-                else:
-                    scanned.append(candidate)
-            # Unmatched entries return to the queue head in order.
-            queue.extendleft(reversed(scanned))
-            batches.append(batch)
-    else:
-        for start in range(0, len(visits), n_pes):
-            batches.append(visits[start : start + n_pes])
-    return batches

@@ -15,21 +15,27 @@ Timing semantics:
   stage fires per leaf, but a query's leaves cluster at its tail —
   one-timestamp-per-query is the documented approximation);
 * each SU processes its arrival stream in order with the same windowed
-  (leaf id, mode) batch former as the decoupled model, but may only
-  batch visits that have arrived; if its buffer is empty it idles until
-  the next arrival.
+  (leaf id, mode) batch former as the decoupled model
+  (:func:`repro.accel.backend.take_batch`), but may only batch visits
+  that have arrived; if its buffer is empty it idles until the next
+  arrival.
+
+Like the decoupled models it reads the trace table's columns: a visit's
+arrival is its query's finish time, and each SU's stream is its visits
+in arrival order, ties in trace order.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.accel.backend import batch_keys, route, take_batch
 from repro.accel.config import AcceleratorConfig
-from repro.accel.frontend import query_frontend_cycles
+from repro.accel.frontend import query_frontend_cycles, ru_finish_times
 from repro.accel.workload import SearchWorkload
-from repro.core.trace import LeafVisitRecord
 
 __all__ = ["CoupledTiming", "simulate_coupled"]
 
@@ -58,58 +64,53 @@ def simulate_coupled(
     workload: SearchWorkload, config: AcceleratorConfig
 ) -> CoupledTiming:
     """Run the discrete-event FE/BE coupling for one workload."""
-    n_rus = config.n_recursion_units
+    trace = workload.trace
     n_pes = config.pes_per_su
     backend = config.backend
 
-    # Front end: earliest-free-RU assignment; record issue timestamps.
-    ru_heap = [0] * n_rus
-    heapq.heapify(ru_heap)
-    arrivals: list[list[tuple[int, LeafVisitRecord]]] = [
-        [] for _ in range(config.n_search_units)
-    ]
-    fe_cycles = 0
-    for trace in workload.traces:
-        cycles = query_frontend_cycles(trace, config)
-        start = heapq.heappop(ru_heap)
-        end = start + cycles
-        heapq.heappush(ru_heap, end)
-        fe_cycles = max(fe_cycles, end)
-        for visit in trace.leaf_visits:
-            if visit.pruned:
-                continue
-            arrivals[visit.leaf_id % config.n_search_units].append((end, visit))
+    # Front end: earliest-free-RU assignment; every leaf visit of a
+    # query issues at the query's finish time.
+    finish = ru_finish_times(
+        query_frontend_cycles(trace, config).tolist(), config.n_recursion_units
+    )
+    fe_cycles = max(finish, default=0)
+    arrival = np.repeat(np.array(finish, dtype=np.int64), trace.visit_counts)
+    active = np.flatnonzero(~trace.pruned)
+    by_arrival = active[np.argsort(arrival[active], kind="stable")]
+    visits, su_ends = route(trace, by_arrival, config.n_search_units)
+    keys, window = batch_keys(trace, visits, config)
+    items = visits.tolist()
+    times = arrival[visits].tolist()
+    scanned = trace.scanned.tolist()
+    checks = trace.leader_checks.tolist()
 
-    # Back end: per-SU event loop over the arrival stream.
+    # Back end: per-SU event loop over the arrival stream.  The buffer
+    # is items[head:arrived]; take_batch reorders only that range, so
+    # times[arrived:] stay aligned with the entries not yet arrived.
     backend_finish = 0
     idle_total = 0
-    for stream in arrivals:
-        if not stream:
-            continue
-        stream.sort(key=lambda item: item[0])
-        cursor = 0
-        buffer: deque[tuple[int, LeafVisitRecord]] = deque()
-        now = 0
-        idle = 0
-        while cursor < len(stream) or buffer:
+    start = 0
+    for end in su_ends:
+        head = arrived = start
+        now = idle = 0
+        while head < end:
             # Pull in everything that has arrived by `now`.
-            while cursor < len(stream) and stream[cursor][0] <= now:
-                buffer.append(stream[cursor])
-                cursor += 1
-            if not buffer:
+            arrived = bisect_right(times, now, arrived, end)
+            if head == arrived:
                 # Starved: jump to the next arrival.
-                next_arrival = stream[cursor][0]
-                idle += next_arrival - now
-                now = next_arrival
+                idle += times[arrived] - now
+                now = times[arrived]
                 continue
-            batch = _take_batch(buffer, n_pes, backend.scheduling,
-                                backend.issue_window)
-            longest_stream = max(v.scanned for _, v in batch)
-            longest_checks = max(v.leader_checks for _, v in batch)
-            check_cycles = -(-longest_checks // n_pes) if longest_checks else 0
+            size = take_batch(keys, items, head, arrived, n_pes, window)
+            batch = items[head : head + size]
+            longest_stream = max(scanned[v] for v in batch)
+            longest_checks = max(checks[v] for v in batch)
+            check_cycles = -(-longest_checks // n_pes)
             now += 1 + backend.pipeline_fill_cycles + check_cycles + longest_stream
+            head += size
         backend_finish = max(backend_finish, now)
         idle_total += idle
+        start = end
 
     total = max(fe_cycles, backend_finish)
     timing = CoupledTiming(
@@ -120,33 +121,3 @@ def simulate_coupled(
     )
     timing._n_sus = config.n_search_units
     return timing
-
-
-def _take_batch(
-    buffer: deque[tuple[int, LeafVisitRecord]],
-    n_pes: int,
-    scheduling: str,
-    window: int,
-) -> list[tuple[int, LeafVisitRecord]]:
-    """Pop one batch from the arrived-visit buffer (same policy as the
-    decoupled model's batch former, restricted to arrived entries)."""
-    key_time, key = buffer.popleft()
-    batch = [(key_time, key)]
-    if scheduling == "mqmn":
-        while buffer and len(batch) < n_pes:
-            batch.append(buffer.popleft())
-        return batch
-    unmatched: deque[tuple[int, LeafVisitRecord]] = deque()
-    examined = 0
-    while buffer and len(batch) < n_pes and examined < window:
-        time_stamp, candidate = buffer.popleft()
-        examined += 1
-        if (
-            candidate.leaf_id == key.leaf_id
-            and candidate.approximate == key.approximate
-        ):
-            batch.append((time_stamp, candidate))
-        else:
-            unmatched.append((time_stamp, candidate))
-    buffer.extendleft(reversed(unmatched))
-    return batch

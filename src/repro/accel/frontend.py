@@ -14,6 +14,8 @@ depends on the stall-mitigation options:
 Queries are distributed to RUs dynamically from the FE Query Queue;
 total front-end time is the makespan of a greedy earliest-free-unit
 assignment, which is what the hardware's queue effectively implements.
+Per-query cycles are one expression over the trace table's columns; the
+assignment is a heap of Python ints.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.accel.config import AcceleratorConfig
 from repro.accel.memory import TrafficCounters
 from repro.accel.workload import SearchWorkload
+from repro.core.trace import TraceTable
 
 __all__ = ["FrontEndReport", "simulate_frontend", "query_frontend_cycles"]
 
@@ -39,38 +44,45 @@ class FrontEndReport:
     distance_computations: int
 
 
-def query_frontend_cycles(trace, config: AcceleratorConfig) -> int:
-    """RU cycles to process one query's top-tree traversal."""
+def query_frontend_cycles(trace: TraceTable, config: AcceleratorConfig) -> np.ndarray:
+    """RU cycles to process each query's top-tree traversal."""
     fe = config.frontend
-    cycles = 1  # FQ: fetch the query, once per query
-    cycles += trace.toptree_visits * fe.full_node_cycles
-    cycles += trace.toptree_bypassed * fe.bypassed_node_cycles
-    # CL: one issue cycle per leaf handed to the back-end.
-    cycles += len(trace.leaf_visits)
-    return cycles
+    return (
+        1  # FQ: fetch the query, once per query
+        + trace.toptree_visits * fe.full_node_cycles
+        + trace.toptree_bypassed * fe.bypassed_node_cycles
+        # CL: one issue cycle per leaf handed to the back-end.
+        + trace.visit_counts
+    )
+
+
+def ru_finish_times(cycles: list[int], n_rus: int) -> list[int]:
+    """Each query's finish time when queries, in order, take the
+    earliest-free RU."""
+    free = [0] * n_rus
+    finish = []
+    for query_cycles in cycles:
+        end = free[0] + query_cycles
+        heapq.heapreplace(free, end)
+        finish.append(end)
+    return finish
 
 
 def simulate_frontend(
     workload: SearchWorkload, config: AcceleratorConfig
 ) -> FrontEndReport:
     """Replay all query traces on the RU array."""
+    trace = workload.trace
     n_rus = config.n_recursion_units
-    # Earliest-free-RU greedy assignment via a min-heap of finish times.
-    finish = [0] * n_rus
-    heapq.heapify(finish)
-    busy = 0
-    for trace in workload.traces:
-        cycles = query_frontend_cycles(trace, config)
-        busy += cycles
-        start = heapq.heappop(finish)
-        heapq.heappush(finish, start + cycles)
-    makespan = max(finish) if workload.traces else 0
+    cycles = query_frontend_cycles(trace, config)
+    busy = int(cycles.sum())
+    makespan = max(ru_finish_times(cycles.tolist(), n_rus), default=0)
 
     traffic = TrafficCounters()
     n_queries = workload.n_queries
     total_pops = workload.total_toptree_visits + workload.total_toptree_bypassed
-    total_pushes = sum(t.stack_pushes for t in workload.traces)
-    total_leaves = sum(len(t.leaf_visits) for t in workload.traces)
+    total_pushes = int(trace.stack_pushes.sum())
+    total_leaves = len(trace.leaf_id)
     traffic.fe_query_queue += 2 * n_queries  # enqueue + dequeue
     traffic.query_buffer += n_queries  # FQ query-point fetch
     traffic.query_stack += total_pops + total_pushes

@@ -1,8 +1,9 @@
 """The Tigris accelerator simulator (paper Sec. 5/6).
 
 Trace-driven and cycle-approximate: the functional two-stage search
-produces per-query traces (:mod:`repro.accel.workload`); the front-end
-and back-end models replay them against an
+produces a columnar trace table of its queries
+(:mod:`repro.accel.workload`); the front-end and back-end models replay
+it against an
 :class:`~repro.accel.config.AcceleratorConfig`; energy converts the
 resulting activity into joules.
 
@@ -85,7 +86,7 @@ class TigrisSimulator:
         # faster half hides behind the queues except for a drain term of
         # one average batch on the non-dominant side.
         drain = min(fe.cycles, be.cycles) // max(
-            1, len(workload.traces) // max(config.n_recursion_units, 1) + 1
+            1, workload.n_queries // max(config.n_recursion_units, 1) + 1
         )
         cycles = max(fe.cycles, be.cycles) + min(drain, min(fe.cycles, be.cycles))
 

@@ -1,11 +1,13 @@
 """Search workloads: the functional traces the accelerator model replays.
 
-A :class:`SearchWorkload` bundles the per-query traces produced by the
-two-stage KD-tree (exact or approximate) over a concrete query set,
-plus the tree geometry the hardware needs (leaf count/sizes, top-tree
-height).  The same workload object feeds the Tigris simulator and the
-CPU/GPU baseline models, so every Fig. 11-15 comparison runs identical
-work.
+A :class:`SearchWorkload` bundles the trace of one batch of queries, a
+columnar :class:`~repro.core.trace.TraceTable` captured by the two-stage
+KD-tree (exact or approximate) over a concrete query set, plus the tree
+geometry the hardware needs (leaf count/sizes, top-tree height).  The
+same workload object feeds the Tigris simulator and the CPU/GPU
+baseline models, so every Fig. 11-15 comparison runs identical work;
+every model reads the table's columns, and the workload's totals are
+column sums.
 
 The canonical KD-tree of the baselines is represented as a two-stage
 tree with leaf size 1 (paper Sec. 4.1: "The classic KD-tree has a
@@ -15,8 +17,8 @@ a pure configuration sweep.
 Exact workload capture passes ``trace=`` to the tree's batched
 searches (``nn_batch``, ``radius_batch_csr``), which then run the
 lockstep traversal of :mod:`repro.core.twostage`: every query advances
-its own depth-first stack, one pop per round, so each trace records
-exactly the traversal of that query's depth-first search, in its order,
+its own depth-first stack, one pop per round, so the table records
+exactly the traversal of each query's depth-first search, in its order,
 rather than the batched schedules of the untraced path (whose NN pass
 walks every home path first and visits a different node set).  Counts
 therefore replay the accelerator-faithful per-query semantics, and the
@@ -24,7 +26,7 @@ back end's order-dependent models (MQSN batching, the node cache) see
 the depth-first leaf-visit order.  Approximate capture stays in row
 order: leader buffers fill as queries arrive, so
 :class:`ApproximateSearch` runs its depth-first searches one row after
-another.
+another and converts their records into one table.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.approx import ApproximateSearch, ApproximateSearchConfig
-from repro.core.trace import QueryTrace
+from repro.core.trace import TraceTable
 from repro.core.twostage import TwoStageKDTree
 
 __all__ = ["SearchWorkload", "build_workload", "registration_workload"]
@@ -42,11 +44,11 @@ __all__ = ["SearchWorkload", "build_workload", "registration_workload"]
 
 @dataclass
 class SearchWorkload:
-    """Traces plus tree geometry for one batch of queries."""
+    """A batch's trace table plus tree geometry."""
 
     name: str
     kind: str  # "nn" | "radius"
-    traces: list[QueryTrace]
+    trace: TraceTable
     tree_n: int
     top_height: int
     n_leaf_sets: int
@@ -55,23 +57,23 @@ class SearchWorkload:
 
     @property
     def n_queries(self) -> int:
-        return len(self.traces)
+        return self.trace.n_queries
 
     @property
     def total_toptree_visits(self) -> int:
-        return sum(t.toptree_visits for t in self.traces)
+        return int(self.trace.toptree_visits.sum())
 
     @property
     def total_toptree_bypassed(self) -> int:
-        return sum(t.toptree_bypassed for t in self.traces)
+        return int(self.trace.toptree_bypassed.sum())
 
     @property
     def total_leaf_scanned(self) -> int:
-        return sum(t.leaf_scanned for t in self.traces)
+        return int(self.trace.scanned.sum())
 
     @property
     def total_leader_checks(self) -> int:
-        return sum(t.leader_checks for t in self.traces)
+        return int(self.trace.leader_checks.sum())
 
     @property
     def total_nodes_visited(self) -> int:
@@ -80,7 +82,7 @@ class SearchWorkload:
 
     @property
     def total_results(self) -> int:
-        return sum(t.results for t in self.traces)
+        return int(self.trace.results.sum())
 
     def merge(self, other: "SearchWorkload") -> "SearchWorkload":
         """Concatenate two workloads over the same tree."""
@@ -89,7 +91,7 @@ class SearchWorkload:
         return SearchWorkload(
             name=f"{self.name}+{other.name}",
             kind=self.kind if self.kind == other.kind else "mixed",
-            traces=self.traces + other.traces,
+            trace=TraceTable.concat([self.trace, other.trace]),
             tree_n=self.tree_n,
             top_height=self.top_height,
             n_leaf_sets=self.n_leaf_sets,
@@ -125,23 +127,17 @@ def build_workload(
         else:
             raise ValueError("provide leaf_size, top_height, or tree")
 
-    traces: list[QueryTrace] = []
-    if approx is not None:
-        searcher = ApproximateSearch(tree, approx)
-        if kind == "nn":
-            searcher.nn_batch(queries, trace=traces)
-        else:
-            searcher.radius_batch_csr(queries, radius, trace=traces)
+    searcher = tree if approx is None else ApproximateSearch(tree, approx)
+    tables: list[TraceTable] = []
+    if kind == "nn":
+        searcher.nn_batch(queries, trace=tables)
     else:
-        if kind == "nn":
-            tree.nn_batch(queries, trace=traces)
-        else:
-            tree.radius_batch_csr(queries, radius, trace=traces)
+        searcher.radius_batch_csr(queries, radius, trace=tables)
 
     return SearchWorkload(
         name=name or f"{kind}-h{tree.top_height}",
         kind=kind,
-        traces=traces,
+        trace=tables[0],
         tree_n=tree.n,
         top_height=tree.top_height,
         n_leaf_sets=tree.n_leaf_sets,
@@ -205,7 +201,7 @@ def registration_workload(
     ne = SearchWorkload(
         name=f"{name}-NE",
         kind="radius",
-        traces=ne_source.traces + ne_target.traces,
+        trace=TraceTable.concat([ne_source.trace, ne_target.trace]),
         tree_n=source_tree.n,
         top_height=source_tree.top_height,
         n_leaf_sets=source_tree.n_leaf_sets,
@@ -213,21 +209,21 @@ def registration_workload(
         approximate=approx is not None,
     )
 
-    rpce_traces: list[QueryTrace] = []
-    for _ in range(icp_iterations):
-        iteration = build_workload(
+    rpce_iterations = [
+        build_workload(
             target_points,
             source_points,
             kind="nn",
             tree=target_tree,
             approx=approx,
             name=f"{name}-RPCE-iter",
-        )
-        rpce_traces.extend(iteration.traces)
+        ).trace
+        for _ in range(icp_iterations)
+    ]
     rpce = SearchWorkload(
         name=f"{name}-RPCE",
         kind="nn",
-        traces=rpce_traces,
+        trace=TraceTable.concat(rpce_iterations),
         tree_n=target_tree.n,
         top_height=target_tree.top_height,
         n_leaf_sets=target_tree.n_leaf_sets,

@@ -9,7 +9,7 @@ approximate search algorithm that reclaims the structure's redundancy.
 from repro.core.approx import ApproximateSearch, ApproximateSearchConfig
 from repro.core.gridhash import GridHashConfig, GridHashIndex
 from repro.core.ragged import RaggedNeighborhoods
-from repro.core.trace import LeafVisitRecord, QueryTrace
+from repro.core.trace import LeafVisitRecord, QueryTrace, TraceTable
 from repro.core.twostage import TwoStageKDTree
 
 __all__ = [
@@ -20,5 +20,6 @@ __all__ = [
     "GridHashIndex",
     "QueryTrace",
     "LeafVisitRecord",
+    "TraceTable",
     "RaggedNeighborhoods",
 ]

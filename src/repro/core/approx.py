@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.ragged import RaggedNeighborhoods
-from repro.core.trace import QueryTrace
+from repro.core.trace import QueryTrace, TraceTable
 from repro.core.twostage import TwoStageKDTree
 from repro.kdtree._validate import check_batch
 from repro.kdtree.stats import SearchStats
@@ -247,21 +247,25 @@ class ApproximateSearch:
     # hardware's leader buffers fill over one search pass.  The batch
     # entry points therefore validate the whole batch, then run the
     # single-query methods in row order rather than reordering work by
-    # leaf.
+    # leaf.  With ``trace`` (a list) the rows' records become one
+    # TraceTable, appended to it.
     # ------------------------------------------------------------------
 
     def nn_batch(
         self,
         queries: np.ndarray,
         stats: SearchStats | None = None,
-        trace: list[QueryTrace] | None = None,
+        trace: list[TraceTable] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Approximate NN for every row of ``queries``, in row order."""
         queries = check_batch(queries, self._tree.ndim)
         indices = np.empty(len(queries), dtype=np.int64)
         dists = np.empty(len(queries))
+        records = None if trace is None else []
         for i, query in enumerate(queries):
-            indices[i], dists[i] = self.nn(query, stats, trace)
+            indices[i], dists[i] = self.nn(query, stats, records)
+        if trace is not None:
+            trace.append(TraceTable.from_records(records))
         return indices, dists
 
     def knn_batch(
@@ -269,7 +273,7 @@ class ApproximateSearch:
         queries: np.ndarray,
         k: int,
         stats: SearchStats | None = None,
-        trace: list[QueryTrace] | None = None,
+        trace: list[TraceTable] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Approximate kNN for every row: (Q, min(k, n)) arrays."""
         queries = check_batch(queries, self._tree.ndim)
@@ -280,10 +284,13 @@ class ApproximateSearch:
         # leader's published result set is small; pad rows with misses.
         indices = np.full((len(queries), k), -1, dtype=np.int64)
         dists = np.full((len(queries), k), np.inf)
+        records = None if trace is None else []
         for i, query in enumerate(queries):
-            row_idx, row_dist = self.knn(query, k, stats, trace)
+            row_idx, row_dist = self.knn(query, k, stats, records)
             indices[i, : len(row_idx)] = row_idx
             dists[i, : len(row_dist)] = row_dist
+        if trace is not None:
+            trace.append(TraceTable.from_records(records))
         return indices, dists
 
     def radius_batch_csr(
@@ -292,15 +299,18 @@ class ApproximateSearch:
         r: float,
         stats: SearchStats | None = None,
         sort: bool = False,
-        trace: list[QueryTrace] | None = None,
+        trace: list[TraceTable] | None = None,
     ) -> RaggedNeighborhoods:
         """Approximate radius search for every row, in row order, in CSR
         form: one concatenation over the per-row results."""
         queries = check_batch(queries, self._tree.ndim, r)
+        records = None if trace is None else []
         rows = [
-            self.radius(query, r, stats, sort=sort, trace=trace)
+            self.radius(query, r, stats, sort=sort, trace=records)
             for query in queries
         ]
+        if trace is not None:
+            trace.append(TraceTable.from_records(records))
         return RaggedNeighborhoods.from_lists(
             [indices for indices, _ in rows], [dists for _, dists in rows]
         )

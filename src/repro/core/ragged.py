@@ -33,7 +33,9 @@ Determinism notes
   pair sweep, Harris's NMS) hold coordinates coordinate-major: a
   ``(D, m)`` buffer filled by one 1-D ``take`` per coordinate from a
   transposed copy, read back as contiguous rows, never ``(m, D)`` rows
-  read through strided columns or ``axis=1`` reductions.  They keep
+  read through strided columns or ``axis=1`` reductions.  Each index
+  array is range-checked once (``check_take``) and taken with
+  ``mode="clip"``, which writes straight into the buffer.  They keep
   numpy's row-major summation orders, so results are bit-identical:
   ``reduceat`` over a contiguous row equals it over the strided column,
   a norm sums ``(x² + y²) + z²`` as ``np.linalg.norm(x, axis=1)`` does,
@@ -67,6 +69,7 @@ __all__ = [
     "gathered_moment_covariances",
     "gathered_weighted_segment_sums",
     "batched_eigh",
+    "check_take",
 ]
 
 
@@ -588,6 +591,19 @@ def gathered_weighted_segment_sums(
     return out
 
 
+def check_take(indices: np.ndarray, size: int) -> None:
+    """Raise ``IndexError`` unless every index lies in ``[0, size)``.
+
+    The gathering kernels check each index array once with this and
+    then take with ``np.take(..., out=..., mode="clip")``.  In its
+    default ``mode="raise"`` a take with ``out`` first copies the whole
+    output (so that a bad index leaves ``out`` intact), on every call.
+    A negative index, which no neighborhood holds, raises too.
+    """
+    if len(indices) and (indices.min() < 0 or indices.max() >= size):
+        raise IndexError(f"gather index out of range for size {size}")
+
+
 def gathered_moment_covariances(
     source: np.ndarray,
     indices: np.ndarray,
@@ -630,6 +646,10 @@ def gathered_moment_covariances(
     if n_segments == 0:
         return covariances, means
 
+    used = slice(int(offsets[0]), int(offsets[-1]))
+    check_take(indices[used], source_t.shape[1])
+    if center_t is not None:
+        check_take(center_ids[used], center_t.shape[1])
     capacity = max(int(min(offsets[-1], max(block_pairs, counts.max(initial=0)))), 1)
     gathered = np.empty((dims, capacity))
     products = np.empty(capacity)
@@ -640,9 +660,9 @@ def gathered_moment_covariances(
         block_denoms = denominators[seg_lo:seg_hi]
         block = gathered[:, :m]
         for a in range(dims):
-            np.take(source_t[a], indices[lo:hi], out=block[a])
+            np.take(source_t[a], indices[lo:hi], out=block[a], mode="clip")
             if center_t is not None:
-                np.take(center_t[a], center_ids[lo:hi], out=products[:m])
+                np.take(center_t[a], center_ids[lo:hi], out=products[:m], mode="clip")
                 np.subtract(block[a], products[:m], out=block[a])
         block_means = means[seg_lo:seg_hi]
         for a in range(dims):

@@ -123,11 +123,13 @@ each batch that certifies any row counts one ``cache_hits``.
 
 Lockstep traces
 ---------------
-Passing ``trace=`` runs a *lockstep* schedule instead, which records the
-exact per-query traversal the accelerator model replays.  Every query
-keeps its own depth-first stack, as each hardware Recursion Unit keeps
-its query stack (paper Sec. 5.2), and each round pops one entry from
-every non-empty stack.  The round's unpruned leaf pops are scanned by
+Passing ``trace=`` (a list) runs a *lockstep* schedule instead, which
+records the exact per-query traversal the accelerator model replays and
+appends it to the list as one columnar
+:class:`~repro.core.trace.TraceTable`.  Every query keeps its own
+depth-first stack, as each hardware Recursion Unit keeps its query
+stack (paper Sec. 5.2), and each round pops one entry from every
+non-empty stack.  The round's unpruned leaf pops are scanned by
 the pair kernel (NN) or grouped by leaf with the block kernel (radius);
 its visited top-tree nodes are expanded together by the node arithmetic
 the frontier sweeps use (:meth:`TwoStageKDTree._expand`), far child
@@ -136,7 +138,13 @@ earlier pops, never on another query's, so every query visits, prunes
 and scans exactly what the depth-first :meth:`TwoStageKDTree.nn` /
 :meth:`TwoStageKDTree.radius` search does, in the same order: its trace,
 its result and its :class:`~repro.kdtree.stats.SearchStats` counts
-equal those of that search.  :meth:`TwoStageKDTree.knn_batch` remains a
+equal those of that search.  Each round logs its leaf pops as arrays
+(query, leaf id, scanned, pruned, result size); at the end one stable
+sort by query puts every query's visits in its pop order, and those
+arrays, with the per-query counts, are the table's columns.  No object
+is built per visit: the depth-first searches' :class:`QueryTrace`
+records are the reference the table is tested against
+(``TraceTable.from_records``).  :meth:`TwoStageKDTree.knn_batch` remains a
 tight loop over the depth-first :meth:`TwoStageKDTree.knn` — the
 bounded-heap eviction order of kNN is inherently sequential, and kNN is
 not one of the two query kinds (NN, radius) the paper's workloads use.
@@ -151,7 +159,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.ragged import RadiusHits, RaggedNeighborhoods
-from repro.core.trace import LeafVisitRecord, QueryTrace
+from repro.core.trace import LeafVisitRecord, QueryTrace, TraceTable
 from repro.kdtree._validate import check_batch
 from repro.kdtree.stats import SearchStats
 
@@ -383,45 +391,6 @@ class NNAnchor(NamedTuple):
     queries: np.ndarray
     indices: np.ndarray
     bounds: np.ndarray
-
-
-def _query_traces(visits, bypassed, pushes, results, log) -> list[QueryTrace]:
-    """One :class:`QueryTrace` per query from the lockstep traversal.
-
-    ``visits``, ``bypassed``, ``pushes`` and ``results`` are per-query
-    counts; ``log`` holds one entry per round for the round's leaf pops:
-    ``(query, leaf id, scanned, pruned, result size)`` arrays.  A query
-    pops at most one entry a round, so a stable sort by query puts each
-    query's leaf visits in pop order.
-    """
-    if log:
-        rows, leaf_ids, scanned, pruned, sizes = map(np.concatenate, zip(*log))
-    else:
-        rows = leaf_ids = scanned = pruned = sizes = np.empty(0, dtype=np.int64)
-    order = np.argsort(rows, kind="stable")
-    # Positional arguments in field order: object creation dominates the
-    # cost of this pass.
-    visit_records = [
-        LeafVisitRecord(leaf_id, n_scanned, False, 0, False, was_pruned, size)
-        for leaf_id, n_scanned, was_pruned, size in zip(
-            leaf_ids[order].tolist(),
-            scanned[order].tolist(),
-            pruned[order].astype(bool).tolist(),
-            sizes[order].tolist(),
-        )
-    ]
-    ends = np.cumsum(np.bincount(rows, minlength=len(visits))).tolist()
-    return [
-        QueryTrace(n_visits, n_bypassed, n_pushes, visit_records[start:end], n_results)
-        for n_visits, n_bypassed, n_pushes, start, end, n_results in zip(
-            visits.tolist(),
-            bypassed.tolist(),
-            pushes.tolist(),
-            [0] + ends[:-1],
-            ends,
-            results.tolist(),
-        )
-    ]
 
 
 class TwoStageKDTree:
@@ -780,13 +749,15 @@ class TwoStageKDTree:
         self,
         queries: np.ndarray,
         stats: SearchStats | None = None,
-        trace: list[QueryTrace] | None = None,
+        trace: list[TraceTable] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Nearest neighbor for every row of ``queries``.
 
-        Runs the home-path schedule; with ``trace`` it runs the
+        Runs the home-path schedule; with ``trace`` (a list) it runs the
         lockstep per-query traversal instead, which records each query's
-        exact depth-first traversal for the accelerator model.
+        exact depth-first traversal for the accelerator model, and
+        appends the batch's :class:`~repro.core.trace.TraceTable` to
+        ``trace``.
         """
         queries = check_batch(queries, self.ndim)
         if trace is None:
@@ -856,7 +827,7 @@ class TwoStageKDTree:
         r: float,
         stats: SearchStats | None = None,
         sort: bool = False,
-        trace: list[QueryTrace] | None = None,
+        trace: list[TraceTable] | None = None,
     ) -> RaggedNeighborhoods:
         """Radius search for every row of ``queries``, in CSR form.
 
@@ -884,13 +855,15 @@ class TwoStageKDTree:
         queries: np.ndarray,
         k: int,
         stats: SearchStats | None = None,
-        trace: list[QueryTrace] | None = None,
+        trace: list[TraceTable] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """kNN for every row of ``queries``: (Q, min(k, n)) arrays.
 
         A tight loop over :meth:`knn`: kNN's bounded-heap eviction
         order is inherently sequential (see module docstring).  The whole
-        batch is validated before the first row runs.
+        batch is validated before the first row runs.  With ``trace`` the
+        rows' records become one :class:`~repro.core.trace.TraceTable`,
+        appended to ``trace``.
         """
         queries = check_batch(queries, self.ndim)
         if k <= 0:
@@ -898,8 +871,11 @@ class TwoStageKDTree:
         k = min(k, self.n)
         indices = np.empty((len(queries), k), dtype=np.int64)
         dists = np.empty((len(queries), k))
+        records = None if trace is None else []
         for i, query in enumerate(queries):
-            indices[i], dists[i] = self.knn(query, k, stats, trace)
+            indices[i], dists[i] = self.knn(query, k, stats, records)
+        if trace is not None:
+            trace.append(TraceTable.from_records(records))
         return indices, dists
 
     # ------------------------------------------------------------------
@@ -1307,16 +1283,15 @@ class TwoStageKDTree:
         queries: np.ndarray,
         r: float | None,
         stats: SearchStats | None,
-        trace: list[QueryTrace],
+        trace: list[TraceTable],
     ):
         """Every query's depth-first search, advanced in lockstep.
 
         NN search when ``r`` is None, radius search otherwise; see the
         module docstring for the schedule and why it is exact.  Leaf
-        visits are logged per round and become the queries'
-        :class:`QueryTrace` records, appended to ``trace`` in row order,
-        at the end.  Returns what :meth:`nn_batch` returns for NN, the
-        CSR result for radius.
+        visits are logged per round and become the batch's
+        :class:`TraceTable`, appended to ``trace``, at the end.  Returns
+        what :meth:`nn_batch` returns for NN, the CSR result for radius.
         """
         n_queries, ndim = queries.shape
         nn = r is None
@@ -1407,7 +1382,33 @@ class TwoStageKDTree:
         else:
             result = hits.to_csr()
             results = result.counts
-        trace.extend(_query_traces(visits, bypassed, pushes, results, log))
+        if log:
+            rows, leaf_ids, scanned, pruned, sizes = map(np.concatenate, zip(*log))
+        else:
+            rows = leaf_ids = scanned = sizes = np.empty(0, dtype=np.int64)
+            pruned = np.empty(0, dtype=bool)
+        # A query pops at most one entry a round, so a stable sort by
+        # query puts each query's leaf visits in pop order.
+        order = np.argsort(rows, kind="stable")
+        offsets = np.zeros(n_queries + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_queries), out=offsets[1:])
+        n_visits = len(rows)
+        trace.append(
+            TraceTable(
+                toptree_visits=visits,
+                toptree_bypassed=bypassed,
+                stack_pushes=pushes,
+                results=results,
+                offsets=offsets,
+                leaf_id=leaf_ids[order],
+                scanned=scanned[order],
+                pruned=pruned[order],
+                result_size=sizes[order],
+                leader_checks=np.zeros(n_visits, dtype=np.int64),
+                approximate=np.zeros(n_visits, dtype=bool),
+                became_leader=np.zeros(n_visits, dtype=bool),
+            )
+        )
         if stats is not None:
             stats.nodes_visited += int(visits.sum()) + n_scanned
             stats.traversal_steps += int(visits.sum() + bypassed.sum())

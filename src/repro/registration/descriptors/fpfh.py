@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.ragged import (
     RaggedNeighborhoods,
+    check_take,
     gathered_weighted_segment_sums,
     segment_blocks,
 )
@@ -187,17 +188,20 @@ def _darboux_angles(points_t, normals_t, centers, neighbors, work):
     ``work`` a reused ``(20, capacity)`` buffer; the returned ``(3, m)``
     angle rows are a view into it.  A pair is good when its points are
     more than 1e-9 apart and ``d`` is not parallel to ``n_p``; the other
-    pairs' angles are computed but never read.
+    pairs' angles are computed but never read.  An index outside the
+    cloud raises ``IndexError``.
     """
     m = len(neighbors)
+    check_take(centers, points_t.shape[1])
+    check_take(neighbors, points_t.shape[1])
     d, u, v, w, n_q, angles = (work[3 * k : 3 * k + 3, :m] for k in range(6))
     scratch, scratch2 = work[18, :m], work[19, :m]
     for k in range(3):
-        np.take(points_t[k], neighbors, out=d[k])
-        np.take(points_t[k], centers, out=scratch)
+        np.take(points_t[k], neighbors, out=d[k], mode="clip")
+        np.take(points_t[k], centers, out=scratch, mode="clip")
         np.subtract(d[k], scratch, out=d[k])  # d = q - p
-        np.take(normals_t[k], centers, out=u[k])  # u = n_p
-        np.take(normals_t[k], neighbors, out=n_q[k])
+        np.take(normals_t[k], centers, out=u[k], mode="clip")  # u = n_p
+        np.take(normals_t[k], neighbors, out=n_q[k], mode="clip")
 
     norm = angles[0]  # scratch until alpha is written
     _norm(d, norm, scratch)

@@ -43,7 +43,7 @@ class TestCoupledBounds:
         coupled = simulate_coupled(workload, config)
         fe = simulate_frontend(workload, config)
         be = simulate_backend(workload, config)
-        assert coupled.total_cycles <= fe.cycles + be.cycles + len(workload.traces)
+        assert coupled.total_cycles <= fe.cycles + be.cycles + workload.n_queries
 
     def test_deterministic(self, workload):
         config = AcceleratorConfig()
@@ -61,8 +61,7 @@ class TestStarvation:
         assert coupled.backend_idle_cycles > 0
         # The run becomes front-end limited: the back-end finishes within
         # one final batch drain of the last front-end issue.
-        max_leaf = int(max(v.scanned for t in workload.traces
-                           for v in t.leaf_visits))
+        max_leaf = int(workload.trace.scanned.max())
         assert coupled.total_cycles <= coupled.frontend_cycles + max_leaf + 8
 
     def test_fast_frontend_keeps_backend_busy(self, workload):

@@ -12,7 +12,7 @@ from repro.accel import (
     simulate_frontend,
 )
 from repro.accel.frontend import query_frontend_cycles
-from repro.core.trace import LeafVisitRecord, QueryTrace
+from repro.core.trace import LeafVisitRecord, QueryTrace, TraceTable
 
 
 @pytest.fixture(scope="module")
@@ -27,19 +27,23 @@ class TestFrontEndCycles:
     def test_single_query_cost_formula(self):
         trace = QueryTrace(toptree_visits=10, toptree_bypassed=4)
         trace.leaf_visits = [LeafVisitRecord(leaf_id=0), LeafVisitRecord(leaf_id=1)]
+        table = TraceTable.from_records([trace, QueryTrace()])
         config = AcceleratorConfig()  # forwarding + bypassing
-        # 1 (FQ) + 10 * 1 + 4 * 1 + 2 (CL issues)
-        assert query_frontend_cycles(trace, config) == 17
+        # 1 (FQ) + 10 * 1 + 4 * 1 + 2 (CL issues); an empty query costs
+        # its fetch.
+        assert query_frontend_cycles(table, config).tolist() == [17, 1]
 
     def test_no_opt_costs_more(self):
-        trace = QueryTrace(toptree_visits=10, toptree_bypassed=4)
+        table = TraceTable.from_records(
+            [QueryTrace(toptree_visits=10, toptree_bypassed=4)]
+        )
         fast = AcceleratorConfig()
         slow = AcceleratorConfig(
             frontend=FrontEndConfig(bypassing=False, forwarding=False)
         )
-        assert query_frontend_cycles(trace, slow) > query_frontend_cycles(
-            trace, fast
-        )
+        assert query_frontend_cycles(table, slow)[0] > query_frontend_cycles(
+            table, fast
+        )[0]
 
     def test_more_rus_reduce_makespan(self, workload):
         few = simulate_frontend(workload, AcceleratorConfig(n_recursion_units=4))
@@ -134,9 +138,8 @@ class TestBackEnd:
 
     def test_pruned_visits_do_not_reach_backend(self, workload):
         report = simulate_backend(workload, AcceleratorConfig())
-        active_visits = sum(
-            len(t.active_leaf_visits) for t in workload.traces
-        )
+        active_visits = np.count_nonzero(~workload.trace.pruned)
+        assert workload.trace.pruned.any()
         assert report.traffic.be_query_buffer == active_visits
 
     def test_utilization_bounded(self, workload):

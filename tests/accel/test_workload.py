@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.accel import TigrisSimulator, build_workload, registration_workload
-from repro.core import ApproximateSearchConfig, TwoStageKDTree
+from repro.core import ApproximateSearchConfig, TraceTable, TwoStageKDTree
 
 
 @pytest.fixture
@@ -119,29 +119,53 @@ class TestRegistrationWorkload:
         assert visits(64) > visits(8) > visits(1)
 
 
+def _capture_cloud(rng, case):
+    """``(tree, queries)`` of one capture-order case."""
+    points = rng.normal(size=(1000, 3)) * 3.0
+    queries = np.vstack([rng.normal(size=(150, 3)) * 3.0, points[:50]])
+    if case == "leaf-size-128":
+        return TwoStageKDTree.from_leaf_size(points, 128), queries
+    if case == "leaf-size-1":
+        return TwoStageKDTree.from_leaf_size(points, 1), queries
+    if case == "top-height-0":
+        return TwoStageKDTree(points, top_height=0), queries[::4]
+    # Duplicate points: 40 copies of one point among the cloud, queried
+    # at the copy and next to it.
+    copies = np.vstack([np.tile(points[0], (40, 1)), points[40:]])
+    near = np.vstack([copies[:3], copies[0] + 0.05, queries[:40]])
+    return TwoStageKDTree(copies, top_height=5), near
+
+
 class TestCaptureOrder:
     """The back end's MQSN batcher and LRU node cache replay leaf visits
     in trace order, so an exact capture must record each query's scalar
-    traversal exactly, and simulate to the same cycles, traffic and
-    energy as a capture built from the scalar search."""
+    traversal exactly — its table equals the scalar records' — and
+    simulate to the same cycles, traffic and energy as a capture built
+    from the scalar search."""
 
-    @pytest.mark.parametrize("leaf_size", [128, 1])
-    @pytest.mark.parametrize("kind", ["nn", "radius"])
-    def test_capture_equals_scalar_loop(self, rng, kind, leaf_size):
-        points = rng.normal(size=(1000, 3)) * 3.0
-        queries = np.vstack([rng.normal(size=(150, 3)) * 3.0, points[:50]])
-        tree = TwoStageKDTree.from_leaf_size(points, leaf_size)
-        capture = build_workload(points, queries, kind=kind, radius=1.0, tree=tree)
+    @pytest.mark.parametrize(
+        "case",
+        ["leaf-size-128", "leaf-size-1", "top-height-0", "duplicates"],
+        ids=["128", "1", "top-height-0", "duplicates"],
+    )
+    @pytest.mark.parametrize(
+        "kind, radius", [("nn", 1.0), ("radius", 1.0), ("radius", 1e-9)],
+        ids=["nn", "radius", "radius-empty-results"],
+    )
+    def test_capture_equals_scalar_loop(self, rng, case, kind, radius):
+        tree, queries = _capture_cloud(rng, case)
+        capture = build_workload(
+            tree.points, queries, kind=kind, radius=radius, tree=tree
+        )
         traces = []
         for query in queries:
             if kind == "nn":
                 tree.nn(query, trace=traces)
             else:
-                tree.radius(query, 1.0, trace=traces)
-        scalar = dataclasses.replace(capture, traces=traces)
-        assert capture.traces == scalar.traces
+                tree.radius(query, radius, trace=traces)
+        scalar = dataclasses.replace(capture, trace=TraceTable.from_records(traces))
+        assert capture.trace == scalar.trace
+        assert capture.n_queries == len(queries)
         simulator = TigrisSimulator()
         got, expected = simulator.simulate(capture), simulator.simulate(scalar)
-        assert got.cycles == expected.cycles
-        assert got.traffic == expected.traffic
-        assert got.energy == expected.energy
+        assert got == expected

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import ApproximateSearch, ApproximateSearchConfig, TwoStageKDTree
+from repro.core import (
+    ApproximateSearch,
+    ApproximateSearchConfig,
+    TraceTable,
+    TwoStageKDTree,
+)
 from repro.kdtree import SearchStats, bruteforce
 
 
@@ -81,8 +86,9 @@ def test_trace_accounting_consistent(data):
 @given(data=cloud_height_queries(), radius=st.floats(0, 15, allow_nan=False))
 def test_traced_batch_equals_scalar_and_untraced(data, radius):
     """Traced vs untraced: the lockstep traced batches record exactly the
-    scalar searches' traces and counters, and return what both the scalar
-    searches and the untraced batches return, bit for bit."""
+    scalar searches' traces (one table equal to the scalar records') and
+    counters, and return what both the scalar searches and the untraced
+    batches return, bit for bit."""
     points, height, queries = data
     tree = TwoStageKDTree(points, top_height=height)
 
@@ -90,7 +96,7 @@ def test_traced_batch_equals_scalar_and_untraced(data, radius):
     idx, dist = tree.nn_batch(queries, stats, trace=trace)
     scalar_stats, scalar_trace = SearchStats(), []
     scalar = [tree.nn(query, scalar_stats, scalar_trace) for query in queries]
-    assert trace == scalar_trace
+    assert trace == [TraceTable.from_records(scalar_trace)]
     assert stats == scalar_stats
     assert idx.tolist() == [i for i, _ in scalar]
     assert dist.tobytes() == np.array([d for _, d in scalar]).tobytes()
@@ -107,7 +113,7 @@ def test_traced_batch_equals_scalar_and_untraced(data, radius):
             for query in queries
         ]
         untraced = tree.radius_batch_csr(queries, radius, sort=sort)
-        assert trace == scalar_trace
+        assert trace == [TraceTable.from_records(scalar_trace)]
         assert stats == scalar_stats
         for result in (got, untraced):
             assert result.n_segments == len(scalar)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import TwoStageKDTree
+from repro.core import TraceTable, TwoStageKDTree
 from repro.io import make_sequence
 from repro.kdtree import SearchStats, bruteforce
 
@@ -432,10 +432,9 @@ class TestTraces:
         tree = TwoStageKDTree(points, top_height=4)
         traces = []
         tree.nn_batch(rng.normal(size=(20, 3)), trace=traces)
-        for trace in traces:
-            for visit in trace.leaf_visits:
-                if visit.pruned:
-                    assert visit.scanned == 0
+        (table,) = traces
+        assert table.n_queries == 20 and table.pruned.any()
+        assert np.all(table.scanned[table.pruned] == 0)
 
 
 class TestPaddedLeaves:
@@ -632,14 +631,15 @@ def assert_bits_equal(got, expected):
 
 
 def assert_traced_batch_exact(tree, queries, radii):
-    """Traced batches against a loop over the scalar search: equal
-    ``QueryTrace`` lists (every field, leaf visits in order), results bit
-    for bit and every ``SearchStats`` counter."""
+    """Traced batches against a loop over the scalar search: one
+    ``TraceTable`` equal to the scalar ``QueryTrace`` records' (every
+    column, leaf visits in order), results bit for bit and every
+    ``SearchStats`` counter."""
     stats, trace = SearchStats(), []
     idx, dist = tree.nn_batch(queries, stats, trace=trace)
     oracle_stats, oracle_trace = SearchStats(), []
     oracle = [tree.nn(query, oracle_stats, oracle_trace) for query in queries]
-    assert trace == oracle_trace
+    assert trace == [TraceTable.from_records(oracle_trace)]
     assert stats == oracle_stats
     assert_bits_equal(idx, np.array([i for i, _ in oracle], dtype=np.int64))
     assert_bits_equal(dist, np.array([d for _, d in oracle], dtype=np.float64))
@@ -652,7 +652,7 @@ def assert_traced_batch_exact(tree, queries, radii):
                 tree.radius(query, r, oracle_stats, sort=sort, trace=oracle_trace)
                 for query in queries
             ]
-            assert trace == oracle_trace, (r, sort)
+            assert trace == [TraceTable.from_records(oracle_trace)], (r, sort)
             assert stats == oracle_stats, (r, sort)
             assert got.n_segments == len(oracle)
             for row, (expected_idx, expected_dist) in enumerate(oracle):
@@ -714,3 +714,16 @@ class TestTracedBatch:
     def test_empty_batch(self, points):
         tree = TwoStageKDTree(points, top_height=3)
         assert_traced_batch_exact(tree, np.empty((0, 3)), radii=(0.0, 1.0))
+
+    def test_empty_results(self, points, rng):
+        """Rows whose radius search finds nothing keep their traversal
+        and their leaf visits, with zero results and result sizes."""
+        queries = rng.normal(size=(12, 3)) + 0.5
+        for height in (0, 3):
+            tree = TwoStageKDTree(points, top_height=height)
+            trace = []
+            tree.radius_batch_csr(queries, 1e-9, trace=trace)
+            (table,) = trace
+            assert not table.results.any() and not table.result_size.any()
+            assert len(table.leaf_id) >= len(queries)
+            assert_traced_batch_exact(tree, queries, radii=(1e-9,))

@@ -367,3 +367,54 @@ class TestEigenProductScores:
             tensors, np.zeros(2, dtype=bool), 1e-4
         )
         assert np.array_equal(scores, [-np.inf, -np.inf])
+
+
+# -- gather index checks --------------------------------------------------------
+
+
+class TestGatherIndexChecks:
+    """The kernels take with ``mode="clip"`` after one range check per
+    index array, so an index outside the cloud must still raise
+    ``IndexError`` (clipping would read a wrong point instead); the
+    outputs themselves are compared with the oracles above."""
+
+    @pytest.mark.parametrize("bad", [60, 10**6, -1])
+    def test_covariances(self, rng, bad):
+        points = rng.normal(size=(60, 3))
+        offsets = np.array([0, 4, 9])
+        indices = rng.integers(0, 60, size=9)
+        indices[6] = bad
+        with pytest.raises(IndexError):
+            gathered_moment_covariances(points, indices, offsets)
+        center_ids = np.array([0, 0, 0, 0, 1, 1, 1, 1, bad])
+        with pytest.raises(IndexError):
+            gathered_moment_covariances(
+                points, indices % 60, offsets, center_source=points[:2],
+                center_ids=center_ids,
+            )
+
+    def test_covariances_read_only_the_segments(self, rng):
+        """Entries past ``offsets[-1]`` were never taken, so they are
+        not checked either."""
+        points = rng.normal(size=(60, 3))
+        indices = np.concatenate([rng.integers(0, 60, size=9), [60, -5]])
+        assert_covariances_match(points, indices, np.array([0, 4, 9]))
+
+    @pytest.mark.parametrize("bad", [80, -1])
+    def test_pair_sweep(self, rng, bad):
+        points, normals, support = adversarial_pairs(rng)
+        needed = np.arange(len(points))
+        neighbors = support.indices.copy()
+        neighbors[len(neighbors) // 2] = bad
+        with pytest.raises(IndexError):
+            fpfh_module._spfh_pair_sweep(
+                points,
+                normals,
+                needed,
+                RaggedNeighborhoods(neighbors, support.offsets),
+                np.zeros((len(needed), FPFH_DIMS)),
+            )
+        centers = support.segment_ids.copy()
+        centers[0] = bad
+        with pytest.raises(IndexError):
+            assert_angles_match(points, normals, centers, support.indices)
