@@ -89,7 +89,7 @@ def take_batch(
     exists to capture.
     """
     key = keys[head]
-    limit = head + 1 + max(0, min(window, end - head - 1))
+    limit = head + 1 + min(window, end - head - 1)
     run = min(limit - head - 1, n_pes - 1)
     if keys[head + 1 : head + 1 + run].count(key) == run:
         return run + 1  # every examined entry joins the batch

@@ -84,6 +84,8 @@ class BackEndConfig:
             raise ValueError("pipeline_fill_cycles must be >= 0")
         if self.node_cache_entries < 0:
             raise ValueError("node_cache_entries must be >= 0")
+        if self.issue_window < 1:
+            raise ValueError("issue_window must be >= 1")
 
 
 @dataclass(frozen=True)

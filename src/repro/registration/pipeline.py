@@ -221,12 +221,23 @@ _FEATURE_STAGES = ("Key-point Detection", "Descriptor Calculation")
 
 
 def _planned_reuse_radius(config: PipelineConfig) -> float | None:
-    """The largest radius any preprocess stage will self-query, or None.
+    """The radius the nested-radius reuse cache fills at, or None.
 
     Drives the nested-radius reuse cache: the first full-cloud radius
     search is inflated to this radius and every nested stage request is
-    derived from it.  Computed from the *config* alone — never from
-    ``with_features`` — so an eager preprocess and a lazy
+    derived from it.  The plan is the largest radius a stage searches
+    over *every* row: normal estimation plus a support-radius detector
+    (Harris, or SIFT's scale-ladder maximum).  The descriptor queries
+    only keypoints and their neighbours, so a descriptor radius beyond
+    that plan runs those queries fresh instead of widening every row's
+    fill.  Detectors with no all-rows search (``uniform``, ``narf``)
+    keep the descriptor radius in the plan: uniform keypoints put about
+    half of a ``mapping_loop`` frame's rows in the descriptor, where one
+    wide fill is cheaper than fresh descriptor queries.  NARF keeps the
+    same plan; no benchmark workload runs it.
+
+    Computed from the *config* alone — never from ``with_features`` —
+    so an eager preprocess and a lazy
     ``preprocess(with_features=False)`` + ``ensure_features`` charge
     identical stats (the two paths run identical searches).  Returns
     ``None`` when only one radius is ever planned
@@ -234,8 +245,8 @@ def _planned_reuse_radius(config: PipelineConfig) -> float | None:
 
     Each branch mirrors its stage's radius arithmetic expression for
     expression (e.g. SIFT's scale-ladder maximum), so the plan is never
-    smaller than what the stage actually asks for; a stage asking for
-    more than the plan simply falls back to a fresh search.
+    smaller than what the detector actually asks for; a stage asking
+    for more than the plan simply falls back to a fresh search.
     """
     if config.skip_initial_estimation:
         return None
@@ -253,7 +264,8 @@ def _planned_reuse_radius(config: PipelineConfig) -> float | None:
             * (2.0 ** (per_octave / per_octave))
         )
         radii.append(2.0 * max_scale)
-    radii.append(config.descriptor.radius)
+    else:
+        radii.append(config.descriptor.radius)
     return max(radii)
 
 

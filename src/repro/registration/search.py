@@ -59,11 +59,17 @@ Nested-radius reuse
 Preprocess stages query the *same* per-frame index at nested radii
 over the frame's own points: normal estimation at ``normals.radius``,
 Harris/SIFT keypoint support, and the descriptor supports are all row
-subsets of one conceptual all-points radius search at the largest
-planned radius.  A :class:`RadiusReuseCache` (installed by
+subsets of one conceptual all-points radius search.  The plan
+(``pipeline._planned_reuse_radius``) is the largest radius a stage
+searches over every row — normal estimation and a Harris/SIFT
+detector — so a descriptor with a larger radius, which queries only
+keypoints and their neighbours, searches those rows fresh; with a
+``uniform`` or ``narf`` detector the plan takes the descriptor radius
+too.
+A :class:`RadiusReuseCache` (installed by
 ``Pipeline.preprocess``; plain searchers carry none and behave exactly
 as before) runs that search once — the first eligible full-cloud
-radius batch is transparently inflated to the planned maximum
+radius batch is transparently inflated to the planned
 radius and its CSR result retained — and serves every later nested
 request by row-select plus exact squared-distance re-filter
 (:func:`repro.core.ragged.csr_radius_select_csr`) on the backend's own

@@ -28,6 +28,12 @@ class TestBackEndConfig:
         with pytest.raises(ValueError):
             BackEndConfig(node_cache_entries=-1)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_issue_window_validation(self, window):
+        with pytest.raises(ValueError, match="issue_window must be >= 1"):
+            BackEndConfig(issue_window=window)
+        assert BackEndConfig(issue_window=1).issue_window == 1
+
 
 class TestAcceleratorConfig:
     def test_paper_design_point_defaults(self):

@@ -46,10 +46,16 @@ class TestEvaluateConfig:
         total = sum(result.detail["stage_fractions"].values())
         assert total == pytest.approx(1.0)
 
-    def test_more_iterations_cost_more_time(self, lidar_sequence):
+    def test_more_iterations_do_more_work(self, lidar_sequence):
+        """The iteration cap shows in the deterministic work counts; the
+        two runs' wall times differ by less than their noise."""
         fast = evaluate_one("fast", cheap_config(2), lidar_sequence)
         slow = evaluate_one("slow", cheap_config(20), lidar_sequence)
-        assert slow.time > fast.time
+        assert fast.detail["icp_iterations"] == [2]
+        assert slow.detail["icp_iterations"] == [4]  # converged before the cap
+        (fast_pair,), (slow_pair,) = fast.detail["pair_stats"], slow.detail["pair_stats"]
+        assert fast_pair["RPCE"].queries == 1172
+        assert slow_pair["RPCE"].queries == 2344
 
 
 class TestExplore:

@@ -76,3 +76,43 @@ def test_report_flags_digests_and_prints_raw_medians(ab):
     assert " 0/2 " in ok and "    2 " in ok  # two ties
     (raw,) = [line for line in lines if line.startswith("wall_clock.kernel_ms.p50")]
     assert raw.split()[1:] == ["2", "2"]
+
+
+def test_verdict_against_the_bound(ab):
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5]
+    assert ab.verdict(parent, [p * 1.3 for p in parent], "lower", 0.25) == "WORSE"
+    assert ab.verdict(parent, [p * 1.1 for p in parent], "lower", 0.25) == "ok"
+    assert ab.verdict(parent, [p * 0.7 for p in parent], "higher", 0.25) == "WORSE"
+    assert ab.verdict(parent, [p * 1.3 for p in parent], "higher", 0.25) == "ok"
+    assert ab.verdict([0.5] * 4, [0.5] * 4, "higher", 0.05) == "ok"
+
+
+def test_verdict_wide_parent_spread_is_unresolved(ab):
+    parent = [60.0, 80.0, 100.0, 120.0, 140.0]  # IQR 40 > 0.25 * 100
+    assert ab.verdict(parent, [p - 5.0 for p in parent], "lower", 0.25) == "unresolved"
+    # Unless every change run beats every parent run.
+    assert ab.verdict(parent, [55.0] * 5, "lower", 0.25) == "ok"
+    # A median worse by more than the bound is WORSE whatever the spread.
+    assert ab.verdict(parent, [p + 30.0 for p in parent], "lower", 0.25) == "WORSE"
+
+
+def test_report_prints_the_verdict_for_bounded_metrics(ab):
+    def run(p50, ate):
+        return {
+            "correct": True,
+            "metrics": {"op_ms.p50": p50, "ate_m": ate, "search.self_ms": p50},
+            "digest": "aa" * 32,
+            "wall_clock": {"op_ms.p50": p50},
+        }
+
+    runs = [
+        {"seed": s, "parent": run(100.0 + s, 1.0), "change": run(130.0 + s, 1.0)}
+        for s in range(4)
+    ]
+    lines = ab.report(runs, {}, {"op_ms.p50": 0.25, "ate_m": 0.05})
+    (p50,) = [line for line in lines if line.startswith("op_ms.p50 ")]
+    (ate,) = [line for line in lines if line.startswith("ate_m ")]
+    (layer,) = [line for line in lines if line.startswith("search.self_ms ")]
+    assert p50.split()[-1] == "WORSE"
+    assert ate.split()[-1] == "ok"
+    assert layer.split()[-1] == "-"

@@ -1,10 +1,13 @@
 """Nested-radius search reuse: one inflated search, bit-identical stages.
 
-``Pipeline.preprocess`` plans the largest radius any front-end stage
-will request, runs ONE all-points radius search at that radius, and
-serves every nested stage neighborhood by filtering the cached CSR
-result (:class:`repro.registration.search.RadiusReuseCache`).  These
-tests pin the two contracts that make that safe:
+``Pipeline.preprocess`` plans the largest radius a front-end stage
+searches over every row (normal estimation and a Harris/SIFT detector;
+with uniform or NARF keypoints, the descriptor's radius too), runs ONE
+all-points radius search at that radius, and serves every nested stage
+neighborhood at or below it by filtering the cached CSR result
+(:class:`repro.registration.search.RadiusReuseCache`); a descriptor
+radius beyond the plan searches its keypoint rows fresh.  These tests
+pin the plan and the two contracts that make it safe:
 
 * **Bit-identity** — every preprocessing artifact (normals, keypoints,
   descriptors) is exactly what the same config produces with reuse
@@ -28,12 +31,14 @@ from repro.registration import (
     DescriptorConfig,
     ICPConfig,
     KeypointConfig,
+    NormalEstimationConfig,
     Pipeline,
     PipelineConfig,
     RPCEConfig,
     SearchConfig,
 )
 from repro.registration.error_injection import IdentityInjector
+from repro.registration.pipeline import _planned_reuse_radius
 from repro.registration.search import (
     NeighborSearcher,
     RadiusReuseCache,
@@ -45,8 +50,9 @@ EXACT_BACKENDS = ("canonical", "twostage", "bruteforce", "gridhash")
 ALL_BACKENDS = EXACT_BACKENDS + ("approximate",)
 
 
-def reuse_pipeline(backend="twostage", keypoints=None, descriptor=None):
+def reuse_pipeline(backend="twostage", keypoints=None, descriptor=None, normals=None):
     config = PipelineConfig(
+        normals=normals or NormalEstimationConfig(),
         keypoints=keypoints
         or KeypointConfig(method="harris", params={"radius": 1.0}, min_keypoints=8),
         descriptor=descriptor or DescriptorConfig(method="fpfh", radius=1.0),
@@ -55,6 +61,15 @@ def reuse_pipeline(backend="twostage", keypoints=None, descriptor=None):
         search=SearchConfig(backend=backend, leaf_size=16),
     )
     return Pipeline(config)
+
+
+def frontend_radii_pipeline(backend="twostage"):
+    """``odometry_frontend``'s radii: NE 0.75 m, Harris 1.0 m, FPFH 1.5 m."""
+    return reuse_pipeline(
+        backend=backend,
+        normals=NormalEstimationConfig(radius=0.75),
+        descriptor=DescriptorConfig(method="fpfh", radius=1.5),
+    )
 
 
 def preprocess_without_reuse(pipeline, cloud, monkeypatch):
@@ -122,6 +137,57 @@ class TestBitIdentity:
         assert np.array_equal(with_reuse.keypoints, baseline.keypoints)
         assert np.array_equal(with_reuse.descriptors, baseline.descriptors)
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_descriptor_beyond_the_plan(self, backend, lidar_pair, monkeypatch):
+        """FPFH's 1.5 m supports search fresh past Harris's 1.0 m fill."""
+        source, _, _ = lidar_pair
+        pipeline = frontend_radii_pipeline(backend=backend)
+        assert _planned_reuse_radius(pipeline.config) == 1.0
+        with_reuse = pipeline.preprocess(source, with_features=True)
+        baseline = preprocess_without_reuse(pipeline, source, monkeypatch)
+        assert np.array_equal(
+            with_reuse.cloud.get_attribute("normals"),
+            baseline.cloud.get_attribute("normals"),
+        )
+        assert np.array_equal(with_reuse.keypoints, baseline.keypoints)
+        assert np.array_equal(with_reuse.descriptors, baseline.descriptors)
+
+
+class TestPlan:
+    """The fill radius: the largest radius a stage searches over every row."""
+
+    @staticmethod
+    def plan(method, params=None, descriptor_radius=1.5, **kwargs):
+        return _planned_reuse_radius(
+            PipelineConfig(
+                normals=NormalEstimationConfig(radius=0.75),
+                keypoints=KeypointConfig(method=method, params=params or {}),
+                descriptor=DescriptorConfig(method="fpfh", radius=descriptor_radius),
+                **kwargs,
+            )
+        )
+
+    def test_harris_plans_its_support_not_the_descriptor(self):
+        assert self.plan("harris", {"radius": 1.0}) == 1.0
+        assert self.plan("harris") == 1.0  # the detector's default radius
+
+    def test_sift_plans_its_widest_scale_not_the_descriptor(self):
+        params = {"min_scale": 0.1, "n_octaves": 2, "scales_per_octave": 2}
+        # The detector searches at twice its largest scale, 0.1 * 2 * 2.
+        assert self.plan("sift", params) == pytest.approx(0.8)
+
+    def test_normals_radius_is_the_floor(self):
+        assert self.plan("harris", {"radius": 0.5}) == 0.75
+
+    @pytest.mark.parametrize("method", ["uniform", "narf"])
+    def test_detectors_without_an_all_rows_search_plan_the_descriptor(self, method):
+        assert self.plan(method) == 1.5
+        assert self.plan(method, descriptor_radius=0.5) == 0.75
+
+    def test_skip_initial_estimation_plans_nothing(self):
+        assert self.plan("harris", skip_initial_estimation=True) is None
+        assert self.plan("uniform", skip_initial_estimation=True) is None
+
 
 class TestAccounting:
     def test_fill_and_serve_attribution(self, lidar_pair):
@@ -147,6 +213,30 @@ class TestAccounting:
         assert desc.reused_queries == desc.queries
         assert desc.cache_hits >= 1  # FPFH: keypoint + extra-SPFH passes
         assert desc.nodes_visited == 0
+
+    def test_descriptor_beyond_the_plan_searches_fresh(self, lidar_pair):
+        """``odometry_frontend``'s radii: NE fills at Harris's 1.0 m, and
+        FPFH's 1.5 m queries traverse the tree."""
+        source, _, _ = lidar_pair
+        pipeline = frontend_radii_pipeline()
+        state = pipeline.preprocess(source, with_features=True)
+        n = len(state.cloud)
+
+        ne = state.stats["Normal Estimation"]
+        fill = state.index.radius_batch_csr(state.cloud.points, 1.0)
+        assert ne.queries == n
+        assert ne.results_returned == fill.n_entries
+        assert pipeline.preprocess(source, with_features=False).reuse.max_radius == 1.0
+
+        kpd = state.stats["Key-point Detection"]
+        assert kpd.reused_queries == kpd.queries == n
+        assert kpd.nodes_visited == 0
+
+        desc = state.stats["Descriptor Calculation"]
+        assert desc.queries > 0
+        assert desc.reused_queries == 0
+        assert desc.cache_hits == 0
+        assert desc.nodes_visited > 0
 
     def test_approximate_backend_fills_at_first_exact_stage(self, lidar_pair):
         """Approximate NE runs on a fresh stateful view the cache must

@@ -7,10 +7,16 @@ prints each side's median and quartiles, the change's wins and the
 ties, and whether the gain rule holds: the change better in at least
 nine of ten pairs (ties count for neither side) and the medians apart
 by more than the parent's interquartile range, in the metric's better
-direction (``BENCHMARK.json``).  Per pair it prints whether the result
-digests are equal; below the metrics, the raw ``wall_clock`` medians
-(unscaled op figures and the reference kernel's time) beside the
-scaled ones, so a shift in the machine-speed scaling shows.
+direction (``BENCHMARK.json``).  For each end-to-end metric it adds a
+no-regression verdict against that metric's ``bound``: ``WORSE`` when
+the change's median is worse than the parent's by more than ``bound``
+times the parent's median, ``unresolved`` when it is not but the
+parent's interquartile range exceeds that margin and not every change
+run beats every parent run, and ``ok`` otherwise.  Per pair it prints
+whether the result digests are equal; below the metrics, the raw
+``wall_clock`` medians (unscaled op figures and the reference kernel's
+time) beside the scaled ones, so a shift in the machine-speed scaling
+shows.
 
 Make the parent checkout with ``git archive`` (not a worktree), e.g.::
 
@@ -101,17 +107,34 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def directions(checkout: Path) -> dict[str, str]:
-    """Better direction per metric name, from ``BENCHMARK.json``."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """No-regression verdict for one end-to-end metric with ``bound``."""
+    sign = 1.0 if better == "lower" else -1.0
+    p_q1, p_median, p_q3 = quartiles(parent)
+    margin = bound * abs(p_median)
+    if sign * (statistics.median(change) - p_median) > margin:
+        return "WORSE"
+    dominates = all(sign * (p - c) > 0 for p in parent for c in change)
+    if p_q3 - p_q1 > margin and not dominates:
+        return "unresolved"
+    return "ok"
+
+
+def metric_rules(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """Better direction per metric name and each end-to-end metric's
+    bound, from ``BENCHMARK.json``."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {
-        m["name"]: m["better"]
-        for m in spec.get("end_to_end", []) + spec.get("per_layer", [])
-    }
+    end_to_end = spec.get("end_to_end", [])
+    better = {m["name"]: m["better"] for m in end_to_end + spec.get("per_layer", [])}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
+    return better, bounds
 
 
-def report(runs: list[dict], better: dict[str, str]) -> list[str]:
+def report(
+    runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> list[str]:
     """Summary lines for pairs ``runs`` (each ``{"seed", "parent", "change"}``)."""
+    bounds = bounds or {}
     lines = [f"{'pair':>4} {'seed':>6}  digests"]
     for i, pair in enumerate(runs):
         same = pair["parent"]["digest"] == pair["change"]["digest"]
@@ -122,22 +145,24 @@ def report(runs: list[dict], better: dict[str, str]) -> list[str]:
     lines.append("")
     lines.append(
         f"{'metric':<40} {'parent median [IQR]':>28} {'change median [IQR]':>28} "
-        f"{'wins':>6} {'ties':>5}  9/10  IQR"
+        f"{'wins':>6} {'ties':>5}  9/10  IQR  bound"
     )
     names = sorted(set.intersection(*(set(p[s]["metrics"]) for p in runs for s in SIDES)))
     for name in names:
-        row = compare(
-            [p["parent"]["metrics"][name] for p in runs],
-            [p["change"]["metrics"][name] for p in runs],
-            better.get(name, "lower"),
-        )
+        values = [[p[side]["metrics"][name] for p in runs] for side in SIDES]
+        direction = better.get(name, "lower")
+        row = compare(*values, direction)
         cells = [
             "{:.4g} [{:.4g}–{:.4g}]".format(*row[side]) for side in SIDES
         ]
+        no_regression = (
+            verdict(*values, direction, bounds[name]) if name in bounds else "-"
+        )
         lines.append(
             f"{name:<40} {cells[0]:>28} {cells[1]:>28} "
             f"{row['wins']:>3}/{row['pairs']:<2} {row['ties']:>5}  "
-            f"{'yes' if row['share_rule'] else 'no':>4}  {'yes' if row['iqr_rule'] else 'no'}"
+            f"{'yes' if row['share_rule'] else 'no':>4}  "
+            f"{'yes' if row['iqr_rule'] else 'no':<3}  {no_regression}"
         )
     lines.append("")
     lines.append(f"{'unscaled':<40} {'parent median':>14} {'change median':>14}")
@@ -175,7 +200,7 @@ def main(argv=None) -> int:
             )
         runs.append(pair)
     print(f"\n{args.workload}, {len(runs)} pairs, --seconds {args.seconds} --trace {args.trace}")
-    print("\n".join(report(runs, directions(checkouts["change"]))))
+    print("\n".join(report(runs, *metric_rules(checkouts["change"]))))
     return 0
 
 
