@@ -5,7 +5,7 @@ sequence), registers consecutive frames with the default pipeline, and
 prints the estimated transform against ground truth — the minimal
 end-to-end use of the public API.
 
-Run:  python examples/quickstart.py [--profile] [--search-backend gridhash]
+Run:  python examples/quickstart.py [--profile] [--search-backend canonical]
                                     [--trace out.json]
 
 ``--profile`` prints the extended per-stage Profiler breakdown (total /
@@ -13,8 +13,8 @@ KD-tree search / KD-tree build / aggregation / share), so you can see
 where registration time goes without running the figure benches.
 ``--search-backend`` swaps the neighbor-search backend (see README
 "Neighbor-search backends") so the same table shows search vs kernel
-time per backend — e.g. ``gridhash`` trades tree traversal for flat
-27-cell voxel probes.
+time per backend — e.g. ``canonical``, the paper's classic KD-tree
+baseline, against the default two-stage tree.
 ``--trace out.json`` records the run through the telemetry layer and
 writes a Chrome trace (load it in Perfetto / ``chrome://tracing``;
 use a ``.jsonl`` path for the flat run record instead) — see README
@@ -23,7 +23,6 @@ use a ``.jsonl`` path for the flat run record instead) — see README
 
 import argparse
 
-from repro.core.gridhash import GridHashConfig
 from repro.geometry import metrics
 from repro.io import make_sequence
 from repro.profiling import StageProfiler
@@ -35,14 +34,13 @@ from repro.registration import (
     RPCEConfig,
     SearchConfig,
 )
-from repro.registration.search import _BACKENDS
+from repro.registration.search import BACKENDS
 from repro.telemetry import Tracer, write_trace
 
 
 def main(
     profile: bool = False,
     search_backend: str = "twostage",
-    gridhash_cell: float = 1.0,
     trace: str | None = None,
 ):
     # 1. Data: two consecutive frames of a synthetic urban drive, with
@@ -62,10 +60,7 @@ def main(
             error_metric="point_to_plane",
             max_iterations=25,
         ),
-        search=SearchConfig(
-            backend=search_backend,
-            gridhash=GridHashConfig(cell_size=gridhash_cell),
-        ),
+        search=SearchConfig(backend=search_backend),
     )
     pipeline = Pipeline(config)
     print(f"search backend: {search_backend}")
@@ -118,15 +113,9 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--search-backend",
-        choices=_BACKENDS,
+        choices=BACKENDS,
         default="twostage",
         help="neighbor-search backend for every pipeline stage",
-    )
-    parser.add_argument(
-        "--gridhash-cell",
-        type=float,
-        default=1.0,
-        help="gridhash voxel cell size (exact for radii <= cell size)",
     )
     parser.add_argument(
         "--trace",
@@ -139,7 +128,6 @@ if __name__ == "__main__":
         main(
             profile=args.profile,
             search_backend=args.search_backend,
-            gridhash_cell=args.gridhash_cell,
             trace=args.trace,
         )
     )

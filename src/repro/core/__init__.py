@@ -7,7 +7,6 @@ approximate search algorithm that reclaims the structure's redundancy.
 """
 
 from repro.core.approx import ApproximateSearch, ApproximateSearchConfig
-from repro.core.gridhash import GridHashConfig, GridHashIndex
 from repro.core.ragged import RaggedNeighborhoods
 from repro.core.trace import LeafVisitRecord, QueryTrace, TraceTable
 from repro.core.twostage import TwoStageKDTree
@@ -16,8 +15,6 @@ __all__ = [
     "TwoStageKDTree",
     "ApproximateSearch",
     "ApproximateSearchConfig",
-    "GridHashConfig",
-    "GridHashIndex",
     "QueryTrace",
     "LeafVisitRecord",
     "TraceTable",

@@ -405,16 +405,12 @@ class TwoStageKDTree:
         ``0 .. top_height - 1``; every subtree that would start at depth
         ``top_height`` is flattened into an unordered leaf set.  ``0``
         collapses the structure to one big brute-force set.
-    split_rule:
-        As for :class:`repro.kdtree.KDTree`.
+
+    Top-tree nodes split as :class:`repro.kdtree.KDTree` does, on the
+    dimension of largest spread.
     """
 
-    def __init__(
-        self,
-        points: np.ndarray,
-        top_height: int,
-        split_rule: str = "widest",
-    ):
+    def __init__(self, points: np.ndarray, top_height: int):
         points = np.array(points, dtype=np.float64)
         if points.ndim != 2:
             raise ValueError(f"points must be (N, k), got shape {points.shape}")
@@ -424,20 +420,12 @@ class TwoStageKDTree:
             raise ValueError("points contain NaN or infinity")
         if top_height < 0:
             raise ValueError("top_height must be >= 0")
-        if split_rule not in ("widest", "cyclic"):
-            raise ValueError("split_rule must be 'widest' or 'cyclic'")
         self._points = points
         self._top_height = int(top_height)
-        self._split_rule = split_rule
         self._build()
 
     @classmethod
-    def from_leaf_size(
-        cls,
-        points: np.ndarray,
-        leaf_size: int,
-        split_rule: str = "widest",
-    ) -> "TwoStageKDTree":
+    def from_leaf_size(cls, points: np.ndarray, leaf_size: int) -> "TwoStageKDTree":
         """Build with the top-tree height that yields ~``leaf_size`` sets.
 
         Leaf-set size is approximately ``n / 2**top_height`` (paper
@@ -448,7 +436,7 @@ class TwoStageKDTree:
             raise ValueError("leaf_size must be >= 1")
         n = len(np.atleast_2d(points))
         height = max(0, round(math.log2(max(n, 1) / leaf_size)))
-        return cls(points, top_height=height, split_rule=split_rule)
+        return cls(points, top_height=height)
 
     # ------------------------------------------------------------------
     # Construction
@@ -472,7 +460,7 @@ class TwoStageKDTree:
             return _encode_leaf(len(leaf_members) - 1)
 
         def choose_dim(indices: np.ndarray, depth: int) -> int:
-            if self._split_rule == "cyclic" or len(indices) == 1:
+            if len(indices) == 1:
                 return depth % ndim
             members_t = np.take(points_t, indices, axis=1)
             spread = members_t.max(axis=1) - members_t.min(axis=1)

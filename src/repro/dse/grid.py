@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from repro.core.gridhash import GridHashConfig
 from repro.registration.correspondence import KPCEConfig, RPCEConfig
 from repro.registration.descriptors import DescriptorConfig
 from repro.registration.icp import ICPConfig
@@ -47,8 +46,6 @@ _KNOWN_KNOBS = (
     "icp_max_distance",
     "search_backend",
     "search_leaf_size",
-    "search_gridhash_cell",
-    "search_gridhash_max_candidates",
 )
 
 
@@ -104,10 +101,6 @@ def _build_config(assignment: dict) -> PipelineConfig:
     search = SearchConfig(
         backend=assignment.get("search_backend", "twostage"),
         leaf_size=assignment.get("search_leaf_size", 64),
-        gridhash=GridHashConfig(
-            cell_size=assignment.get("search_gridhash_cell", 1.0),
-            max_candidates=assignment.get("search_gridhash_max_candidates"),
-        ),
     )
     return PipelineConfig(
         normals=normals,
@@ -142,8 +135,6 @@ def parameter_grid(spec: SweepSpec) -> Iterator[tuple[str, PipelineConfig]]:
         "icp_max_distance": "md",
         "search_backend": "sb",
         "search_leaf_size": "ls",
-        "search_gridhash_cell": "gc",
-        "search_gridhash_max_candidates": "gm",
     }
     for values in itertools.product(*value_lists):
         assignment = dict(zip(knob_names, values))

@@ -46,8 +46,6 @@ from repro.kdtree.stats import SearchStats
 
 __all__ = ["KDTree"]
 
-_SPLIT_RULES = ("widest", "cyclic")
-
 # Sentinel index paired with +inf distances in unfilled kNN slots while
 # merging; never visible to callers (k is clamped to n).
 _BIG = np.iinfo(np.int64).max
@@ -60,13 +58,12 @@ class KDTree:
     ----------
     points:
         The data points.  A defensive copy is stored.
-    split_rule:
-        ``"widest"`` splits on the dimension of largest spread (FLANN's
-        default, better for anisotropic LiDAR data); ``"cyclic"`` cycles
-        dimensions by depth (Bentley's original rule).
+
+    Each node splits on the dimension of largest spread (FLANN's rule,
+    better for anisotropic LiDAR data than Bentley's depth cycle).
     """
 
-    def __init__(self, points: np.ndarray, split_rule: str = "widest"):
+    def __init__(self, points: np.ndarray):
         points = np.array(points, dtype=np.float64)
         if points.ndim != 2:
             raise ValueError(f"points must be (N, k), got shape {points.shape}")
@@ -74,10 +71,7 @@ class KDTree:
             raise ValueError("cannot build a KD-tree over zero points")
         if not np.all(np.isfinite(points)):
             raise ValueError("points contain NaN or infinity")
-        if split_rule not in _SPLIT_RULES:
-            raise ValueError(f"split_rule must be one of {_SPLIT_RULES}")
         self._points = points
-        self._split_rule = split_rule
         self._build()
 
     # ------------------------------------------------------------------
@@ -132,7 +126,7 @@ class KDTree:
         self._split_value = self._points[point_index, split_dim]
 
     def _choose_dim(self, indices: np.ndarray, depth: int, ndim: int) -> int:
-        if self._split_rule == "cyclic" or len(indices) == 1:
+        if len(indices) == 1:
             return depth % ndim
         member_points = self._points[indices]
         spread = member_points.max(axis=0) - member_points.min(axis=0)
@@ -181,8 +175,7 @@ class KDTree:
 
     def __repr__(self) -> str:
         return (
-            f"KDTree(n={self.n}, ndim={self.ndim}, height={self.height}, "
-            f"split_rule={self._split_rule!r})"
+            f"KDTree(n={self.n}, ndim={self.ndim}, height={self.height})"
         )
 
     # ------------------------------------------------------------------

@@ -245,7 +245,6 @@ def approximate_variant(
         search=SearchConfig(
             backend="approximate",
             leaf_size=leaf_size,
-            split_rule=config.search.split_rule,
             approx=approx or ApproximateSearchConfig(),
         ),
         injectors=dict(config.injectors),

@@ -2,10 +2,10 @@
 
 Every shaded stage in paper Fig. 2 (Normal Estimation, Descriptor
 Calculation, KPCE, RPCE) funnels its neighbor queries through this
-module.  A :class:`NeighborSearcher` wraps one of five backends —
-canonical KD-tree, two-stage KD-tree, the approximate
-leaders/followers search, an exhaustive brute-force scan, or the flat
-voxel-hash grid — behind one interface, and transparently:
+module.  A :class:`NeighborSearcher` wraps one of the backends in
+:data:`BACKENDS` — canonical KD-tree, two-stage KD-tree, the
+approximate leaders/followers search, or an exhaustive brute-force
+scan — behind one interface, and transparently:
 
 * accumulates :class:`~repro.kdtree.stats.SearchStats` (work counts for
   the accelerator model and Fig. 6);
@@ -29,13 +29,13 @@ each query's home path with one ``(query, leaf)``-pair kernel), a
 level-synchronous frontier sweep for the canonical KD-tree (the
 per-query depth-first stacks fused into flat ``(node, query)`` arrays;
 one query's pruned traversal is inherently sequential — the very
-bottleneck the paper targets), ring scans for the voxel-hash grid, and
-sequential leader-state updates for the approximate search.  Each
-backend validates a whole batch before any work
-(:func:`repro.kdtree._validate.check_batch`): a bad row anywhere, or a
-negative or NaN radius, raises before a counter, a leader buffer or an
-anchor changes.  Radius results travel CSR end-to-end: every backend
-*produces* flat ``indices``/``offsets``/``distances`` (with any
+bottleneck the paper targets), and sequential leader-state updates
+for the approximate search.  Each backend validates a whole batch
+before any work (:func:`repro.kdtree._validate.check_batch`): a bad
+row anywhere, or a negative or NaN radius, raises before a counter, a
+leader buffer or an anchor changes.  Radius results travel CSR
+end-to-end: every backend *produces* flat
+``indices``/``offsets``/``distances`` (with any
 requested per-segment distance sort done once by a global lexsort), the
 reuse cache and injectors pass the CSR form through unchanged, and the
 front-end consumers gather from it directly.
@@ -49,10 +49,11 @@ visits, pruning) reflect the schedule actually executed; the two-stage
 NN batch's counts are pinned exactly by
 ``tests/core/test_twostage.py::TestNNBatchCounters`` (see
 :mod:`repro.core.twostage`).  The exact backends — canonical,
-two-stage, brute force, and gridhash up to its cell size — return what
-:mod:`repro.kdtree.bruteforce` returns; their distances match its bits
-wherever they sum squares in its order (the two-stage leaf kernel does
-not), which ``tests/registration/test_batch_parity.py`` checks.
+two-stage and brute force, every backend but the approximate one —
+return what :mod:`repro.kdtree.bruteforce` returns; their distances
+match its bits wherever they sum squares in its order (the two-stage
+leaf kernel does not), which ``tests/registration/test_batch_parity.py``
+checks.
 
 Nested-radius reuse
 -------------------
@@ -115,7 +116,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.approx import ApproximateSearch, ApproximateSearchConfig
-from repro.core.gridhash import GridHashConfig, GridHashIndex
 from repro.core.ragged import RaggedNeighborhoods, csr_radius_select_csr
 from repro.core.twostage import NNAnchor, TwoStageKDTree
 from repro.kdtree import bruteforce
@@ -125,6 +125,7 @@ from repro.kdtree.tree import KDTree
 from repro.profiling.timer import StageProfiler
 
 __all__ = [
+    "BACKENDS",
     "SearchConfig",
     "NeighborSearcher",
     "NNReuseAnchor",
@@ -134,7 +135,7 @@ __all__ = [
     "exact_index",
 ]
 
-_BACKENDS = ("canonical", "twostage", "approximate", "bruteforce", "gridhash")
+BACKENDS = ("canonical", "twostage", "approximate", "bruteforce")
 
 
 @dataclass(frozen=True)
@@ -148,28 +149,21 @@ class SearchConfig:
         because leaf scans vectorize);
         ``"approximate"`` — two-stage with leaders/followers;
         ``"bruteforce"`` — exhaustive scan (used for high-dimensional
-        feature spaces where KD-trees degrade);
-        ``"gridhash"`` — flat voxel-hash grid (no tree at all; exact
-        for radii up to its cell size, approximate beyond — see
-        :mod:`repro.core.gridhash`).
+        feature spaces where KD-trees degrade).
     ``leaf_size``
         Target leaf-set size for the two-stage backends (the paper's
         sweep parameter in Fig. 6; ~128 at the design point).
     ``approx``
         Thresholds for the approximate backend.
-    ``gridhash``
-        Cell size and candidate cap for the voxel-hash backend.
     """
 
     backend: str = "twostage"
     leaf_size: int = 64
-    split_rule: str = "widest"
     approx: ApproximateSearchConfig = field(default_factory=ApproximateSearchConfig)
-    gridhash: GridHashConfig = field(default_factory=GridHashConfig)
 
     def __post_init__(self):
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}")
         if self.leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
 
@@ -491,18 +485,12 @@ def build_index(
     config = config or SearchConfig()
     start = time.perf_counter()
     if config.backend == "canonical":
-        index = KDTree(points, split_rule=config.split_rule)
+        index = KDTree(points)
     elif config.backend == "twostage":
-        index = TwoStageKDTree.from_leaf_size(
-            points, config.leaf_size, split_rule=config.split_rule
-        )
+        index = TwoStageKDTree.from_leaf_size(points, config.leaf_size)
     elif config.backend == "approximate":
-        tree = TwoStageKDTree.from_leaf_size(
-            points, config.leaf_size, split_rule=config.split_rule
-        )
+        tree = TwoStageKDTree.from_leaf_size(points, config.leaf_size)
         index = ApproximateSearch(tree, config.approx)
-    elif config.backend == "gridhash":
-        index = GridHashIndex(points, config.gridhash)
     else:
         index = _BruteForceIndex(points)
     build_time = time.perf_counter() - start

@@ -18,6 +18,8 @@ class TestSweepSpec:
     def test_unknown_knob_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep knob"):
             SweepSpec(bogus_knob=[1, 2])
+        with pytest.raises(ValueError, match="unknown sweep knob"):
+            SweepSpec(search_gridhash_cell=[1.0])
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError, match="no values"):
@@ -156,46 +158,41 @@ class TestFingerprintGroups:
             assert len(runs) == 1
 
 
-class TestGridHashKnobs:
-    """The voxel-hash backend as a swept design axis (cell size and
-    candidate cap), through the grid, the fingerprints, and a real
-    exploration with Pareto extraction."""
+class TestSearchKnobs:
+    """The search backend and leaf size as swept design axes, through
+    the grid, the fingerprints, and a real exploration with Pareto
+    extraction."""
 
     def test_knobs_expand_and_trace(self):
         spec = SweepSpec(
-            search_backend=["gridhash"],
-            search_gridhash_cell=[0.5, 1.0],
-            search_gridhash_max_candidates=[None, 32],
+            search_backend=["canonical", "twostage"],
+            search_leaf_size=[32, 64],
         )
         points = list(parameter_grid(spec))
         assert len(points) == 4
         for name, config in points:
-            assert "gc=" in name and "gm=" in name and "sb=gridhash" in name
-            assert config.search.backend == "gridhash"
-        cells = sorted(
-            {c.search.gridhash.cell_size for _, c in points}
-        )
-        caps = {c.search.gridhash.max_candidates for _, c in points}
-        assert cells == [0.5, 1.0]
-        assert caps == {None, 32}
+            assert f"sb={config.search.backend}" in name
+            assert f"ls={config.search.leaf_size}" in name
+        assert {(c.search.backend, c.search.leaf_size) for _, c in points} == {
+            ("canonical", 32),
+            ("canonical", 64),
+            ("twostage", 32),
+            ("twostage", 64),
+        }
 
-    def test_gridhash_knobs_split_fingerprints(self):
-        spec = SweepSpec(
-            search_backend=["gridhash"],
-            search_gridhash_cell=[0.5, 1.0, 2.0],
-        )
+    def test_leaf_sizes_split_fingerprints(self):
+        spec = SweepSpec(search_leaf_size=[16, 32, 64])
         groups = fingerprint_groups(dict(parameter_grid(spec)))
         assert len(groups) == 3
 
-    def test_explore_places_gridhash_on_the_map(self, lidar_sequence):
-        """Gridhash design points evaluate end to end and enter the
-        Pareto machinery alongside the tree backends."""
+    def test_explore_places_backends_on_the_map(self, lidar_sequence):
+        """Exact-backend design points evaluate end to end and enter the
+        Pareto machinery together."""
         from repro.dse import explore, pareto_frontier
         from repro.registration import ICPConfig, KeypointConfig, RPCEConfig
         from repro.registration.search import SearchConfig
-        from repro.core.gridhash import GridHashConfig
 
-        def config(backend, cell=1.0):
+        def config(backend):
             return PipelineConfig(
                 keypoints=KeypointConfig(
                     method="uniform", params={"voxel_size": 3.0}, min_keypoints=8
@@ -205,15 +202,12 @@ class TestGridHashKnobs:
                 ),
                 voxel_downsample=1.2,
                 skip_initial_estimation=True,
-                search=SearchConfig(
-                    backend=backend, gridhash=GridHashConfig(cell_size=cell)
-                ),
+                search=SearchConfig(backend=backend),
             )
 
         configs = {
-            "twostage": config("twostage"),
-            "gridhash-1.0": config("gridhash", 1.0),
-            "gridhash-2.0": config("gridhash", 2.0),
+            backend: config(backend)
+            for backend in ("canonical", "twostage", "bruteforce")
         }
         report = explore(configs, lidar_sequence, max_pairs=1)
         by_name = {r.name: r for r in report.results}

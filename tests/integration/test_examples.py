@@ -33,6 +33,11 @@ class TestExamples:
         assert "translation error" in output
         assert "KD-tree search share" in output
 
+    def test_quickstart_search_backend(self):
+        output = run_example("quickstart.py", "--search-backend", "canonical")
+        assert "search backend: canonical" in output
+        assert "translation error" in output
+
     def test_odometry(self):
         output = run_example("odometry.py", "--frames", "3")
         assert "KITTI-style sequence errors" in output

@@ -1,5 +1,5 @@
 """Property-based tests: the KD-tree must agree with brute force on
-arbitrary inputs, for every query type, split rule, and dimension.
+arbitrary inputs, for every query type and dimension.
 
 Both sum squared distances left to right and share the (distance, index)
 tie rule, so the batches must agree bit for bit.
@@ -27,14 +27,13 @@ def cloud_and_queries(draw):
     )
     n_queries = draw(st.integers(1, 5))
     queries = draw(hnp.arrays(np.float64, (n_queries, ndim), elements=coarse))
-    split_rule = draw(st.sampled_from(["widest", "cyclic"]))
-    return points, queries, split_rule
+    return points, queries
 
 
 @given(data=cloud_and_queries())
 def test_nn_matches_bruteforce(data):
-    points, queries, split_rule = data
-    tree = KDTree(points, split_rule=split_rule)
+    points, queries = data
+    tree = KDTree(points)
     idx, dist = tree.nn_batch(queries)
     bf_idx, bf_dist = bruteforce.nn_batch(points, queries)
     assert np.array_equal(idx, bf_idx)
@@ -43,8 +42,8 @@ def test_nn_matches_bruteforce(data):
 
 @given(data=cloud_and_queries(), k=st.integers(1, 10))
 def test_knn_matches_bruteforce(data, k):
-    points, queries, split_rule = data
-    tree = KDTree(points, split_rule=split_rule)
+    points, queries = data
+    tree = KDTree(points)
     indices, dists = tree.knn_batch(queries, k)
     bf_indices, bf_dists = bruteforce.knn_batch(points, queries, k)
     assert np.array_equal(indices, bf_indices)
@@ -53,8 +52,8 @@ def test_knn_matches_bruteforce(data, k):
 
 @given(data=cloud_and_queries(), radius=st.floats(0.0, 30.0, allow_nan=False))
 def test_radius_matches_bruteforce(data, radius):
-    points, queries, split_rule = data
-    tree = KDTree(points, split_rule=split_rule)
+    points, queries = data
+    tree = KDTree(points)
     got = tree.radius_batch_csr(queries, radius)
     expected = bruteforce.radius_batch_csr(points, queries, radius)
     assert np.array_equal(got.offsets, expected.offsets)
@@ -65,8 +64,8 @@ def test_radius_matches_bruteforce(data, radius):
 @given(data=cloud_and_queries())
 def test_knn_is_prefix_consistent(data):
     """The k-NN list must be a prefix of the (k+1)-NN list by distance."""
-    points, queries, split_rule = data
-    tree = KDTree(points, split_rule=split_rule)
+    points, queries = data
+    tree = KDTree(points)
     i3, d3 = tree.knn_batch(queries, 3)
     i5, d5 = tree.knn_batch(queries, 5)
     assert np.array_equal(i5[:, : i3.shape[1]], i3)
@@ -76,8 +75,8 @@ def test_knn_is_prefix_consistent(data):
 @given(data=cloud_and_queries())
 def test_stats_conservation(data):
     """Visited + pruned traversal work is bounded by tree size per query."""
-    points, queries, split_rule = data
-    tree = KDTree(points, split_rule=split_rule)
+    points, queries = data
+    tree = KDTree(points)
     stats = SearchStats()
     tree.nn_batch(queries, stats)
     assert stats.queries == len(queries)
@@ -89,8 +88,8 @@ def test_stats_conservation(data):
 @settings(max_examples=15)
 def test_radius_of_nn_dist_includes_nn(data):
     """Radius search at the NN distance must contain the NN itself."""
-    points, queries, split_rule = data
-    tree = KDTree(points, split_rule=split_rule)
+    points, queries = data
+    tree = KDTree(points)
     idx, dist = tree.nn_batch(queries)
     for query, nn_idx, nn_dist in zip(queries, idx, dist):
         assert nn_idx in tree.radius_batch_csr(query, nn_dist + 1e-9).indices

@@ -42,10 +42,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             KDTree(points)
 
-    def test_rejects_bad_split_rule(self, points):
-        with pytest.raises(ValueError):
-            KDTree(points, split_rule="bogus")
-
     def test_single_point(self):
         tree = KDTree(np.array([[1.0, 2.0, 3.0]]))
         assert tree.n == 1
@@ -73,13 +69,6 @@ class TestConstruction:
         result = tree.radius_batch_csr([1.0, 2.0, 3.0], 0.1)
         assert result.indices.tolist() == list(range(20))
 
-    def test_cyclic_split_rule(self, points):
-        tree = KDTree(points, split_rule="cyclic")
-        queries = points[:20] + 0.01
-        assert np.array_equal(
-            tree.nn_batch(queries)[0], bruteforce.nn_batch(points, queries)[0]
-        )
-
     def test_high_dimensional(self, rng):
         features = rng.normal(size=(100, 33))
         tree = KDTree(features)
@@ -95,7 +84,7 @@ class TestConstruction:
     def test_repr(self, tree):
         text = repr(tree)
         assert "n=300" in text
-        assert "widest" in text
+        assert f"height={tree.height}" in text
 
 
 class TestNN:

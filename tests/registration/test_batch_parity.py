@@ -4,8 +4,8 @@ Batches are the only query form; a single query is a 1-row batch.  A
 batch is therefore checked against an independent reference, not a loop
 of per-query calls:
 
-* The exact backends — canonical, two-stage, brute force, and gridhash
-  for radii up to its cell size — must equal the batches of
+* The exact backends — canonical, two-stage and brute force, every
+  backend but the approximate one — must equal the batches of
   :mod:`repro.kdtree.bruteforce` bit for bit: indices, distances,
   offsets and tie order.
 * Each error injector must equal its own definition applied to that
@@ -14,8 +14,10 @@ of per-query calls:
   the oracle's r2 ball masked to distances >= r1.
 * The approximate backend's leader state makes each answer depend on the
   rows before it, so its batch must equal its own row-by-row path: the
-  single-query methods of a twin, called in row order.  So must gridhash
-  beyond its cell size, where it deliberately misses neighbors.
+  single-query methods of a twin, called in row order.
+
+The two-stage tree also runs at both ends of the leaf-size sweep
+(:mod:`tests.registration.search_cases`).
 
 Coordinates sit on a dyadic grid (multiples of 1/64; integers and
 halves near +-2**20), so every squared distance here is exact in float64
@@ -31,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ApproximateSearch, GridHashConfig, TwoStageKDTree
+from repro.core import ApproximateSearch, TwoStageKDTree
 from repro.kdtree import KDTree, bruteforce
 from repro.kdtree.stats import SearchStats
 from repro.registration.error_injection import (
@@ -39,13 +41,12 @@ from repro.registration.error_injection import (
     KthNeighborInjector,
     ShellRadiusInjector,
 )
-from repro.registration.search import SearchConfig, build_searcher
+from repro.registration.search import BACKENDS, SearchConfig, build_searcher
 
-BACKENDS = ("canonical", "twostage", "approximate", "bruteforce", "gridhash")
-EXACT = ("canonical", "twostage", "bruteforce", "gridhash")
-# Gridhash is exact up to its cell size; the harness radii stay within it
-# except where a test says otherwise.
-CELL = 1.5
+from .search_cases import search_cases
+
+EXACT = tuple(backend for backend in BACKENDS if backend != "approximate")
+CASES = search_cases(16)
 
 
 def dyadic(values, scale=64):
@@ -71,9 +72,7 @@ def make_queries(seed: int, points: np.ndarray, n_queries: int) -> np.ndarray:
 
 
 def config_for(backend, leaf_size=16):
-    return SearchConfig(
-        backend=backend, leaf_size=leaf_size, gridhash=GridHashConfig(cell_size=CELL)
-    )
+    return SearchConfig(backend=backend, leaf_size=leaf_size)
 
 
 def pair_of_searchers(points, backend, injector=None, leaf_size=16):
@@ -118,21 +117,16 @@ def expected_radius(backend, points, queries, r, sort, twin):
     """Per-row (index, distance) lists the radius batch must return."""
     if backend == "approximate":
         return radius_rows(twin.index.radius, queries, r, sort=sort)
-    if backend == "gridhash" and r > CELL:
-        # Beyond the cell gridhash misses neighbors by design; a batch
-        # still answers each row as a 1-row batch does.
-        rows = [twin.radius_batch_csr(query, r, sort=sort) for query in queries]
-        return [row.indices for row in rows], [row.distances for row in rows]
     return bruteforce.radius_batch_csr(points, queries, r, sort=sort).to_list_pair()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend,leaf_size", CASES)
 @given(seed=st.integers(0, 2**32 - 1), duplicates=st.booleans())
 @settings(max_examples=10, deadline=None)
-def test_nn_batch_parity(backend, seed, duplicates):
+def test_nn_batch_parity(backend, leaf_size, seed, duplicates):
     points = make_cloud(seed, 60, duplicates)
     queries = make_queries(seed, points, 20)
-    searcher, twin = pair_of_searchers(points, backend)
+    searcher, twin = pair_of_searchers(points, backend, leaf_size=leaf_size)
     if backend == "approximate":
         expected = nn_rows(twin.index.nn, queries)
     else:
@@ -140,18 +134,18 @@ def test_nn_batch_parity(backend, seed, duplicates):
     assert_pair_equal(searcher.nn_batch(queries), expected)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend,leaf_size", CASES)
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(1, 100),
     duplicates=st.booleans(),
 )
 @settings(max_examples=10, deadline=None)
-def test_knn_batch_parity(backend, seed, k, duplicates):
+def test_knn_batch_parity(backend, leaf_size, seed, k, duplicates):
     """Includes k > n: results are rectangular (Q, min(k, n))."""
     points = make_cloud(seed, 50, duplicates)
     queries = make_queries(seed, points, 12)
-    searcher, twin = pair_of_searchers(points, backend)
+    searcher, twin = pair_of_searchers(points, backend, leaf_size=leaf_size)
     indices, dists = searcher.knn_batch(queries, k)
     assert indices.shape == dists.shape == (len(queries), min(k, len(points)))
     if backend != "approximate":
@@ -166,7 +160,7 @@ def test_knn_batch_parity(backend, seed, k, duplicates):
         assert np.all(np.isinf(dists[i, len(row_dist) :]))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend,leaf_size", CASES)
 @given(
     seed=st.integers(0, 2**32 - 1),
     r=st.sampled_from([0.0, 1e-6, 0.4, 1.5, 50.0]),
@@ -174,12 +168,12 @@ def test_knn_batch_parity(backend, seed, k, duplicates):
     duplicates=st.booleans(),
 )
 @settings(max_examples=10, deadline=None)
-def test_radius_batch_parity(backend, seed, r, sort, duplicates):
+def test_radius_batch_parity(backend, leaf_size, seed, r, sort, duplicates):
     """The searcher's list view; includes r=0 and tiny r (empty result
     sets) and huge r (all)."""
     points = make_cloud(seed, 60, duplicates)
     queries = make_queries(seed, points, 15)
-    searcher, twin = pair_of_searchers(points, backend)
+    searcher, twin = pair_of_searchers(points, backend, leaf_size=leaf_size)
     all_indices, all_dists = searcher.radius_batch(queries, r, sort=sort)
     exp_indices, exp_dists = expected_radius(backend, points, queries, r, sort, twin)
     assert len(all_indices) == len(all_dists) == len(exp_indices) == len(queries)
@@ -215,13 +209,13 @@ INJECTORS = [
 INJECTOR_IDS = ["identity", "kth", "shell"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend,leaf_size", CASES)
 @pytest.mark.parametrize("injector", INJECTORS, ids=INJECTOR_IDS)
-def test_injected_batch_parity(backend, injector):
+def test_injected_batch_parity(backend, leaf_size, injector):
     points = make_cloud(7, 70)
     queries = make_queries(7, points, 18)
     if backend != "approximate":
-        searcher, _ = pair_of_searchers(points, backend, injector)
+        searcher, _ = pair_of_searchers(points, backend, injector, leaf_size)
         exp_nn, exp_knn, exp_ball = injected_oracle(injector, points, queries, 4, 0.9)
         assert_pair_equal(searcher.nn_batch(queries), exp_nn)
         assert_csr_equal(searcher.radius_batch_csr(queries, 0.9), exp_ball)
@@ -245,15 +239,13 @@ def test_injected_batch_parity(backend, injector):
         assert_csr_equal(got.select(np.array([i])), twin.radius_batch_csr(query, 0.9))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_stats_per_query_counters(backend):
+@pytest.mark.parametrize("backend,leaf_size", CASES)
+def test_batch_stats_per_query_counters(backend, leaf_size):
     """One batch charges one ``batches`` tick but exact per-query counts."""
     points = make_cloud(11, 80)
     queries = make_queries(11, points, 25)
     stats = SearchStats()
-    searcher = build_searcher(
-        points, SearchConfig(backend=backend, leaf_size=16), stats=stats
-    )
+    searcher = build_searcher(points, config_for(backend, leaf_size), stats=stats)
     searcher.nn_batch(queries)
     assert stats.batches == 1
     assert stats.queries == len(queries)
@@ -266,15 +258,15 @@ def test_batch_stats_per_query_counters(backend):
 WORK = ("nodes_visited", "traversal_steps", "pruned_subtrees", "leader_checks")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_radius_stats_match_scalar(backend):
+@pytest.mark.parametrize("backend,leaf_size", CASES)
+def test_radius_stats_match_scalar(backend, leaf_size):
     """Radius batch work counters equal the sum over its rows' 1-row
     batches: radius pruning does not depend on the other queries (and
     the approximate backend's twin builds the same leader state)."""
     points = make_cloud(13, 90)
     queries = make_queries(13, points, 20)
     s1, s2 = SearchStats(), SearchStats()
-    config = config_for(backend)
+    config = config_for(backend, leaf_size)
     single = build_searcher(points, config, stats=s1)
     batched = build_searcher(points, config, stats=s2)
     for q in queries:
@@ -412,22 +404,21 @@ ADVERSARIAL = {
     "near-plus-2^20": lambda: _offsets_near(np.full(3, 2.0**20), 1),
     "near-minus-2^20": lambda: _offsets_near(np.full(3, -(2.0**20)), 2),
 }
-RADII = (0.0, 0.5, 1.0, CELL)
-WIDE_RADII = RADII + (2.5, np.inf)
+RADII = (0.0, 0.5, 1.0, 1.5, 2.5, np.inf)
 
 
 @pytest.mark.parametrize("cloud", list(ADVERSARIAL))
-@pytest.mark.parametrize("backend", EXACT)
+@pytest.mark.parametrize("backend,leaf_size", search_cases(4, EXACT))
 class TestAdversarialClouds:
-    def test_exact_backends_equal_the_oracle(self, backend, cloud):
+    def test_exact_backends_equal_the_oracle(self, backend, leaf_size, cloud):
         points, queries = ADVERSARIAL[cloud]()
-        searcher = build_searcher(points, config_for(backend, leaf_size=4))
+        searcher = build_searcher(points, config_for(backend, leaf_size))
         assert_pair_equal(searcher.nn_batch(queries), bruteforce.nn_batch(points, queries))
         for k in (1, 3, len(points) + 2):
             assert_pair_equal(
                 searcher.knn_batch(queries, k), bruteforce.knn_batch(points, queries, k)
             )
-        for r in RADII if backend == "gridhash" else WIDE_RADII:
+        for r in RADII:
             for sort in (False, True):
                 assert_csr_equal(
                     searcher.radius_batch_csr(queries, r, sort=sort),
@@ -441,10 +432,10 @@ class TestAdversarialClouds:
         [KthNeighborInjector(k=3), ShellRadiusInjector(r1=0.5, r2=1.0)],
         ids=["kth", "shell"],
     )
-    def test_injectors_equal_their_definition(self, backend, cloud, injector):
+    def test_injectors_equal_their_definition(self, backend, leaf_size, cloud, injector):
         points, queries = ADVERSARIAL[cloud]()
         searcher = build_searcher(
-            points, config_for(backend, leaf_size=4), injector=injector
+            points, config_for(backend, leaf_size), injector=injector
         )
         for sort in (False, True):
             exp_nn, exp_knn, exp_ball = injected_oracle(

@@ -4,11 +4,13 @@ Every backend produces radius results as one flat
 :class:`~repro.core.ragged.RaggedNeighborhoods`, and the one list view,
 ``NeighborSearcher.radius_batch``, is nothing but that CSR result sliced
 at the delivery edge.  These tests pin the bit-identity of the two for
-all five backends, that a batch answers each row as a 1-row batch does,
+every backend, that a batch answers each row as a 1-row batch does,
 the edge cases the flat layout must survive (empty rows, duplicate
 queries, exact distance ties, zero queries), the chunk-size invariance
 of the brute-force flat kernel, the ``csr_results`` stats accounting,
-and the injector / reuse-cache CSR hooks.
+and the injector / reuse-cache CSR hooks.  The backend checks also run
+the two-stage tree at both ends of the leaf-size sweep
+(:mod:`tests.registration.search_cases`).
 """
 
 import numpy as np
@@ -20,7 +22,9 @@ from repro.registration import SearchConfig, build_searcher
 from repro.registration.error_injection import ShellRadiusInjector
 from repro.registration.search import RadiusReuseCache, build_index
 
-BACKENDS = ("canonical", "twostage", "approximate", "bruteforce", "gridhash")
+from .search_cases import search_cases
+
+CASES = search_cases()
 
 
 @pytest.fixture
@@ -28,14 +32,15 @@ def points(rng):
     return rng.normal(size=(180, 3))
 
 
-def fresh(points, backend, **kwargs):
+def fresh(points, backend, leaf_size=SearchConfig.leaf_size, **kwargs):
     """A searcher over a freshly built index.
 
     Parity comparisons always build two independent indices so the
     stateful approximate backend sees identical leader state on both
     sides.
     """
-    return build_searcher(points, SearchConfig(backend=backend), **kwargs)
+    config = SearchConfig(backend=backend, leaf_size=leaf_size)
+    return build_searcher(points, config, **kwargs)
 
 
 def assert_csr_matches_lists(result, indices, dists):
@@ -58,58 +63,58 @@ def assert_well_formed(result):
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend,leaf_size", CASES)
     @pytest.mark.parametrize("sort", [False, True])
-    def test_csr_equals_list_path(self, points, rng, backend, sort):
+    def test_csr_equals_list_path(self, points, rng, backend, leaf_size, sort):
         queries = rng.normal(size=(40, 3))
-        csr = fresh(points, backend).radius_batch_csr(queries, 0.8, sort=sort)
-        exp_idx, exp_dist = fresh(points, backend).radius_batch(
+        csr = fresh(points, backend, leaf_size).radius_batch_csr(queries, 0.8, sort=sort)
+        exp_idx, exp_dist = fresh(points, backend, leaf_size).radius_batch(
             queries, 0.8, sort=sort
         )
         assert_well_formed(csr)
         assert_csr_matches_lists(csr, exp_idx, exp_dist)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend,leaf_size", CASES)
     @pytest.mark.parametrize("sort", [False, True])
-    def test_csr_equals_scalar_loop(self, points, rng, backend, sort):
+    def test_csr_equals_scalar_loop(self, points, rng, backend, leaf_size, sort):
         """A batch answers each row as a 1-row batch does, in row order
         (the approximate backend's leader state included)."""
         queries = rng.normal(size=(15, 3))
-        csr = fresh(points, backend).radius_batch_csr(queries, 0.7, sort=sort)
-        single = fresh(points, backend)
+        csr = fresh(points, backend, leaf_size).radius_batch_csr(queries, 0.7, sort=sort)
+        single = fresh(points, backend, leaf_size)
         got_idx, got_dist = csr.to_list_pair()
         for row, query in enumerate(queries):
             one = single.radius_batch_csr(query, 0.7, sort=sort)
             assert np.array_equal(got_idx[row], one.indices)
             assert np.array_equal(got_dist[row], one.distances)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_all_rows_empty(self, points, rng, backend):
+    @pytest.mark.parametrize("backend,leaf_size", CASES)
+    def test_all_rows_empty(self, points, rng, backend, leaf_size):
         queries = rng.normal(size=(8, 3)) + 100.0
-        csr = fresh(points, backend).radius_batch_csr(queries, 1e-9)
+        csr = fresh(points, backend, leaf_size).radius_batch_csr(queries, 1e-9)
         assert_well_formed(csr)
         assert csr.n_segments == 8
         assert csr.n_entries == 0
         assert np.array_equal(csr.counts, np.zeros(8, dtype=np.int64))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_queries(self, points, backend):
-        csr = fresh(points, backend).radius_batch_csr(np.empty((0, 3)), 0.5)
+    @pytest.mark.parametrize("backend,leaf_size", CASES)
+    def test_zero_queries(self, points, backend, leaf_size):
+        csr = fresh(points, backend, leaf_size).radius_batch_csr(np.empty((0, 3)), 0.5)
         assert_well_formed(csr)
         assert csr.n_segments == 0
         assert csr.n_entries == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend,leaf_size", CASES)
     @pytest.mark.parametrize("sort", [False, True])
-    def test_duplicate_queries_and_ties(self, backend, sort):
+    def test_duplicate_queries_and_ties(self, backend, leaf_size, sort):
         # Integer grid: every query sits on a lattice point, so the
         # shell at distance 1.0 is a 6-way exact tie, and repeated
         # query rows must reproduce byte-identical segments.
         axes = np.arange(4, dtype=np.float64)
         grid = np.stack(np.meshgrid(axes, axes, axes), axis=-1).reshape(-1, 3)
         queries = grid[[21, 21, 42, 21, 42]]
-        csr = fresh(grid, backend).radius_batch_csr(queries, 1.0, sort=sort)
-        exp_idx, exp_dist = fresh(grid, backend).radius_batch(
+        csr = fresh(grid, backend, leaf_size).radius_batch_csr(queries, 1.0, sort=sort)
+        exp_idx, exp_dist = fresh(grid, backend, leaf_size).radius_batch(
             queries, 1.0, sort=sort
         )
         assert_well_formed(csr)

@@ -37,8 +37,8 @@ from repro.registration.descriptors.sc3d import sc3d_descriptors
 from repro.registration.descriptors.shot import SHOT_DIMS, shot_descriptors, shot_lrf
 from repro.registration.keypoints.harris import harris_keypoints
 from repro.registration.keypoints.sift import sift_keypoints
+from repro.registration.search import BACKENDS
 
-BACKENDS = ("canonical", "twostage", "bruteforce", "approximate")
 NORMAL_RADIUS = 0.8
 DESCRIPTOR_RADIUS = 1.0
 

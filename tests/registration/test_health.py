@@ -17,10 +17,12 @@ from repro.registration import (
 )
 from repro.registration import pipeline as pipeline_module
 
-BACKENDS = ("canonical", "twostage", "approximate", "bruteforce", "gridhash")
+from .search_cases import search_cases
 
 
-def health_pipeline(backend: str = "twostage") -> Pipeline:
+def health_pipeline(
+    backend: str = "twostage", leaf_size: int = SearchConfig.leaf_size
+) -> Pipeline:
     """Point-to-plane matcher (health needs normals for observability)."""
     return Pipeline(
         PipelineConfig(
@@ -32,7 +34,7 @@ def health_pipeline(backend: str = "twostage") -> Pipeline:
                 error_metric="point_to_plane",
                 max_iterations=6,
             ),
-            search=SearchConfig(backend=backend),
+            search=SearchConfig(backend=backend, leaf_size=leaf_size),
         )
     )
 
@@ -209,7 +211,8 @@ class TestTranslationObservability:
 
 
 class TestCorridorDegeneracyAcrossBackends:
-    """The corridor flags ``degenerate`` under every search backend.
+    """The corridor flags ``degenerate`` under every search backend, and
+    on the two-stage tree at both ends of the leaf-size sweep.
 
     Degeneracy is a property of the scene geometry seen through the
     matched correspondence set; swapping the neighbor-search backend
@@ -231,10 +234,10 @@ class TestCorridorDegeneracyAcrossBackends:
         sequence = suite.sequence("corridor")
         return sequence.frames[1], sequence.frames[0]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_flagged_degenerate(self, corridor_pair, backend):
+    @pytest.mark.parametrize("backend,leaf_size", search_cases())
+    def test_flagged_degenerate(self, corridor_pair, backend, leaf_size):
         source, target = corridor_pair
-        result = health_pipeline(backend).register(
+        result = health_pipeline(backend, leaf_size).register(
             source, target, initial=np.eye(4)
         )
         health = assess_registration(result, self.CONFIG)

@@ -20,6 +20,9 @@ pin the plan and the two contracts that make it safe:
   but no traversal work; and the cache is bypassed in every situation
   where serving could change results (injectors, foreign indices,
   radii beyond the plan, subset-first fills).
+
+The backend checks also run the two-stage tree at both ends of the
+leaf-size sweep (:mod:`tests.registration.search_cases`).
 """
 
 import numpy as np
@@ -40,17 +43,22 @@ from repro.registration import (
 from repro.registration.error_injection import IdentityInjector
 from repro.registration.pipeline import _planned_reuse_radius
 from repro.registration.search import (
+    BACKENDS,
     NeighborSearcher,
     RadiusReuseCache,
     build_index,
     exact_index,
 )
 
-EXACT_BACKENDS = ("canonical", "twostage", "bruteforce", "gridhash")
-ALL_BACKENDS = EXACT_BACKENDS + ("approximate",)
+from .search_cases import search_cases
+
+EXACT_BACKENDS = tuple(backend for backend in BACKENDS if backend != "approximate")
+CASES = search_cases(16)
 
 
-def reuse_pipeline(backend="twostage", keypoints=None, descriptor=None, normals=None):
+def reuse_pipeline(
+    backend="twostage", keypoints=None, descriptor=None, normals=None, leaf_size=16
+):
     config = PipelineConfig(
         normals=normals or NormalEstimationConfig(),
         keypoints=keypoints
@@ -58,15 +66,16 @@ def reuse_pipeline(backend="twostage", keypoints=None, descriptor=None, normals=
         descriptor=descriptor or DescriptorConfig(method="fpfh", radius=1.0),
         icp=ICPConfig(rpce=RPCEConfig(max_distance=1.5), max_iterations=5),
         voxel_downsample=1.0,
-        search=SearchConfig(backend=backend, leaf_size=16),
+        search=SearchConfig(backend=backend, leaf_size=leaf_size),
     )
     return Pipeline(config)
 
 
-def frontend_radii_pipeline(backend="twostage"):
+def frontend_radii_pipeline(backend="twostage", leaf_size=16):
     """``odometry_frontend``'s radii: NE 0.75 m, Harris 1.0 m, FPFH 1.5 m."""
     return reuse_pipeline(
         backend=backend,
+        leaf_size=leaf_size,
         normals=NormalEstimationConfig(radius=0.75),
         descriptor=DescriptorConfig(method="fpfh", radius=1.5),
     )
@@ -82,10 +91,10 @@ def preprocess_without_reuse(pipeline, cloud, monkeypatch):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_all_backends_harris_fpfh(self, backend, lidar_pair, monkeypatch):
+    @pytest.mark.parametrize("backend,leaf_size", CASES)
+    def test_all_backends_harris_fpfh(self, backend, leaf_size, lidar_pair, monkeypatch):
         source, _, _ = lidar_pair
-        pipeline = reuse_pipeline(backend=backend)
+        pipeline = reuse_pipeline(backend=backend, leaf_size=leaf_size)
         with_reuse = pipeline.preprocess(source, with_features=True)
         baseline = preprocess_without_reuse(pipeline, source, monkeypatch)
         assert np.array_equal(
@@ -137,11 +146,11 @@ class TestBitIdentity:
         assert np.array_equal(with_reuse.keypoints, baseline.keypoints)
         assert np.array_equal(with_reuse.descriptors, baseline.descriptors)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_descriptor_beyond_the_plan(self, backend, lidar_pair, monkeypatch):
+    @pytest.mark.parametrize("backend,leaf_size", CASES)
+    def test_descriptor_beyond_the_plan(self, backend, leaf_size, lidar_pair, monkeypatch):
         """FPFH's 1.5 m supports search fresh past Harris's 1.0 m fill."""
         source, _, _ = lidar_pair
-        pipeline = frontend_radii_pipeline(backend=backend)
+        pipeline = frontend_radii_pipeline(backend=backend, leaf_size=leaf_size)
         assert _planned_reuse_radius(pipeline.config) == 1.0
         with_reuse = pipeline.preprocess(source, with_features=True)
         baseline = preprocess_without_reuse(pipeline, source, monkeypatch)
@@ -408,10 +417,10 @@ class TestRadiusBoundary:
         assert np.array_equal(served.offsets, fresh.offsets)
         assert np.array_equal(served.distances, fresh.distances)
 
-    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
-    def test_fill_keeps_backend_sq_distances(self, backend, rng):
+    @pytest.mark.parametrize("backend,leaf_size", search_cases(16, EXACT_BACKENDS))
+    def test_fill_keeps_backend_sq_distances(self, backend, leaf_size, rng):
         points = rng.uniform(-2, 2, size=(400, 3))
-        index, _ = build_index(points, SearchConfig(backend=backend, leaf_size=16))
+        index, _ = build_index(points, SearchConfig(backend=backend, leaf_size=leaf_size))
         cache = RadiusReuseCache(index, 0.9)
         cache.fill(SearchStats())
         fresh = index.radius_batch_csr(points, 0.9)

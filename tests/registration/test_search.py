@@ -7,6 +7,7 @@ from repro.core import ApproximateSearch, TwoStageKDTree
 from repro.kdtree import KDTree, SearchStats
 from repro.profiling import StageProfiler
 from repro.registration import SearchConfig, build_searcher
+from repro.registration.search import BACKENDS
 
 
 @pytest.fixture
@@ -60,7 +61,14 @@ class TestBackends:
         with pytest.raises(ValueError):
             SearchConfig(backend="gpu")
         with pytest.raises(ValueError):
+            SearchConfig(backend="gridhash")
+        with pytest.raises(ValueError):
             SearchConfig(leaf_size=0)
+
+    def test_backend_list(self):
+        # The parametrized backend suites read BACKENDS; pinning it here
+        # makes a backend dropped by accident fail one named test.
+        assert BACKENDS == ("canonical", "twostage", "approximate", "bruteforce")
 
 
 class TestInstrumentation:
@@ -88,6 +96,6 @@ class TestInstrumentation:
         assert searcher.build_time > 0
 
     def test_points_property(self, points):
-        for backend in ("canonical", "twostage", "approximate", "bruteforce"):
+        for backend in BACKENDS:
             searcher = build_searcher(points, SearchConfig(backend=backend))
             assert np.array_equal(searcher.points, points)
