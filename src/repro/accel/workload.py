@@ -15,16 +15,18 @@ leaf-size one"), making "Base-KD vs Base-2SKD vs Acc-KD vs Acc-2SKD"
 a pure configuration sweep.
 
 Exact workload capture passes ``trace=`` to the tree's batched
-searches (``nn_batch``, ``radius_batch_csr``), which then run the
-lockstep traversal of :mod:`repro.core.twostage`: every query advances
-its own depth-first stack, one pop per round, so the table records
-exactly the traversal of each query's depth-first search, in its order,
-rather than the batched schedules of the untraced path (whose NN pass
-walks every home path first and visits a different node set).  Counts
-therefore replay the accelerator-faithful per-query semantics, and the
-back end's order-dependent models (MQSN batching, the node cache) see
-the depth-first leaf-visit order.  Approximate capture stays in row
-order: leader buffers fill as queries arrive, so
+searches (``nn_batch``, ``radius_batch_csr``), whose tables record
+exactly the traversal of each query's depth-first search, in its order
+(see :mod:`repro.core.twostage`).  A radius capture runs the untraced
+radius frontier, which reaches the same entries, and orders each
+query's leaf visits by depth-first position.  An NN capture walks every
+home path, where each depth-first search starts, and then advances
+every query's own depth-first stack, one pop per round; the untraced NN
+schedule tightens its bounds in another order and visits a different
+node set.  Counts therefore replay the accelerator-faithful per-query
+semantics, and the back end's order-dependent models (MQSN batching,
+the node cache) see the depth-first leaf-visit order.  Approximate
+capture stays in row order: leader buffers fill as queries arrive, so
 :class:`ApproximateSearch` runs its depth-first searches one row after
 another and converts their records into one table.
 """
@@ -163,7 +165,9 @@ def registration_workload(
     every ICP iteration (source queried against the target tree; the
     query *count* per iteration is what the hardware sees, so the
     stationary source stands in for the slowly-moving ICP source —
-    documented simulator approximation).
+    documented simulator approximation).  Every iteration's capture is
+    then the same, so RPCE is one capture repeated ``icp_iterations``
+    times.
 
     Returns one workload per stage: ``{"NE": ..., "RPCE": ...}``.
     """
@@ -209,21 +213,21 @@ def registration_workload(
         approximate=approx is not None,
     )
 
-    rpce_iterations = [
-        build_workload(
-            target_points,
-            source_points,
-            kind="nn",
-            tree=target_tree,
-            approx=approx,
-            name=f"{name}-RPCE-iter",
-        ).trace
-        for _ in range(icp_iterations)
-    ]
+    # Every iteration queries the same stationary source, and an
+    # approximate capture starts from fresh leader buffers, so every
+    # iteration's table is the same: capture it once.
+    rpce_iteration = build_workload(
+        target_points,
+        source_points,
+        kind="nn",
+        tree=target_tree,
+        approx=approx,
+        name=f"{name}-RPCE-iter",
+    ).trace
     rpce = SearchWorkload(
         name=f"{name}-RPCE",
         kind="nn",
-        trace=TraceTable.concat(rpce_iterations),
+        trace=TraceTable.concat([rpce_iteration] * icp_iterations),
         tree_n=target_tree.n,
         top_height=target_tree.top_height,
         n_leaf_sets=target_tree.n_leaf_sets,

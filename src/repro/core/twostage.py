@@ -46,8 +46,8 @@ the leaf sets they reach are scanned in bulk.  Each batch is validated
 whole before any work (:func:`repro.kdtree._validate.check_batch`).
 Results are bit-identical to the per-query depth-first search
 (:meth:`TwoStageKDTree.nn`, :meth:`TwoStageKDTree.radius`), which stays
-as the approximate search's traversal and as the reference the lockstep
-traces are pinned against: ties resolve to the lowest point index and
+as the approximate search's traversal and as the reference the traced
+batches are pinned against: ties resolve to the lowest point index and
 radius results come back in ascending index order on every path.
 
 A radius batch sweeps a frontier of ``(node, query, bound, contrib)``
@@ -121,33 +121,56 @@ some node points' distances.  Certified rows charge ``queries``,
 ``reused_queries`` and ``results_returned`` but no traversal work, and
 each batch that certifies any row counts one ``cache_hits``.
 
-Lockstep traces
----------------
-Passing ``trace=`` (a list) runs a *lockstep* schedule instead, which
-records the exact per-query traversal the accelerator model replays and
-appends it to the list as one columnar
-:class:`~repro.core.trace.TraceTable`.  Every query keeps its own
-depth-first stack, as each hardware Recursion Unit keeps its query
-stack (paper Sec. 5.2), and each round pops one entry from every
-non-empty stack.  The round's unpruned leaf pops are scanned by
-the pair kernel (NN) or grouped by leaf with the block kernel (radius);
-its visited top-tree nodes are expanded together by the node arithmetic
-the frontier sweeps use (:meth:`TwoStageKDTree._expand`), far child
-pushed before near.  A query's pruning bound depends only on its own
-earlier pops, never on another query's, so every query visits, prunes
-and scans exactly what the depth-first :meth:`TwoStageKDTree.nn` /
-:meth:`TwoStageKDTree.radius` search does, in the same order: its trace,
-its result and its :class:`~repro.kdtree.stats.SearchStats` counts
-equal those of that search.  Each round logs its leaf pops as arrays
-(query, leaf id, scanned, pruned, result size); at the end one stable
-sort by query puts every query's visits in its pop order, and those
-arrays, with the per-query counts, are the table's columns.  No object
-is built per visit: the depth-first searches' :class:`QueryTrace`
-records are the reference the table is tested against
-(``TraceTable.from_records``).  :meth:`TwoStageKDTree.knn_batch` remains a
-tight loop over the depth-first :meth:`TwoStageKDTree.knn` — the
-bounded-heap eviction order of kNN is inherently sequential, and kNN is
-not one of the two query kinds (NN, radius) the paper's workloads use.
+Traced batches
+--------------
+Passing ``trace=`` (a list) to a batch also records, per query, the
+traversal the depth-first :meth:`TwoStageKDTree.nn` /
+:meth:`TwoStageKDTree.radius` search performs, which the accelerator
+model replays: each hardware Recursion Unit keeps its own query stack
+(paper Sec. 5.2).  The batch appends one columnar
+:class:`~repro.core.trace.TraceTable` to the list: per query the
+top-tree visits, bypassed nodes, stack pushes and results, and its leaf
+visits in pop order.  Its columns, the results and the
+:class:`~repro.kdtree.stats.SearchStats` counts equal those of the
+depth-first searches.  No object is built per visit: the depth-first
+searches' :class:`QueryTrace` records are the reference the table is
+tested against (``TraceTable.from_records``).
+
+A radius trace comes from the radius frontier itself.  Radius pruning
+does not depend on earlier scans, so the frontier holds exactly the
+entries each depth-first search pops, every entry being one stack push;
+per-query pushes, visits and bypassed nodes are bincounts of the
+entries, and each leaf block also counts each query's hits in that leaf.
+Every entry carries its depth-first position: the root is 0, and the
+near and far children of position ``k`` are ``2k`` and ``2k + 1``.  A
+depth-first search pops the near child's subtree before the far child,
+and every leaf hangs at depth ``top_height``, so a query pops its leaves
+in ascending position: one sort by (query, position) puts the leaf
+visits in pop order.
+
+An NN trace depends on the order of the scans, so every query's
+depth-first search runs in *lockstep*.  It starts where every such
+search provably starts: the root and the home path are popped at bound
+0, which nothing prunes, so the home-path descent
+(:meth:`TwoStageKDTree._home_paths`) walks them, their node points are
+folded, and the home leaves are scanned by the pair kernel.  Each
+query's stack is then seeded with its path's far children, deepest on
+top, as the depth-first search leaves it: bound ``δ²`` and the same term
+on the split dimension.  From there each round pops one entry from
+every non-empty stack.  The round's unpruned leaf pops are scanned by
+the pair kernel; its visited top-tree nodes are expanded together by
+the node arithmetic the frontier sweeps use
+(:meth:`TwoStageKDTree._expand`), far child pushed before near.  A
+query's pruning bound depends only on its own earlier pops, never on
+another query's, so every query visits, prunes and scans exactly what
+its depth-first search does, in the same order.  Leaf visits are logged
+as arrays (query, leaf id, scanned, pruned), and one stable sort by
+query puts them in pop order.
+
+:meth:`TwoStageKDTree.knn_batch` remains a tight loop over the
+depth-first :meth:`TwoStageKDTree.knn`, traced or not — the bounded-heap
+eviction order of kNN is inherently sequential, and kNN is not one of
+the two query kinds (NN, radius) the paper's workloads use.
 """
 
 from __future__ import annotations
@@ -262,6 +285,46 @@ def _fold_nearest(rows, sq, idx, best_sq, best_idx, runner_ups=None) -> np.ndarr
     best_sq[rows[better]] = sq[better]
     best_idx[rows[better]] = idx[better]
     return better
+
+
+def _charge(stats, n_queries, visits, bypassed, scanned, leaf_pruned, results):
+    """Add a batch's work to ``stats`` as the depth-first search counts it:
+    a distance per visited node and per scanned leaf member, a traversal
+    step per popped node, and a pruned subtree per bypassed node or
+    pruned leaf."""
+    if stats is not None:
+        stats.nodes_visited += visits + scanned
+        stats.traversal_steps += visits + bypassed
+        stats.pruned_subtrees += bypassed + leaf_pruned
+        stats.queries += n_queries
+        stats.results_returned += results
+
+
+def _trace_table(
+    visits, bypassed, pushes, results, rows, order, leaf_id, scanned, pruned, sizes
+) -> TraceTable:
+    """An exact batch's :class:`TraceTable`.
+
+    ``visits``, ``bypassed``, ``pushes`` and ``results`` are per query.
+    The leaf-visit columns come in any order, with each visit's query in
+    ``rows``; ``order`` puts every query's visits in its pop order.
+    """
+    offsets = np.zeros(len(visits) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(visits)), out=offsets[1:])
+    return TraceTable(
+        toptree_visits=visits,
+        toptree_bypassed=bypassed,
+        stack_pushes=pushes,
+        results=results,
+        offsets=offsets,
+        leaf_id=leaf_id[order],
+        scanned=scanned[order],
+        pruned=pruned[order],
+        result_size=sizes[order],
+        leader_checks=np.zeros(len(rows), dtype=np.int64),
+        approximate=np.zeros(len(rows), dtype=bool),
+        became_leader=np.zeros(len(rows), dtype=bool),
+    )
 
 
 class _RunnerUps:
@@ -741,16 +804,17 @@ class TwoStageKDTree:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Nearest neighbor for every row of ``queries``.
 
-        Runs the home-path schedule; with ``trace`` (a list) it runs the
-        lockstep per-query traversal instead, which records each query's
-        exact depth-first traversal for the accelerator model, and
-        appends the batch's :class:`~repro.core.trace.TraceTable` to
-        ``trace``.
+        Runs the home-path schedule.  With ``trace`` (a list) it walks
+        every home path and then runs each query's depth-first search in
+        lockstep instead, which records each query's exact traversal for
+        the accelerator model, and appends the batch's
+        :class:`~repro.core.trace.TraceTable` to ``trace`` (see the
+        module docstring).
         """
         queries = check_batch(queries, self.ndim)
         if trace is None:
             return self._nn_batch_fast(queries, stats)
-        return self._lockstep(queries, None, stats, trace)
+        return self._lockstep(queries, stats, trace)
 
     def nn_batch_anchored(
         self,
@@ -826,14 +890,13 @@ class TwoStageKDTree:
         carries the accepted squared distances as ``sq_distances``.
         ``sort=True`` applies the stable per-query distance sort once
         (:func:`repro.core.ragged.segment_sort_order`).  With ``trace``
-        the result comes from the lockstep per-query traversal (see
-        :meth:`nn_batch`).
+        (a list) the same frontier also records each query's depth-first
+        traversal, ordered by depth-first position, and appends the
+        batch's :class:`~repro.core.trace.TraceTable` to ``trace`` (see
+        the module docstring).
         """
         queries = check_batch(queries, self.ndim, r)
-        if trace is None:
-            result = self._radius_batch_fast(queries, r, stats)
-        else:
-            result = self._lockstep(queries, r, stats, trace)
+        result = self._radius_batch_fast(queries, r, stats, trace)
         if sort:
             result = result.sorted_by_distance()
         return result
@@ -1191,12 +1254,15 @@ class TwoStageKDTree:
                 scanned += int(self._leaf_count[leaf_ids].sum())
                 self._nn_pairs(rows, leaf_ids, queries, best_sq, best_idx, runner_ups)
 
-        if stats is not None:
-            stats.nodes_visited += visits + scanned
-            stats.traversal_steps += visits + bypassed
-            stats.pruned_subtrees += bypassed + leaf_pruned
-            stats.queries += n_queries
-            stats.results_returned += int(np.count_nonzero(best_idx >= 0))
+        _charge(
+            stats,
+            n_queries,
+            visits,
+            bypassed,
+            scanned,
+            leaf_pruned,
+            int(np.count_nonzero(best_idx >= 0)),
+        )
         dists = np.sqrt(best_sq)
         dists[best_idx < 0] = np.inf
         return best_idx, dists
@@ -1206,30 +1272,57 @@ class TwoStageKDTree:
         queries: np.ndarray,
         r: float,
         stats: SearchStats | None,
+        trace: list[TraceTable] | None = None,
     ) -> RaggedNeighborhoods:
+        """The radius frontier (see the module docstring).
+
+        With ``trace`` (a list) each frontier entry also carries its
+        depth-first position, and the batch's
+        :class:`~repro.core.trace.TraceTable` is appended to ``trace``.
+        """
         n_queries, ndim = queries.shape
         r_sq = r * r
         hits = RadiusHits(n_queries, self.n, r)
         visits = bypassed = leaf_pruned = scanned = 0
+        traced = trace is not None
+        if traced:
+            # Per-query frontier entries (every entry is one stack push
+            # of the depth-first search) and visited nodes, and one log
+            # entry per leaf level: (query, position, leaf id, pruned,
+            # result size) arrays.
+            entries = np.zeros(n_queries, dtype=np.int64)
+            node_visits = np.zeros(n_queries, dtype=np.int64)
+            empty = np.empty(0, dtype=np.int64)
+            log = [(empty, empty, empty, np.empty(0, dtype=bool), empty)]
 
         if n_queries and self._root_ref != _NO_CHILD:
             refs = np.full(n_queries, self._root_ref, dtype=np.int64)
             qidx = np.arange(n_queries, dtype=np.int64)
             bound = np.zeros(n_queries)
             contrib = np.zeros((n_queries, ndim))
+            if traced:
+                pos = np.zeros(n_queries, dtype=np.int64)
             while len(refs):
+                if traced:
+                    entries += np.bincount(qidx, minlength=n_queries)
                 at_leaf = refs <= _LEAF_BASE
                 if np.any(at_leaf):
                     leaf_ids = _LEAF_BASE - refs[at_leaf]
                     l_rows = qidx[at_leaf]
-                    l_alive = bound[at_leaf] <= r_sq
-                    leaf_pruned += int(np.count_nonzero(~l_alive))
-                    for leaf_id, rows in self._leaf_groups(
-                        leaf_ids[l_alive], l_rows[l_alive]
-                    ):
+                    l_pruned = bound[at_leaf] > r_sq
+                    live = np.flatnonzero(~l_pruned)
+                    leaf_pruned += len(l_rows) - len(live)
+                    if traced:
+                        sizes = np.zeros(len(l_rows), dtype=np.int64)
+                    for leaf_id, at in self._leaf_groups(leaf_ids[live], live):
+                        rows = l_rows[at]
                         orig, sq = self._scan_leaf_block(leaf_id, queries[rows])
                         scanned += sq.size
+                        if traced:
+                            sizes[at] = np.count_nonzero(sq <= r_sq, axis=1)
                         hits.add_block(rows, orig, sq)
+                    if traced:
+                        log.append((l_rows, pos[at_leaf], leaf_ids, l_pruned, sizes))
                 inner = ~at_leaf
                 refs_i = refs[inner]
                 q_i = qidx[inner]
@@ -1256,38 +1349,56 @@ class TwoStageKDTree:
                 qidx = np.concatenate([q_i[has_far], q_i[has_near]])
                 bound = np.concatenate([far_bound[has_far], b_i[has_near]])
                 contrib = np.concatenate([far_contrib[has_far], c_i[has_near]])
+                if traced:
+                    # The near child is popped before the far one.
+                    node_visits += np.bincount(q_i, minlength=n_queries)
+                    p_i = pos[inner][alive]
+                    pos = np.concatenate([2 * p_i[has_far] + 1, 2 * p_i[has_near]])
 
         result = hits.to_csr()
-        if stats is not None:
-            stats.nodes_visited += visits + scanned
-            stats.traversal_steps += visits + bypassed
-            stats.pruned_subtrees += bypassed + leaf_pruned
-            stats.queries += n_queries
-            stats.results_returned += result.n_entries
+        _charge(
+            stats, n_queries, visits, bypassed, scanned, leaf_pruned, result.n_entries
+        )
+        if traced:
+            rows, pos, leaf_ids, pruned, sizes = map(np.concatenate, zip(*log))
+            # Every leaf hangs at depth top_height, so leaf positions have
+            # top_height bits and ascend in pop order.  Median splits at
+            # least halve the members per level, so a leaf at that depth
+            # means 2**top_height <= n: the key cannot overflow.
+            order = np.argsort((rows << self._top_height) | pos)
+            leaf_visits = np.bincount(rows, minlength=n_queries)
+            trace.append(
+                _trace_table(
+                    node_visits,
+                    entries - node_visits - leaf_visits,
+                    entries,
+                    result.counts,
+                    rows,
+                    order,
+                    leaf_ids,
+                    np.where(pruned, 0, self._leaf_count[leaf_ids]),
+                    pruned,
+                    sizes,
+                )
+            )
         return result
 
     def _lockstep(
         self,
         queries: np.ndarray,
-        r: float | None,
         stats: SearchStats | None,
         trace: list[TraceTable],
-    ):
-        """Every query's depth-first search, advanced in lockstep.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every query's depth-first NN search, advanced in lockstep.
 
-        NN search when ``r`` is None, radius search otherwise; see the
-        module docstring for the schedule and why it is exact.  Leaf
-        visits are logged per round and become the batch's
+        See the module docstring for the schedule and why it is exact.
+        Leaf visits are logged as they are popped and become the batch's
         :class:`TraceTable`, appended to ``trace``, at the end.  Returns
-        what :meth:`nn_batch` returns for NN, the CSR result for radius.
+        what :meth:`nn_batch` returns.
         """
         n_queries, ndim = queries.shape
-        nn = r is None
         best_sq = np.full(n_queries, np.inf)
         best_idx = np.full(n_queries, -1, dtype=np.int64)
-        if not nn:
-            r_sq = r * r
-            hits = RadiusHits(n_queries, self.n, r)
         # A DFS stack holds at most one pending far child per depth plus
         # the near/far pair just pushed.
         depth = self._top_height + 2
@@ -1297,43 +1408,58 @@ class TwoStageKDTree:
         top = np.zeros(n_queries, dtype=np.int64)
         visits = np.zeros(n_queries, dtype=np.int64)
         bypassed = np.zeros(n_queries, dtype=np.int64)
-        pushes = np.zeros(n_queries, dtype=np.int64)
-        # Leaf-visit log, one entry per round: (query, leaf id, scanned,
-        # pruned, result size) arrays.
+        # Leaf-visit log in pop order: (query, leaf id, scanned, pruned)
+        # arrays.
         log: list[tuple[np.ndarray, ...]] = []
-        n_scanned = n_leaf_pruned = 0
-        if self._root_ref != _NO_CHILD:
-            stack_ref[:, 0] = self._root_ref
-            top[:] = 1
-            pushes[:] = 1
+
+        # The head.  Every search pops the root and then its home path,
+        # each node at bound 0, which nothing prunes: it folds the node
+        # point and pushes the far child (bound 0.0 - 0.0 + delta**2,
+        # which is delta**2 exactly, and that term on the split
+        # dimension), then the near child, popped next: the next path
+        # node, the home leaf (scanned at bound 0) or, where the path
+        # dead-ends, nothing.  Each path node, home leaf and far child is
+        # one push, and the stack is left holding the far children,
+        # deepest on top.
+        home, levels = self._home_paths(queries)
+        routed = np.flatnonzero(home >= 0)
+        pushes = (home >= 0).astype(np.int64)
+        for rows, pidx, sq, far, dd, dim in levels:
+            _fold_nearest(rows, sq, pidx, best_sq, best_idx)
+            visits[rows] += 1
+            has = far != _NO_CHILD
+            pushes[rows] += 1 + has
+            q = rows[has]
+            slot = top[q]
+            stack_ref[q, slot] = far[has]
+            stack_bound[q, slot] = dd[has]
+            stack_contrib[q, slot, dim[has]] = dd[has]
+            top[q] += 1
+        home_ids = home[routed]
+        self._nn_pairs(routed, home_ids, queries, best_sq, best_idx)
+        log.append(
+            (routed, home_ids, self._leaf_count[home_ids], np.zeros(len(routed), bool))
+        )
+
+        # The rounds: each pops one entry from every non-empty stack.
         active = np.flatnonzero(top)
         while len(active):
             top[active] -= 1
             slot = top[active]
             ref = stack_ref[active, slot]
             bound = stack_bound[active, slot]
-            pruned = bound > (best_sq[active] if nn else r_sq)
+            pruned = bound > best_sq[active]
             at_leaf = ref <= _LEAF_BASE
             if at_leaf.any():
                 l_rows = active[at_leaf]
                 leaf_ids = _LEAF_BASE - ref[at_leaf]
                 l_pruned = pruned[at_leaf]
+                live = ~l_pruned
+                self._nn_pairs(
+                    l_rows[live], leaf_ids[live], queries, best_sq, best_idx
+                )
                 scanned = np.where(l_pruned, 0, self._leaf_count[leaf_ids])
-                sizes = np.zeros(len(l_rows), dtype=np.int64)
-                live = np.flatnonzero(~l_pruned)
-                if nn:
-                    self._nn_pairs(
-                        l_rows[live], leaf_ids[live], queries, best_sq, best_idx
-                    )
-                else:
-                    for leaf_id, pos in self._leaf_groups(leaf_ids[live], live):
-                        rows = l_rows[pos]
-                        orig, sq = self._scan_leaf_block(leaf_id, queries[rows])
-                        sizes[pos] = np.count_nonzero(sq <= r_sq, axis=1)
-                        hits.add_block(rows, orig, sq)
-                log.append((l_rows, leaf_ids, scanned, l_pruned, sizes))
-                n_scanned += int(scanned.sum())
-                n_leaf_pruned += int(np.count_nonzero(l_pruned))
+                log.append((l_rows, leaf_ids, scanned, l_pruned))
             node = ~at_leaf
             bypassed[active[node & pruned]] += 1
             expand = node & ~pruned
@@ -1343,10 +1469,7 @@ class TwoStageKDTree:
                 at = queries[q]
                 pidx = self._node_point[refs]
                 d_sq = self._node_sq_dists(at, self._points[pidx])
-                if nn:
-                    _fold_nearest(q, d_sq, pidx, best_sq, best_idx)
-                else:
-                    hits.add(q, pidx, d_sq)
+                _fold_nearest(q, d_sq, pidx, best_sq, best_idx)
                 visits[q] += 1
                 b = bound[expand]
                 contrib = stack_contrib[q, slot[expand]]
@@ -1365,46 +1488,33 @@ class TwoStageKDTree:
                     pushes[qh] += 1
             active = active[top[active] > 0]
 
-        if nn:
-            results = (best_idx >= 0).astype(np.int64)
-        else:
-            result = hits.to_csr()
-            results = result.counts
-        if log:
-            rows, leaf_ids, scanned, pruned, sizes = map(np.concatenate, zip(*log))
-        else:
-            rows = leaf_ids = scanned = sizes = np.empty(0, dtype=np.int64)
-            pruned = np.empty(0, dtype=bool)
+        results = (best_idx >= 0).astype(np.int64)
+        rows, leaf_ids, scanned, pruned = map(np.concatenate, zip(*log))
+        _charge(
+            stats,
+            n_queries,
+            int(visits.sum()),
+            int(bypassed.sum()),
+            int(scanned.sum()),
+            int(np.count_nonzero(pruned)),
+            int(results.sum()),
+        )
         # A query pops at most one entry a round, so a stable sort by
         # query puts each query's leaf visits in pop order.
-        order = np.argsort(rows, kind="stable")
-        offsets = np.zeros(n_queries + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_queries), out=offsets[1:])
-        n_visits = len(rows)
         trace.append(
-            TraceTable(
-                toptree_visits=visits,
-                toptree_bypassed=bypassed,
-                stack_pushes=pushes,
-                results=results,
-                offsets=offsets,
-                leaf_id=leaf_ids[order],
-                scanned=scanned[order],
-                pruned=pruned[order],
-                result_size=sizes[order],
-                leader_checks=np.zeros(n_visits, dtype=np.int64),
-                approximate=np.zeros(n_visits, dtype=bool),
-                became_leader=np.zeros(n_visits, dtype=bool),
+            _trace_table(
+                visits,
+                bypassed,
+                pushes,
+                results,
+                rows,
+                np.argsort(rows, kind="stable"),
+                leaf_ids,
+                scanned,
+                pruned,
+                np.zeros(len(rows), dtype=np.int64),
             )
         )
-        if stats is not None:
-            stats.nodes_visited += int(visits.sum()) + n_scanned
-            stats.traversal_steps += int(visits.sum() + bypassed.sum())
-            stats.pruned_subtrees += int(bypassed.sum()) + n_leaf_pruned
-            stats.queries += n_queries
-            stats.results_returned += int(results.sum())
-        if not nn:
-            return result
         dists = np.sqrt(best_sq)
         dists[best_idx < 0] = np.inf
         return best_idx, dists

@@ -118,6 +118,26 @@ class TestRegistrationWorkload:
 
         assert visits(64) > visits(8) > visits(1)
 
+    @pytest.mark.parametrize(
+        "approx", [None, ApproximateSearchConfig()], ids=["exact", "approximate"]
+    )
+    def test_rpce_equals_a_capture_per_iteration(self, rng, approx):
+        """RPCE repeats one capture: it equals a fresh capture of the
+        stationary source per ICP iteration, each approximate one with
+        fresh leader buffers."""
+        target = rng.normal(size=(300, 3)) * 3.0
+        source = target[:250] + rng.normal(size=(250, 3)) * 0.05
+        rpce = registration_workload(
+            source, target, icp_iterations=3, leaf_size=32, approx=approx
+        )["RPCE"]
+        tree = TwoStageKDTree.from_leaf_size(target, 32)
+        iterations = [
+            build_workload(target, source, kind="nn", tree=tree, approx=approx).trace
+            for _ in range(3)
+        ]
+        assert rpce.trace == TraceTable.concat(iterations)
+        assert rpce.trace.approximate.any() == (approx is not None)
+
 
 def _capture_cloud(rng, case):
     """``(tree, queries)`` of one capture-order case."""

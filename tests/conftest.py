@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 # Keep property-based tests fast and deterministic enough for CI while
 # still exploring: 25 examples per property, no per-example deadline
-# (tree builds can be slow on pathological draws).
+# (tree builds can be slow on pathological draws).  ``deep`` runs the
+# same properties 400 times; choose it with HYPOTHESIS_PROFILE=deep.
 settings.register_profile(
     "ci",
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("ci")
+settings.register_profile(
+    "deep",
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 @pytest.fixture

@@ -85,7 +85,7 @@ def test_trace_accounting_consistent(data):
 
 @given(data=cloud_height_queries(), radius=st.floats(0, 15, allow_nan=False))
 def test_traced_batch_equals_scalar_and_untraced(data, radius):
-    """Traced vs untraced: the lockstep traced batches record exactly the
+    """Traced vs untraced: the traced batches record exactly the
     scalar searches' traces (one table equal to the scalar records') and
     counters, and return what both the scalar searches and the untraced
     batches return, bit for bit."""

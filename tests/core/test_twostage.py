@@ -630,11 +630,11 @@ def assert_bits_equal(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
-def assert_traced_batch_exact(tree, queries, radii):
-    """Traced batches against a loop over the scalar search: one
+def assert_traced_nn_exact(tree, queries):
+    """The traced NN batch against a loop over the scalar search: one
     ``TraceTable`` equal to the scalar ``QueryTrace`` records' (every
     column, leaf visits in order), results bit for bit and every
-    ``SearchStats`` counter."""
+    ``SearchStats`` counter.  Returns the table."""
     stats, trace = SearchStats(), []
     idx, dist = tree.nn_batch(queries, stats, trace=trace)
     oracle_stats, oracle_trace = SearchStats(), []
@@ -643,28 +643,43 @@ def assert_traced_batch_exact(tree, queries, radii):
     assert stats == oracle_stats
     assert_bits_equal(idx, np.array([i for i, _ in oracle], dtype=np.int64))
     assert_bits_equal(dist, np.array([d for _, d in oracle], dtype=np.float64))
+    return trace[0]
+
+
+def assert_traced_radius_exact(tree, queries, r, sort=False):
+    """:func:`assert_traced_nn_exact` for one traced radius batch."""
+    stats, trace = SearchStats(), []
+    got = tree.radius_batch_csr(queries, r, stats, sort=sort, trace=trace)
+    oracle_stats, oracle_trace = SearchStats(), []
+    oracle = [
+        tree.radius(query, r, oracle_stats, sort=sort, trace=oracle_trace)
+        for query in queries
+    ]
+    assert trace == [TraceTable.from_records(oracle_trace)], (r, sort)
+    assert stats == oracle_stats, (r, sort)
+    assert got.n_segments == len(oracle)
+    for row, (expected_idx, expected_dist) in enumerate(oracle):
+        segment = slice(got.offsets[row], got.offsets[row + 1])
+        assert_bits_equal(got.indices[segment], expected_idx)
+        assert_bits_equal(got.distances[segment], expected_dist)
+    return trace[0]
+
+
+def assert_traced_batch_exact(tree, queries, radii):
+    """Both traced batches against the scalar searches, each radius
+    unsorted and sorted."""
+    assert_traced_nn_exact(tree, queries)
     for r in radii:
         for sort in (False, True):
-            stats, trace = SearchStats(), []
-            got = tree.radius_batch_csr(queries, r, stats, sort=sort, trace=trace)
-            oracle_stats, oracle_trace = SearchStats(), []
-            oracle = [
-                tree.radius(query, r, oracle_stats, sort=sort, trace=oracle_trace)
-                for query in queries
-            ]
-            assert trace == [TraceTable.from_records(oracle_trace)], (r, sort)
-            assert stats == oracle_stats, (r, sort)
-            assert got.n_segments == len(oracle)
-            for row, (expected_idx, expected_dist) in enumerate(oracle):
-                segment = slice(got.offsets[row], got.offsets[row + 1])
-                assert_bits_equal(got.indices[segment], expected_idx)
-                assert_bits_equal(got.distances[segment], expected_dist)
+            assert_traced_radius_exact(tree, queries, r, sort)
 
 
 class TestTracedBatch:
-    """``nn_batch(trace=)`` and ``radius_batch_csr(trace=)`` advance every
-    query's own depth-first search in lockstep; each query must visit,
-    prune and scan exactly what the scalar search does, in its order."""
+    """``radius_batch_csr(trace=)`` orders the radius frontier by
+    depth-first position, and ``nn_batch(trace=)`` walks every home path
+    and then advances each query's own depth-first search in lockstep;
+    each query must visit, prune and scan exactly what the scalar search
+    does, in its order."""
 
     @pytest.mark.parametrize("top_height", [0, 1, 3])
     def test_heights(self, points, rng, top_height):
@@ -727,3 +742,58 @@ class TestTracedBatch:
             assert not table.results.any() and not table.result_size.any()
             assert len(table.leaf_id) >= len(queries)
             assert_traced_batch_exact(tree, queries, radii=(1e-9,))
+
+    def test_radius_at_top_height_eleven(self):
+        """Leaf size 1 over a whole frame: 11-bit depth-first positions
+        order each query's many leaf visits."""
+        (frame,) = make_sequence(n_frames=1, seed=5).frames
+        tree = TwoStageKDTree.from_leaf_size(frame.points, 1)
+        assert tree.top_height == 11
+        queries = frame.points[:: len(frame.points) // 150]
+        assert 150 <= len(queries) <= 160
+        for r in (0.75, 1.5):
+            table = assert_traced_radius_exact(tree, queries, r)
+            assert table.visit_counts.max() >= 10
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 20])
+    def test_absent_children(self, rng, n):
+        """Top height 4 over a few points leaves children absent: home
+        paths dead-end above the leaf level (every path for n < 16) and
+        the frontier skips positions.  Queries sit on, and half a unit
+        to each side of, every point, so on both sides of every split."""
+        points = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+        steps = np.vstack([np.zeros(3), 0.5 * np.eye(3), -0.5 * np.eye(3)])
+        queries = (points[:, None, :] + steps).reshape(-1, 3)
+        tree = TwoStageKDTree(points, top_height=4)
+        assert tree.n_leaf_sets < 2**4
+        assert (tree.n_leaf_sets == 0) == (n < 16)
+        assert_traced_nn_exact(tree, queries)
+        for r in (0.0, 0.5, 1.0, 3.0):
+            assert_traced_radius_exact(tree, queries, r)
+
+    def test_every_row_leaves_its_home_path(self, points, rng):
+        """Queries far outside the cloud: no home leaf bounds the search
+        tightly, so every row visits a node or scans a leaf off its home
+        path (four nodes to a leaf in this full tree)."""
+        tree = TwoStageKDTree(points, top_height=4)
+        queries = rng.normal(size=(30, 3)) + [1e3, 0.0, 0.0]
+        table = assert_traced_nn_exact(tree, queries)
+        for row in range(len(queries)):
+            visits = slice(table.offsets[row], table.offsets[row + 1])
+            leaves_scanned = np.count_nonzero(~table.pruned[visits])
+            assert table.toptree_visits[row] > 4 or leaves_scanned > 1
+
+    def test_no_row_leaves_its_home_path(self, points):
+        """Leaf-set members of a continuous cloud: the home-leaf scan finds
+        the query itself at distance 0 and every far sibling lies more
+        than 0 away, so each row pops its four path nodes, scans its home
+        leaf and prunes the rest."""
+        tree = TwoStageKDTree(points, top_height=4)
+        members = [tree.leaf_set_indices(leaf)[:2] for leaf in range(16)]
+        queries = points[np.concatenate(members)]
+        table = assert_traced_nn_exact(tree, queries)
+        assert np.all(table.toptree_visits == 4)
+        assert np.all(table.toptree_bypassed + table.visit_counts - 1 == 4)
+        first = table.offsets[:-1]
+        assert not table.pruned[first].any()
+        assert table.pruned.sum() == len(table.pruned) - len(queries)

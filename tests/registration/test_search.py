@@ -94,8 +94,3 @@ class TestInstrumentation:
     def test_build_time_recorded(self, points):
         searcher = build_searcher(points, SearchConfig())
         assert searcher.build_time > 0
-
-    def test_points_property(self, points):
-        for backend in BACKENDS:
-            searcher = build_searcher(points, SearchConfig(backend=backend))
-            assert np.array_equal(searcher.points, points)
